@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
 from .dist import DemandConditional, JointTable, assert_ergodic
 from .errors import DistributionError
@@ -87,7 +87,7 @@ class _CompiledSampler:
     """
 
     __slots__ = ("col_w1", "col_row", "row_w2", "row_col", "dem_vals",
-                 "mean_map", "mean_origin", "mean_inv_width", "mean_max_bin",
+                 "mean_map", "mean_origin", "mean_width", "mean_max_bin",
                  "all_w1", "all_w2", "n_records")
 
     def __init__(self, joint: JointTable, demand: DemandConditional):
@@ -104,14 +104,14 @@ class _CompiledSampler:
                 raise DistributionError(f"mean-wind row {row} has no demand members")
         self.mean_map = demand.merged_map.tolist()
         self.mean_origin = demand.mean_spec.origin
-        self.mean_inv_width = 1.0 / demand.mean_spec.width
+        self.mean_width = demand.mean_spec.width
         self.mean_max_bin = demand.mean_spec.n_bins - 1
         self.all_w1 = w1.tolist()
         self.all_w2 = w2.tolist()
         self.n_records = len(w1)
 
     def mean_row(self, w1: float, w2: float) -> int:
-        raw = int(((w1 + w2) * 0.5 - self.mean_origin) * self.mean_inv_width)
+        raw = int(((w1 + w2) * 0.5 - self.mean_origin) / self.mean_width)
         if raw > self.mean_max_bin:
             raw = self.mean_max_bin
         return self.mean_map[raw]
@@ -198,13 +198,13 @@ def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> R
     dem_vals = c.dem_vals
     mean_map = c.mean_map
     origin = c.mean_origin
-    inv_width = c.mean_inv_width
+    width = c.mean_width
     max_bin = c.mean_max_bin
 
     k = int(u[0] * c.n_records)
     w1 = c.all_w1[k]
     w2 = c.all_w2[k]
-    raw = int(((w1 + w2) * 0.5 - origin) * inv_width)
+    raw = int(((w1 + w2) * 0.5 - origin) / width)
     dem = dem_vals[mean_map[raw if raw <= max_bin else max_bin]]
     p_d = dem[int(u[1] * len(dem))]
     out_w1[0] = w1
@@ -222,7 +222,7 @@ def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> R
         k = int(u[pos + 1] * len(vals))
         w2 = vals[k]
         j = row_col[i][k]
-        raw = int(((w1 + w2) * 0.5 - origin) * inv_width)
+        raw = int(((w1 + w2) * 0.5 - origin) / width)
         dem = dem_vals[mean_map[raw if raw <= max_bin else max_bin]]
         p_d = dem[int(u[pos + 2] * len(dem))]
         out_w1[t] = w1
@@ -322,7 +322,7 @@ def wci_95(sigma: float, n_realisations: int) -> float:
     """
     if n_realisations < 2:
         raise DistributionError("confidence width needs at least 2 realisations")
-    quantile = float(student_t.ppf(0.975, n_realisations - 1))
+    quantile = float(stdtrit(n_realisations - 1, 0.975))
     return 2.0 * quantile * sigma / math.sqrt(n_realisations)
 
 

@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .ingest import JointSeries
 
@@ -42,7 +42,7 @@ def _generate(n_hours: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     eps = rng.standard_normal((n_hours, 2))
     chol = np.linalg.cholesky(np.array([[1.0, site_corr], [site_corr, 1.0]]))
     z = _ar1(eps @ chol.T, persistence=0.97)
-    u = norm.cdf(z)
+    u = ndtr(z)
 
     shape = 2.0
     gamma_factor = math.gamma(1.0 + 1.0 / shape)

@@ -36,6 +36,15 @@ def joint_from_arrays(w1, w2, p_d) -> JointSeries:
                        p_d=np.asarray(p_d, dtype=np.float64))
 
 
+@pytest.fixture(scope="session", autouse=True)
+def kernel_cache(tmp_path_factory):
+    """Build the compiled energy kernel under a session temp dir, not ~/.cache."""
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+    yield
+    patch.undo()
+
+
 @pytest.fixture(scope="session")
 def synthetic_series() -> JointSeries:
     return make_joint_series()

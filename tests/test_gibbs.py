@@ -108,6 +108,27 @@ class TestRunChain:
         assert set(real.w2.tolist()) <= set(synthetic_series.w2.tolist())
         assert set(real.p_d.tolist()) <= set(synthetic_series.p_d.tolist())
 
+    @pytest.mark.parametrize("width", [0.1, 0.7, 1.1])
+    def test_mean_wind_bin_matches_binspec_on_rounded_winds(self, synthetic_series, width):
+        # winds rounded to 0.1 m/s sit on bin edges, where multiplying by
+        # 1/width and dividing by width disagree
+        series = joint_from_arrays(np.round(synthetic_series.w1, 1),
+                                   np.round(synthetic_series.w2, 1), synthetic_series.p_d)
+        tables = tables_for(series, wind_width=width)
+        demand = tables.demand
+        w1 = np.unique(series.w1)
+        w2 = np.unique(series.w2)
+        means = (w1[:, None] + w2[None, :]) / 2.0
+        expected = demand.merged_map[demand.mean_spec.indices(means)]
+        mean_row = tables.compiled.mean_row
+        got = np.array([[mean_row(a, b) for b in w2.tolist()] for a in w1.tolist()])
+        assert np.array_equal(got, expected)
+
+        real = run_chain(ChainConfig(n=3000, realisations=1, seed=5), tables, 0)
+        rows = demand.merged_map[demand.mean_spec.indices((real.w1 + real.w2) / 2.0)]
+        row_values = [set(demand.demand_values[idx].tolist()) for idx in demand.row_records]
+        assert all(p in row_values[r] for p, r in zip(real.p_d.tolist(), rows))
+
     def test_disconnected_table_fails_with_diagnostic(self):
         counts = np.array([[4, 0], [0, 4]], dtype=np.int64)
         spec = BinSpec(width=10.0, origin=0.0, max_edge=20.0)

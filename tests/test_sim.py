@@ -1,16 +1,19 @@
 """Power curve, curtailment sharing, and energy-tensor aggregation."""
 from __future__ import annotations
 
+import logging
 import math
+import subprocess
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from windgame import (ChainConfig, FitError, PowerCurve, StrategyGrid,
                       WindGameError, build_energy_tables, curtailment_timestep,
                       default_power_curve, fit_sigmoid, load_curve_points,
                       per_unit_output, per_unit_series, run_chain)
+from windgame import sim
 from windgame.sim import PerUnitSeries
 
 
@@ -276,3 +279,95 @@ class TestBuildEnergyTables:
         gen_rows = gen.read_text().strip().splitlines()
         assert gen_rows[0] == "i,p_n,e_g1,e_g2"
         assert float(gen_rows[-1].split(",")[2]) == tables.e_g1[2]
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def energy_path(request, monkeypatch):
+    """Run the test once on the C kernel and once on the numpy fallback."""
+    if request.param == "compiled":
+        if sim._load_kernel() is None:
+            pytest.skip("compiled energy kernel unavailable on this machine")
+    else:
+        monkeypatch.setattr(sim, "_load_kernel", lambda: None)
+    return request.param
+
+
+def assert_matches_brute_force(series, grid, dt=1.0):
+    tables = build_energy_tables(series, default_power_curve(), grid, dt)
+    expected = brute_force_energy_tables(series.x1, series.x2, series.p_d, grid.values, dt)
+    for got, want in zip((tables.e_g1, tables.e_g2, tables.e_c1, tables.e_c2), expected):
+        assert got.tobytes() == want.tobytes()
+    return tables
+
+
+class TestEnergyKernelOracle:
+    """Both build paths against the literal loop, bit for bit."""
+
+    def test_single_point_grid(self, energy_path):
+        assert_matches_brute_force(random_per_unit(30, seed=10),
+                                   StrategyGrid(step=1.0, p_n_max=0.0))
+
+    def test_grid_not_a_multiple_of_the_column_block(self, energy_path):
+        # 259 columns: one full 256-column block plus a 3-column tail
+        assert_matches_brute_force(random_per_unit(3, seed=11),
+                                   StrategyGrid(step=0.5, p_n_max=129.0))
+
+    def test_zero_output_lanes(self, energy_path):
+        # grid[0] = 0 and timesteps with no wind make total = 0 (0/0 lanes)
+        series = random_per_unit(40, seed=12)
+        series.x1[::3] = 0.0
+        series.x2[::4] = 0.0
+        assert_matches_brute_force(series, StrategyGrid(step=10.0, p_n_max=100.0))
+
+    def test_inexact_timestep_exposes_contraction(self, energy_path):
+        # dt = 0.1 is inexact, so a fused multiply-add changes the sums
+        assert_matches_brute_force(random_per_unit(60, seed=13),
+                                   StrategyGrid(step=7.5, p_n_max=150.0), dt=0.1)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_generated_series(self, energy_path, data):
+        n = data.draw(st.integers(min_value=1, max_value=12))
+        unit = st.floats(min_value=0.0, max_value=1.0)
+        series = PerUnitSeries(
+            x1=np.array(data.draw(st.lists(unit, min_size=n, max_size=n))),
+            x2=np.array(data.draw(st.lists(unit, min_size=n, max_size=n))),
+            p_d=np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=300.0),
+                                            min_size=n, max_size=n))))
+        step = data.draw(st.sampled_from([0.5, 2.5, 10.0, 30.0]))
+        grid = StrategyGrid(step=step, p_n_max=step * data.draw(st.integers(0, 10)))
+        dt = data.draw(st.sampled_from([1.0, 0.1, 0.25, 1.0 / 6.0]))
+        assert_matches_brute_force(series, grid, dt)
+
+
+class TestKernelBuild:
+    def test_cached_binary_is_reused(self, tmp_path, monkeypatch):
+        if sim.shutil.which("cc") is None and sim.shutil.which("gcc") is None:
+            pytest.skip("no C compiler on this machine")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        path = sim._compile_kernel()
+        assert path.parent == tmp_path / "windgame"
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("compiler invoked despite a cached kernel")
+
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert sim._compile_kernel() == path
+
+    def test_failed_build_warns_once_and_falls_back(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(sim.shutil, "which", lambda name: None)
+        series = random_per_unit(20, seed=14)
+        grid = StrategyGrid(step=20.0, p_n_max=100.0)
+        sim._load_kernel.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger="windgame"):
+                assert_matches_brute_force(series, grid)
+                assert_matches_brute_force(series, grid)
+        finally:
+            sim._load_kernel.cache_clear()
+        warnings = [r for r in caplog.records if "using the numpy loop" in r.getMessage()]
+        assert len(warnings) == 1
+        assert "no C compiler" in warnings[0].getMessage()
