@@ -9,17 +9,17 @@ game by backward induction.
 
 __version__ = "0.1.0"
 
-from .dist import (BinSpec, DemandConditional, DiscreteDistribution, JointTable,
-                   assert_ergodic, build_demand_conditional, build_joint_wind_table,
-                   conditional_slice, count_cell_components, merge_sparse_bins)
+from .dist import (BinSpec, DemandConditional, JointTable, assert_ergodic,
+                   build_demand_conditional, build_joint_wind_table,
+                   count_cell_components, merge_sparse_bins)
 from .errors import (ConfigError, DistributionError, ErgodicityError, FitError,
                      IngestError, StageError, WindGameError)
 from .game import (BestResponse, CostParams, Equilibrium, ProfitSurfaces,
                    dump_equilibrium_csv, follower_best_response, profit_surfaces,
                    stackelberg)
-from .gibbs import (ChainConfig, ChainState, Realisation, SamplerTables, StatsReport,
-                    VariableStats, chain_rng, convergence_stats, dump_realisations_csv,
-                    gibbs_step, init_chain, run_chain, run_ensemble, wci_95)
+from .gibbs import (ChainConfig, Realisation, SamplerTables, StatsReport, VariableStats,
+                    chain_rng, convergence_stats, dump_realisations_csv, run_chain,
+                    run_ensemble, wci_95)
 from .ingest import (GapReport, JointSeries, TimeSeries, align_series,
                      load_series_csv, normalize_demand)
 from .sim import (EnergyTables, PerUnitSeries, PowerCurve, StrategyGrid,

@@ -14,9 +14,8 @@ import logging
 import sys
 
 from .config import apply_profile, load_config, override_seed
-from .errors import WindGameError
-from .gibbs import convergence_stats, run_ensemble
-from .runner import build_tables, emit_report, ingest_joint_series, run_scenario
+from .errors import ConfigError, WindGameError
+from .runner import _sampling_stages, emit_report, run_scenario
 from .sim import fit_sigmoid, load_curve_points
 
 
@@ -70,10 +69,10 @@ def main(argv: list[str] | None = None) -> int:
                 print(path)
         elif args.command == "stats":
             config = _load(args)
-            series = ingest_joint_series(config)
-            tables = build_tables(series, config)
-            realisations = run_ensemble(config.chain, tables, workers=args.workers)
-            print(convergence_stats(realisations, series).format_table())
+            if config.chain.realisations < 2:
+                raise ConfigError("stats needs at least 2 realisations")
+            _, _, stats = _sampling_stages(config, {})
+            print(stats.format_table())
         elif args.command == "fit-curve":
             curve = fit_sigmoid(load_curve_points(args.points))
             print(f"alpha={curve.alpha:.6f} beta={curve.beta:.6f} "

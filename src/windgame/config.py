@@ -164,9 +164,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         stop_frac=_get(parser, "sweep", "stop_frac", float, required=True),
         step_frac=_get(parser, "sweep", "step_frac", float, required=True))
 
-    curve_points = _get(parser, "power_curve", "points") if parser.has_section("power_curve") else None
-    curve_alpha = _get(parser, "power_curve", "alpha", float) if parser.has_section("power_curve") else None
-    curve_beta = _get(parser, "power_curve", "beta", float) if parser.has_section("power_curve") else None
+    curve_points = _get(parser, "power_curve", "points")
 
     return ScenarioConfig(
         wind1=series("wind1", "wind_speed_ms"),
@@ -174,22 +172,17 @@ def load_config(path: str | Path) -> ScenarioConfig:
         demand=series("demand", "demand_mw"),
         demand_target_mean=_get(parser, "data", "demand_target_mean_mw", float,
                                 default=108.1830),
-        wind_bin_width=_get(parser, "bins", "wind_width_ms", float, default=1.0)
-        if parser.has_section("bins") else 1.0,
-        demand_bin_width=_get(parser, "bins", "demand_width_mw", float, default=5.0)
-        if parser.has_section("bins") else 5.0,
-        min_count=_get(parser, "bins", "min_count", int, default=10)
-        if parser.has_section("bins") else 10,
+        wind_bin_width=_get(parser, "bins", "wind_width_ms", float, default=1.0),
+        demand_bin_width=_get(parser, "bins", "demand_width_mw", float, default=5.0),
+        min_count=_get(parser, "bins", "min_count", int, default=10),
         chain=chain,
-        grid_step=_get(parser, "grid", "step_mw", float, default=5.0)
-        if parser.has_section("grid") else 5.0,
-        grid_max=_get(parser, "grid", "max_mw", float, default=100.0)
-        if parser.has_section("grid") else 100.0,
+        grid_step=_get(parser, "grid", "step_mw", float, default=5.0),
+        grid_max=_get(parser, "grid", "max_mw", float, default=100.0),
         costs=costs,
         sweep=sweep,
         curve_points=(base / curve_points).resolve() if curve_points else None,
-        curve_alpha=curve_alpha,
-        curve_beta=curve_beta)
+        curve_alpha=_get(parser, "power_curve", "alpha", float),
+        curve_beta=_get(parser, "power_curve", "beta", float))
 
 
 def apply_profile(config: ScenarioConfig, profile: str) -> ScenarioConfig:

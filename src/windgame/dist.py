@@ -64,38 +64,12 @@ class BinSpec:
             offender = float(values[bad][0])
             raise DistributionError(
                 f"value {offender} outside binned range [{self.origin}, {self.max_edge}]")
-        idx = ((values - self.origin) / self.width).astype(np.int64)
-        return np.minimum(idx, self.n_bins - 1)
+        return self.unchecked_indices(values)
 
-
-@dataclass(frozen=True)
-class DiscreteDistribution:
-    """A finite distribution over observed values."""
-
-    support: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if support.size == 0:
-            raise DistributionError("distribution support is empty")
-        if support.shape != weights.shape:
-            raise DistributionError("support and weights must align 1:1")
-        if np.any(weights < 0.0):
-            raise DistributionError("weights must be nonnegative")
-        total = float(weights.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise DistributionError(f"weights sum to {total}, expected 1")
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "weights", weights)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        cdf = np.cumsum(self.weights)
-        return float(self.support[np.searchsorted(cdf, rng.random(), side="right")])
-
-    def mean(self) -> float:
-        return float(np.dot(self.support, self.weights))
+    def unchecked_indices(self, values: np.ndarray) -> np.ndarray:
+        """``indices`` without the range check, for values known to be in range."""
+        return np.minimum(((values - self.origin) / self.width).astype(np.int64),
+                          self.n_bins - 1)
 
 
 def _merge_groups(marginals: np.ndarray, min_count: int) -> np.ndarray:
@@ -165,14 +139,6 @@ class JointTable:
     def n_cols(self) -> int:
         return self.counts.shape[1]
 
-    def row_index(self, w1: float) -> int:
-        """Retained row bin for a raw w1 value."""
-        return int(self.merged_map_1[self.spec1.index(w1)])
-
-    def col_index(self, w2: float) -> int:
-        """Retained column bin for a raw w2 value."""
-        return int(self.merged_map_2[self.spec2.index(w2)])
-
     @cached_property
     def row_records(self) -> list[np.ndarray]:
         """Record indices grouped by retained row."""
@@ -236,37 +202,6 @@ def merge_sparse_bins(table: JointTable, min_count: int) -> JointTable:
         row_of=row_of, col_of=col_of)
 
 
-def _aggregate(values: np.ndarray) -> DiscreteDistribution:
-    support, counts = np.unique(values, return_counts=True)
-    return DiscreteDistribution(support=support, weights=counts / counts.sum())
-
-
-def conditional_slice(table: JointTable, axis: int, given_bin: int) -> DiscreteDistribution:
-    """Conditional distribution of one wind variable given the other's bin.
-
-    ``axis`` names the conditioning variable (1 = w1 fixed, sample w2;
-    2 = w2 fixed, sample w1); ``given_bin`` is a retained bin of that axis.
-    Weights are proportional to record counts over raw member values.
-    """
-    if axis == 1:
-        if not 0 <= given_bin < table.n_rows:
-            raise DistributionError(f"row bin {given_bin} out of range 0..{table.n_rows - 1}")
-        members = table.row_records[given_bin]
-        values = table.w2_values
-    elif axis == 2:
-        if not 0 <= given_bin < table.n_cols:
-            raise DistributionError(f"column bin {given_bin} out of range 0..{table.n_cols - 1}")
-        members = table.col_records[given_bin]
-        values = table.w1_values
-    else:
-        raise DistributionError(f"axis must be 1 or 2, got {axis}")
-    if len(members) == 0:
-        raise ErgodicityError(
-            f"empty conditional slice at axis {axis}, bin {given_bin}; "
-            f"this should be impossible after sparse-bin merging")
-    return _aggregate(values[members])
-
-
 @dataclass(frozen=True)
 class DemandConditional:
     """Demand distribution conditioned on the binned mean of the two winds.
@@ -299,15 +234,6 @@ class DemandConditional:
     def row_records(self) -> list[np.ndarray]:
         order = np.argsort(self.row_of, kind="stable")
         return [order[self.row_of[order] == i] for i in range(self.n_rows)]
-
-    def demand_slice(self, row: int) -> DiscreteDistribution:
-        """Distribution over raw demand values for one retained mean-wind row."""
-        if not 0 <= row < self.n_rows:
-            raise DistributionError(f"mean-wind row {row} out of range 0..{self.n_rows - 1}")
-        members = self.row_records[row]
-        if len(members) == 0:
-            raise ErgodicityError(f"empty demand slice at mean-wind row {row}")
-        return _aggregate(self.demand_values[members])
 
 
 def build_demand_conditional(series: JointSeries, mean_spec: BinSpec,

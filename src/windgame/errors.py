@@ -14,7 +14,7 @@ class DistributionError(WindGameError):
 
 
 class ErgodicityError(DistributionError):
-    """Raised when the sampled state space is disconnected or a slice is empty.
+    """Raised when the sampled state space is disconnected.
 
     The chain cannot visit every retained state from every start; increase
     ``min_count`` or the bin width so sparse bins fold into their neighbours.

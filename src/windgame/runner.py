@@ -3,16 +3,25 @@
 Pipeline: ingest -> distribution tables -> chain ensemble -> per-realisation
 energy tables -> equilibrium at every sweep point -> ensemble aggregation.
 Energy tables are built once per realisation and reused across sweep points,
-since cost parameters cannot affect the physics. Failures are re-raised
-tagged with the stage they occurred in.
+since cost parameters cannot affect the physics. Realisations are solved
+independently, on a process pool when ``workers`` > 1; each result is a
+function of the realisation alone, so reports are byte-identical for every
+pool size. Failures, including a worker process that dies, are re-raised
+tagged with the stage they occurred in, and report files are renamed into
+place only once fully written.
 """
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import logging
+import multiprocessing
+import os
 import platform
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,14 +34,13 @@ from .dist import (BinSpec, assert_ergodic, build_demand_conditional,
                    build_joint_wind_table, merge_sparse_bins)
 from .errors import StageError, WindGameError
 from .game import CostParams, profit_surfaces, stackelberg
-from .gibbs import SamplerTables, StatsReport, convergence_stats, run_ensemble
+from .gibbs import Realisation, SamplerTables, StatsReport, convergence_stats, run_ensemble
 from .ingest import JointSeries, align_series, load_series_csv, normalize_demand
 from .sim import PowerCurve, StrategyGrid, build_energy_tables, default_power_curve, \
     fit_sigmoid, load_curve_points
 
 log = logging.getLogger("windgame")
 
-EQUILIBRIUM_FIELDS = ("p_n1", "p_n2", "pi1", "pi2")
 STAT_ORDER = ("mean", "min", "max")
 
 
@@ -112,32 +120,70 @@ def _swept_costs(base: CostParams, parameter: str, frac: float) -> CostParams:
     return replace(base, **{parameter: frac * base.p_g})
 
 
-def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
-    """Execute the full pipeline for one scenario sweep."""
-    timing: dict = {}
+def _sampling_stages(config: ScenarioConfig, timing: dict
+                     ) -> tuple[JointSeries, list[Realisation], StatsReport | None]:
+    """The staged pipeline prefix: ingest -> tables -> sample.
+
+    Returns the aligned series, the realisations and, for two or more, their
+    convergence diagnostics; ``timing`` receives each stage's seconds.
+    """
     with _stage("ingest", timing):
         series = ingest_joint_series(config)
     with _stage("tables", timing):
         tables = build_tables(series, config)
     with _stage("sample", timing):
-        realisations = run_ensemble(config.chain, tables, workers=workers)
-        stats = convergence_stats(realisations, series) \
-            if config.chain.realisations >= 2 else None
+        realisations = run_ensemble(config.chain, tables)
+        stats = convergence_stats(realisations, series) if len(realisations) >= 2 else None
+    return series, realisations, stats
+
+
+def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: StrategyGrid,
+                       costs: list[CostParams]) -> np.ndarray:
+    """Equilibria of one realisation at every sweep point: a (sweep, 4) block
+    of p_n1, p_n2, pi1, pi2. Module-level so a process pool can run it."""
+    energies = build_energy_tables(realisation, curve, grid)
+    block = np.empty((len(costs), 4))
+    for s_idx, point in enumerate(costs):
+        eq = stackelberg(profit_surfaces(energies, point), grid)
+        block[s_idx] = (eq.p_n1_star, eq.p_n2_star, eq.pi1_star, eq.pi2_star)
+    return block
+
+
+def _solve_all(realisations: list[Realisation], solve, workers: int) -> list[np.ndarray]:
+    """``solve`` mapped over the realisations, in order: a plain loop for one
+    worker, else a pool of ``min(workers, N)`` fresh interpreters."""
+    blocks = []
+    with contextlib.ExitStack() as stack:
+        if workers <= 1:
+            results = map(solve, realisations)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(workers, len(realisations)),
+                mp_context=multiprocessing.get_context("spawn")))
+            results = pool.map(solve, realisations)
+        try:
+            for block in results:
+                blocks.append(block)
+                log.info("realisation %d/%d solved across %d sweep points",
+                         len(blocks), len(realisations), len(block))
+        except BrokenProcessPool as exc:
+            raise WindGameError(f"a worker process died: {exc}") from exc
+    return blocks
+
+
+def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
+    """Execute the full pipeline for one scenario sweep."""
+    timing: dict = {}
+    series, realisations, stats = _sampling_stages(config, timing)
     with _stage("curve", timing):
         curve = resolve_power_curve(config)
     with _stage("game", timing):
         grid = StrategyGrid(step=config.grid_step, p_n_max=config.grid_max)
         sweep_fracs = config.sweep.values()
-        per_real = np.empty((len(sweep_fracs), len(realisations), 4))
-        for r_idx, realisation in enumerate(realisations):
-            energies = build_energy_tables(realisation, curve, grid)
-            for s_idx, frac in enumerate(sweep_fracs):
-                costs = _swept_costs(config.costs, config.sweep.parameter, frac)
-                eq = stackelberg(profit_surfaces(energies, costs), grid)
-                per_real[s_idx, r_idx] = (eq.p_n1_star, eq.p_n2_star,
-                                          eq.pi1_star, eq.pi2_star)
-            log.info("realisation %d/%d solved across %d sweep points",
-                     r_idx + 1, len(realisations), len(sweep_fracs))
+        costs = [_swept_costs(config.costs, config.sweep.parameter, frac)
+                 for frac in sweep_fracs]
+        solve = functools.partial(_solve_realisation, curve=curve, grid=grid, costs=costs)
+        per_real = np.stack(_solve_all(realisations, solve, workers), axis=1)
         aggregates = np.stack([per_real.mean(axis=1),
                                per_real.min(axis=1),
                                per_real.max(axis=1)], axis=1)
@@ -174,6 +220,21 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_atomic(path: Path, lines: list[str]) -> None:
+    """Write ``lines`` to a temporary file beside ``path``, then rename it over
+    ``path``, so an interrupted write never leaves a partial report."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise StageError("report", WindGameError(f"cannot write {path}: {exc}")) from exc
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+
+
 def emit_report(result: ScenarioResult, out_dir: str | Path) -> list[Path]:
     """Write equilibria.csv, per_realisation.csv, convergence.csv and run.json.
 
@@ -186,40 +247,28 @@ def emit_report(result: ScenarioResult, out_dir: str | Path) -> list[Path]:
     except OSError as exc:
         raise StageError("report", WindGameError(f"cannot create {out_dir}: {exc}"))
 
+    equilibria = ["sweep_value,stat,p_n1,p_n2,pi1,pi2"]
+    per_realisation = ["sweep_value,realisation,p_n1,p_n2,pi1,pi2"]
+    for s_idx, frac in enumerate(result.sweep_fracs):
+        for stat_idx, stat in enumerate(STAT_ORDER):
+            row = result.aggregates[s_idx, stat_idx]
+            equilibria.append(",".join([_fmt(frac), stat] + [_fmt(v) for v in row]))
+        for r_idx, row in enumerate(result.per_realisation[s_idx]):
+            per_realisation.append(",".join([_fmt(frac), str(r_idx)]
+                                            + [_fmt(v) for v in row]))
+
+    convergence = ["variable,mean,sigma,wci95,max_err_pct,historic_mean"]
+    if result.stats is not None:
+        for v in result.stats.rows():
+            convergence.append(",".join([v.name, _fmt(v.mean), _fmt(v.sigma), _fmt(v.wci),
+                                         _fmt(v.max_err_pct), _fmt(v.historic_mean)]))
+
+    reports = {"equilibria.csv": equilibria,
+               "per_realisation.csv": per_realisation,
+               "convergence.csv": convergence,
+               "run.json": [json.dumps(result.metadata, indent=2, sort_keys=True)]}
     paths = []
-
-    path = out_dir / "equilibria.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("sweep_value,stat,p_n1,p_n2,pi1,pi2\n")
-        for s_idx, frac in enumerate(result.sweep_fracs):
-            for stat_idx, stat in enumerate(STAT_ORDER):
-                row = result.aggregates[s_idx, stat_idx]
-                handle.write(",".join([_fmt(frac), stat] + [_fmt(v) for v in row]) + "\n")
-    paths.append(path)
-
-    path = out_dir / "per_realisation.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("sweep_value,realisation,p_n1,p_n2,pi1,pi2\n")
-        for s_idx, frac in enumerate(result.sweep_fracs):
-            for r_idx in range(result.per_realisation.shape[1]):
-                row = result.per_realisation[s_idx, r_idx]
-                handle.write(",".join([_fmt(frac), str(r_idx)]
-                                      + [_fmt(v) for v in row]) + "\n")
-    paths.append(path)
-
-    path = out_dir / "convergence.csv"
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("variable,mean,sigma,wci95,max_err_pct,historic_mean\n")
-        if result.stats is not None:
-            for v in result.stats.rows():
-                handle.write(",".join([v.name, _fmt(v.mean), _fmt(v.sigma), _fmt(v.wci),
-                                       _fmt(v.max_err_pct), _fmt(v.historic_mean)]) + "\n")
-    paths.append(path)
-
-    path = out_dir / "run.json"
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result.metadata, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    paths.append(path)
-
+    for name, lines in reports.items():
+        paths.append(out_dir / name)
+        _write_atomic(paths[-1], lines)
     return paths

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -136,6 +139,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="unknown profile"):
             apply_profile(config, "huge")
 
+    def test_optional_sections_default(self, tmp_path):
+        write_tiny_dataset(tmp_path)
+        full = load_config(write_tiny_config(tmp_path))
+        # the tiny config has no [power_curve]; drop [bins] and [grid] too
+        text = (tmp_path / "tiny.ini").read_text(encoding="utf-8")
+        path = tmp_path / "bare.ini"
+        path.write_text(re.sub(r"\[(bins|grid)\][^[]*", "", text), encoding="utf-8")
+        config = load_config(path)
+        assert (config.wind_bin_width, config.demand_bin_width, config.min_count) == (1.0, 5.0, 10)
+        assert (config.grid_step, config.grid_max) == (5.0, 100.0)
+        assert (config.curve_points, config.curve_alpha, config.curve_beta) == (None, None, None)
+        assert config.chain == full.chain and config.costs == full.costs
+
     def test_seed_override(self, tiny_config):
         config = override_seed(load_config(tiny_config), 4321)
         assert config.chain.seed == 4321
@@ -193,6 +209,38 @@ class TestRunScenario:
         (tmp_path / "w1.csv").unlink()
         with pytest.raises(StageError, match=r"\[ingest\]"):
             run_scenario(load_config(path))
+
+    def test_worker_crash_is_stage_tagged(self, tiny_config, monkeypatch, capsys):
+        import windgame.runner as runner_mod
+
+        class DiesWhenUnpickled:
+            def __reduce__(self):
+                return os._exit, (1,)
+
+        monkeypatch.setattr(runner_mod, "resolve_power_curve",
+                            lambda config: DiesWhenUnpickled())
+        with pytest.raises(StageError, match=r"\[game\] a worker process died"):
+            run_scenario(load_config(tiny_config), workers=2)
+        code = main(["run", "--config", str(tiny_config), "--out",
+                     str(tiny_config.parent / "out"), "--workers", "2"])
+        assert code == 1
+        assert "error: [game] a worker process died" in capsys.readouterr().err
+
+    def test_interrupted_report_leaves_previous_files(self, tiny_config, tmp_path,
+                                                      monkeypatch):
+        result = run_scenario(load_config(tiny_config))
+        out = tmp_path / "report"
+        emit_report(result, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def no_rename(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", no_rename)
+        changed = replace(result, per_realisation=result.per_realisation + 1.0)
+        with pytest.raises(StageError, match=r"\[report\] cannot write"):
+            emit_report(changed, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_aggregates_match_brute_force_over_emitted_rows(self, tiny_config, tmp_path):
         config = load_config(tiny_config)
@@ -255,6 +303,17 @@ class TestCli:
         assert main(["stats", "--config", str(tiny_config)]) == 0
         out = capsys.readouterr().out
         assert "wci95" in out and "p_d" in out
+
+    def test_stats_failure_is_stage_tagged(self, tiny_config, capsys):
+        (tiny_config.parent / "w1.csv").unlink()
+        assert main(["stats", "--config", str(tiny_config)]) == 1
+        assert "[ingest]" in capsys.readouterr().err
+
+    def test_stats_needs_two_realisations(self, tmp_path, capsys):
+        write_tiny_dataset(tmp_path)
+        path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 1\nseed = 7")
+        assert main(["stats", "--config", str(path)]) == 1
+        assert "at least 2 realisations" in capsys.readouterr().err
 
     def test_fit_curve_subcommand(self, capsys):
         code = main(["fit-curve", "--points",

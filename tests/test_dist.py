@@ -1,4 +1,9 @@
-"""Empirical tables: histograms, sparse-bin merging, slices, connectivity."""
+"""Empirical tables: histograms, sparse-bin merging, slices, connectivity.
+
+A conditional slice is the list of member records of one retained bin; the
+sampler draws a member uniformly, so value frequencies within a slice are
+the conditional weights.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -7,10 +12,24 @@ from hypothesis import given, settings, strategies as st
 
 from windgame import (BinSpec, DistributionError, ErgodicityError, JointTable,
                       assert_ergodic, build_demand_conditional, build_joint_wind_table,
-                      conditional_slice, count_cell_components, merge_sparse_bins)
+                      count_cell_components, merge_sparse_bins)
 from windgame.dist import dump_joint_csv, dump_merged_map_csv
 
 from conftest import joint_from_arrays
+
+
+def weights(values):
+    """Distinct values of a slice and their frequencies."""
+    support, counts = np.unique(values, return_counts=True)
+    return support.tolist(), (counts / counts.sum()).tolist()
+
+
+def w1_given_col(table, col):
+    return table.w1_values[table.col_records[col]]
+
+
+def demand_given_row(cond, row):
+    return cond.demand_values[cond.row_records[row]]
 
 
 def table_from(w1, w2, spec1, spec2):
@@ -137,40 +156,29 @@ class TestMergeSparseBins:
 class TestConditionalSlice:
     def test_point_mass(self):
         table = merge_sparse_bins(table_from([12.3], [4.0], WIDE, WIDE), 1)
-        dist = conditional_slice(table, axis=2, given_bin=0)
-        assert list(dist.support) == [12.3]
-        assert list(dist.weights) == [1.0]
+        assert weights(w1_given_col(table, 0)) == ([12.3], [1.0])
 
     def test_weights_proportional_to_counts(self):
         # given w2's bin: three records with w1=5, one with w1=25
         table = merge_sparse_bins(
             table_from([5.0, 5.0, 5.0, 25.0], [4.0, 4.1, 4.2, 4.3], WIDE, WIDE), 1)
-        dist = conditional_slice(table, axis=2, given_bin=0)
-        assert list(dist.support) == [5.0, 25.0]
-        assert list(dist.weights) == [0.75, 0.25]
+        assert weights(w1_given_col(table, 0)) == ([5.0, 25.0], [0.75, 0.25])
 
     def test_every_slice_of_merged_table_is_proper(self, synthetic_tables):
         table = synthetic_tables.joint
-        for i in range(table.n_rows):
-            dist = conditional_slice(table, axis=1, given_bin=i)
-            assert len(dist.support) > 0
-            assert dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
-        for j in range(table.n_cols):
-            dist = conditional_slice(table, axis=2, given_bin=j)
-            assert len(dist.support) > 0
-            assert dist.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        for i, members in enumerate(table.row_records):
+            assert len(members) > 0
+            assert np.all(table.row_of[members] == i)
+        for j, members in enumerate(table.col_records):
+            assert len(members) > 0
+            assert np.all(table.col_of[members] == j)
+        assert sorted(np.concatenate(table.row_records).tolist()) == list(range(table.total))
+        assert sorted(np.concatenate(table.col_records).tolist()) == list(range(table.total))
 
     def test_support_is_subset_of_observed(self, synthetic_series, synthetic_tables):
         table = synthetic_tables.joint
         observed_w1 = set(synthetic_series.w1.tolist())
-        dist = conditional_slice(table, axis=2, given_bin=table.n_cols // 2)
-        assert set(dist.support.tolist()) <= observed_w1
-
-    def test_bad_axis_and_bin(self, synthetic_tables):
-        with pytest.raises(DistributionError, match="axis"):
-            conditional_slice(synthetic_tables.joint, axis=3, given_bin=0)
-        with pytest.raises(DistributionError, match="out of range"):
-            conditional_slice(synthetic_tables.joint, axis=1, given_bin=999)
+        assert set(w1_given_col(table, table.n_cols // 2).tolist()) <= observed_w1
 
 
 class TestDemandConditional:
@@ -180,19 +188,15 @@ class TestDemandConditional:
         demand_spec = BinSpec(width=5.0, origin=95.0, max_edge=105.0)
         cond = build_demand_conditional(series, mean_spec, demand_spec, min_count=1)
         assert cond.n_rows == 1
-        row = cond.row_for_mean(12.0)
-        dist = cond.demand_slice(row)
-        assert list(dist.support) == [100.0]
-        assert list(dist.weights) == [1.0]
+        assert weights(demand_given_row(cond, cond.row_for_mean(12.0))) == ([100.0], [1.0])
 
     def test_identical_mean_wind_uniform_demand(self):
         series = joint_from_arrays([10.0, 14.0], [14.0, 10.0], [90.0, 110.0])
         mean_spec = BinSpec(width=1.0, origin=10.0, max_edge=15.0)
         demand_spec = BinSpec(width=5.0, origin=85.0, max_edge=115.0)
         cond = build_demand_conditional(series, mean_spec, demand_spec, min_count=1)
-        dist = cond.demand_slice(cond.row_for_mean(12.0))
-        assert list(dist.support) == [90.0, 110.0]
-        assert list(dist.weights) == [0.5, 0.5]
+        assert weights(demand_given_row(cond, cond.row_for_mean(12.0))) == \
+            ([90.0, 110.0], [0.5, 0.5])
 
     def test_row_counts_match_brute_force_grouping(self, synthetic_series):
         series = synthetic_series
@@ -225,7 +229,7 @@ class TestDemandConditional:
         hi = (float(synthetic_series.w1.max()) + float(synthetic_series.w2.max())) / 2.0
         for mean in np.linspace(lo, hi, 200):
             row = cond.row_for_mean(float(mean))
-            assert len(cond.demand_slice(row).support) > 0
+            assert len(demand_given_row(cond, row)) > 0
 
 
 class TestConnectivity:
@@ -244,27 +248,6 @@ class TestConnectivity:
         assert count_cell_components(table) == 2
         with pytest.raises(ErgodicityError, match="disconnected"):
             assert_ergodic(table)
-
-
-class TestDiscreteDistribution:
-    def test_sample_frequencies_follow_weights(self):
-        from windgame import DiscreteDistribution
-        dist = DiscreteDistribution(support=np.array([1.0, 2.0, 3.0]),
-                                    weights=np.array([0.5, 0.3, 0.2]))
-        rng = np.random.default_rng(0)
-        draws = np.array([dist.sample(rng) for _ in range(20_000)])
-        for value, weight in zip(dist.support, dist.weights):
-            freq = (draws == value).mean()
-            # binomial 4 sigma
-            assert abs(freq - weight) <= 4 * (weight * (1 - weight) / 20_000) ** 0.5
-        assert dist.mean() == pytest.approx(1.7)
-
-    def test_invalid_weights_rejected(self):
-        from windgame import DiscreteDistribution
-        with pytest.raises(DistributionError, match="sum"):
-            DiscreteDistribution(support=np.array([1.0]), weights=np.array([0.5]))
-        with pytest.raises(DistributionError, match="empty"):
-            DiscreteDistribution(support=np.array([]), weights=np.array([]))
 
 
 class TestDumps:

@@ -1,4 +1,8 @@
-"""Chain mechanics: initialization, sweeps, determinism, ensemble statistics."""
+"""Chain mechanics: initialization, sweeps, determinism, ensemble statistics.
+
+``oracle_chain`` is a literal per-sweep scalar stepper over the raw table
+records; the lockstep sampler must reproduce it bit for bit.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -6,10 +10,51 @@ import pytest
 
 from windgame import (BinSpec, ChainConfig, DistributionError, ErgodicityError,
                       Realisation, SamplerTables, chain_rng, convergence_stats,
-                      gibbs_step, init_chain, run_chain, run_ensemble, wci_95)
+                      run_chain, run_ensemble, wci_95)
 from windgame.dist import JointTable
 
 from conftest import joint_from_arrays, tables_for
+
+
+def oracle_chain(config: ChainConfig, tables: SamplerTables,
+                 chain_index: int) -> list[tuple[float, float, float]]:
+    """Chain ``chain_index`` one sweep at a time, post-burn-in (w1, w2, p_d).
+
+    Two uniforms pick the starting record and its demand; each sweep takes
+    three: w1 from the members of w2's column, w2 from the members of the
+    new w1's row, demand from the members of the mean wind's row.
+    """
+    joint, demand = tables.joint, tables.demand
+
+    def bin_of(spec: BinSpec, value: float) -> int:
+        return min(int((value - spec.origin) / spec.width), spec.n_bins - 1)
+
+    def draw_demand(w1: float, w2: float, u: float) -> float:
+        row = int(demand.merged_map[bin_of(demand.mean_spec, (w1 + w2) * 0.5)])
+        members = demand.row_records[row]
+        return float(demand.demand_values[members[int(u * len(members))]])
+
+    rng = chain_rng(config.seed, chain_index)
+    u = rng.random(2)
+    record = int(u[0] * len(joint.w1_values))
+    w1, w2 = float(joint.w1_values[record]), float(joint.w2_values[record])
+    states = [(w1, w2, draw_demand(w1, w2, u[1]))]
+    col = int(joint.merged_map_2[bin_of(joint.spec2, w2)])
+    for _ in range(config.n - 1):
+        u = rng.random(3)
+        members = joint.col_records[col]
+        record = members[int(u[0] * len(members))]
+        w1 = float(joint.w1_values[record])
+        members = joint.row_records[joint.row_of[record]]
+        record = members[int(u[1] * len(members))]
+        w2 = float(joint.w2_values[record])
+        col = int(joint.col_of[record])
+        states.append((w1, w2, draw_demand(w1, w2, u[2])))
+    return states[config.burn_in:]
+
+
+def states_of(real: Realisation) -> list[tuple[float, float, float]]:
+    return list(zip(real.w1.tolist(), real.w2.tolist(), real.p_d.tolist()))
 
 
 def single_cell_tables(values=((12.3, 4.5, 100.0),)):
@@ -27,34 +72,38 @@ def symmetric_tables(repeats=1):
                       wind_width=10.0, demand_width=50.0, min_count=1)
 
 
+def first_states(tables, seeds, n=1):
+    """Initial (burn-in 0) states of chain 0 for each seed."""
+    return [states_of(run_chain(ChainConfig(n=n, realisations=1, burn_in_fraction=0.0,
+                                            seed=seed), tables, 0))
+            for seed in seeds]
+
+
 class TestInitChain:
     def test_single_record_always_returned(self):
         tables = single_cell_tables()
-        for seed in range(5):
-            state = init_chain(tables, chain_rng(seed, 0))
-            assert (state.w1, state.w2, state.p_d) == (12.3, 4.5, 100.0)
+        assert first_states(tables, range(5)) == [[(12.3, 4.5, 100.0)]] * 5
 
     def test_two_equal_records_split_evenly(self):
         tables = single_cell_tables(((10.0, 10.0, 100.0), (11.0, 11.0, 100.0)))
-        rng = chain_rng(123, 0)
-        picks = sum(init_chain(tables, rng).w1 == 10.0 for _ in range(10_000))
+        config = ChainConfig(n=1, realisations=10_000, burn_in_fraction=0.0, seed=123)
+        picks = sum(real.w1[0] == 10.0 for real in run_ensemble(config, tables))
         # binomial n=10000 p=0.5: 4 sigma = 200
         assert abs(picks - 5000) <= 200
 
     def test_fixed_seed_reproducible(self, synthetic_tables):
-        a = init_chain(synthetic_tables, chain_rng(77, 4))
-        b = init_chain(synthetic_tables, chain_rng(77, 4))
-        assert a == b
+        config = ChainConfig(n=1, realisations=1, burn_in_fraction=0.0, seed=77)
+        a = run_chain(config, synthetic_tables, 4)
+        assert states_of(a) == oracle_chain(config, synthetic_tables, 4)
+        assert states_of(a) == states_of(run_chain(config, synthetic_tables, 4))
 
 
 class TestGibbsStep:
     def test_single_cell_is_absorbing(self):
         tables = single_cell_tables()
-        rng = chain_rng(5, 0)
-        state = init_chain(tables, rng)
-        for _ in range(10):
-            state = gibbs_step(state, tables, rng)
-            assert (state.w1, state.w2, state.p_d) == (12.3, 4.5, 100.0)
+        config = ChainConfig(n=11, realisations=3, burn_in_fraction=0.0, seed=5)
+        for real in run_ensemble(config, tables):
+            assert states_of(real) == [(12.3, 4.5, 100.0)] * 11
 
     def test_symmetric_table_long_run_marginal(self):
         tables = symmetric_tables()
@@ -66,10 +115,12 @@ class TestGibbsStep:
         assert abs(count - 25_000) <= 3 * sigma
 
     def test_fixed_seed_and_state_same_successor(self, synthetic_tables):
-        state = init_chain(synthetic_tables, chain_rng(9, 0))
-        nxt1 = gibbs_step(state, synthetic_tables, chain_rng(9, 1))
-        nxt2 = gibbs_step(state, synthetic_tables, chain_rng(9, 1))
-        assert nxt1 == nxt2
+        # chains 0 and 1 of one ensemble, each run alone and beside the other
+        config = ChainConfig(n=2, realisations=2, burn_in_fraction=0.0, seed=9)
+        ensemble = run_ensemble(config, synthetic_tables)
+        for k in (0, 1):
+            assert states_of(ensemble[k]) == states_of(run_chain(config, synthetic_tables, k))
+            assert states_of(ensemble[k]) == oracle_chain(config, synthetic_tables, k)
 
 
 class TestRunChain:
@@ -91,16 +142,23 @@ class TestRunChain:
 
     def test_matches_public_step_sequence(self, synthetic_tables):
         config = ChainConfig(n=60, realisations=1, burn_in_fraction=0.0, seed=8)
-        real = run_chain(config, synthetic_tables, 2)
-        rng = chain_rng(8, 2)
-        state = init_chain(synthetic_tables, rng)
-        states = [state]
-        for _ in range(59):
-            state = gibbs_step(state, synthetic_tables, rng)
-            states.append(state)
-        assert [s.w1 for s in states] == list(real.w1)
-        assert [s.w2 for s in states] == list(real.w2)
-        assert [s.p_d for s in states] == list(real.p_d)
+        assert states_of(run_chain(config, synthetic_tables, 2)) == \
+            oracle_chain(config, synthetic_tables, 2)
+
+    @pytest.mark.parametrize("seed", [0, 8, 414243])
+    @pytest.mark.parametrize("realisations", [1, 4])
+    @pytest.mark.parametrize("burn_in_fraction", [0.0, 0.2])
+    def test_lockstep_matches_scalar_oracle(self, synthetic_tables, seed, realisations,
+                                            burn_in_fraction):
+        # 700 states span three uniform blocks, the last one partial
+        config = ChainConfig(n=700, realisations=realisations,
+                             burn_in_fraction=burn_in_fraction, seed=seed)
+        ensemble = run_ensemble(config, synthetic_tables)
+        assert [r.chain_index for r in ensemble] == list(range(realisations))
+        for k, real in enumerate(ensemble):
+            assert states_of(real) == oracle_chain(config, synthetic_tables, k)
+        assert states_of(run_chain(config, synthetic_tables, realisations - 1)) == \
+            states_of(ensemble[-1])
 
     def test_support_closure(self, synthetic_series, synthetic_tables):
         real = run_chain(ChainConfig(n=2000, realisations=1, seed=6), synthetic_tables, 0)
@@ -116,15 +174,12 @@ class TestRunChain:
                                    np.round(synthetic_series.w2, 1), synthetic_series.p_d)
         tables = tables_for(series, wind_width=width)
         demand = tables.demand
-        w1 = np.unique(series.w1)
-        w2 = np.unique(series.w2)
-        means = (w1[:, None] + w2[None, :]) / 2.0
-        expected = demand.merged_map[demand.mean_spec.indices(means)]
-        mean_row = tables.compiled.mean_row
-        got = np.array([[mean_row(a, b) for b in w2.tolist()] for a in w1.tolist()])
-        assert np.array_equal(got, expected)
+        config = ChainConfig(n=3000, realisations=2, seed=5)
+        ensemble = run_ensemble(config, tables)
+        for k, real in enumerate(ensemble):
+            assert states_of(real) == oracle_chain(config, tables, k)
 
-        real = run_chain(ChainConfig(n=3000, realisations=1, seed=5), tables, 0)
+        real = ensemble[0]
         rows = demand.merged_map[demand.mean_spec.indices((real.w1 + real.w2) / 2.0)]
         row_values = [set(demand.demand_values[idx].tolist()) for idx in demand.row_records]
         assert all(p in row_values[r] for p, r in zip(real.p_d.tolist(), rows))
@@ -164,16 +219,6 @@ class TestRunEnsemble:
         for a in range(4):
             for b in range(a + 1, 4):
                 assert not np.array_equal(ensemble[a].w1, ensemble[b].w1)
-
-    def test_parallel_matches_sequential(self, synthetic_tables):
-        config = ChainConfig(n=400, realisations=4, seed=31)
-        sequential = run_ensemble(config, synthetic_tables, workers=1)
-        parallel = run_ensemble(config, synthetic_tables, workers=2)
-        for s, p in zip(sequential, parallel):
-            assert s.chain_index == p.chain_index
-            assert np.array_equal(s.w1, p.w1)
-            assert np.array_equal(s.w2, p.w2)
-            assert np.array_equal(s.p_d, p.p_d)
 
 
 def test_dump_realisations_csv(tmp_path, synthetic_tables):
