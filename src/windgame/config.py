@@ -10,9 +10,10 @@ import configparser
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, WindGameError
 from .game import CostParams
 from .gibbs import ChainConfig
+from .sim import PowerCurve, StrategyGrid
 
 SWEEPABLE = ("c_g1", "c_g2", "p_t")
 
@@ -92,6 +93,17 @@ class ScenarioConfig:
             raise ConfigError("sweep range is empty")
         if (self.curve_alpha is None) != (self.curve_beta is None):
             raise ConfigError("power curve needs both alpha and beta, or neither")
+        if self.curve_alpha is not None and self.curve_points is not None:
+            raise ConfigError("[power_curve] give either points or alpha and beta, not both")
+        try:
+            StrategyGrid(step=self.grid_step, p_n_max=self.grid_max)
+        except WindGameError as exc:
+            raise ConfigError(f"[grid] {exc}") from None
+        if self.curve_alpha is not None:
+            try:
+                PowerCurve(alpha=self.curve_alpha, beta=self.curve_beta)
+            except WindGameError as exc:
+                raise ConfigError(f"[power_curve] {exc}") from None
 
 
 def _get(parser: configparser.ConfigParser, section: str, key: str,
@@ -138,7 +150,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
     p_g = _get(parser, "costs", "p_g", float, default=74.3)
 
-    def cost_rate(name: str, required: bool = True) -> float:
+    def cost_rate(name: str) -> float:
         absolute = _get(parser, "costs", f"{name}_mwh", float)
         fraction = _get(parser, "costs", f"{name}_frac", float)
         if absolute is not None and fraction is not None:
@@ -147,9 +159,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
             return absolute
         if fraction is not None:
             return fraction * p_g
-        if required:
-            raise ConfigError(f"[costs] missing {name}_frac or {name}_mwh")
-        return 0.0
+        raise ConfigError(f"[costs] missing {name}_frac or {name}_mwh")
 
     costs = CostParams(
         p_g=p_g,

@@ -1,17 +1,18 @@
 """Binned empirical joint and conditional distributions with sparse-bin merging.
 
-Tables keep the raw member values of every cell, so sampling reproduces
-observed values rather than bin midpoints. Sparse bins are folded into their
-nearest better-populated neighbour until every retained bin holds at least
-``min_count`` observations, which is what makes the sampled chain ergodic;
-connectivity of the nonempty cells is checked, not silently repaired.
+Tables keep every record's raw values and its retained bin, so sampling
+reproduces observed values rather than bin midpoints. Sparse bins are folded
+into their nearest better-populated neighbour until every retained bin holds
+at least ``min_count`` observations, which is what makes the sampled chain
+ergodic; connectivity of the nonempty cells is checked, not silently
+repaired. ``gibbs.SamplerTables`` builds these tables from a series, runs
+that check and groups the records by retained bin for the sampler.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -51,12 +52,6 @@ class BinSpec:
             n += 1
         return cls(width=width, origin=origin, max_edge=origin + n * width)
 
-    def index(self, value: float) -> int:
-        if value < self.origin or value > self.max_edge:
-            raise DistributionError(
-                f"value {value} outside binned range [{self.origin}, {self.max_edge}]")
-        return min(int((value - self.origin) / self.width), self.n_bins - 1)
-
     def indices(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
         bad = (values < self.origin) | (values > self.max_edge)
@@ -81,6 +76,12 @@ def _merge_groups(marginals: np.ndarray, min_count: int) -> np.ndarray:
     same way, so every original bin maps to a populated group. Returns the
     original-bin -> group assignment.
     """
+    total = int(marginals.sum())
+    if min_count < 1:
+        raise DistributionError(f"min_count must be >= 1, got {min_count}")
+    if min_count > total:
+        raise DistributionError(
+            f"min_count={min_count} exceeds total observation count {total}")
     sums = [int(c) for c in marginals]
     groups: list[list[int]] = [[i] for i in range(len(sums))]
     while len(groups) > 1:
@@ -98,9 +99,6 @@ def _merge_groups(marginals: np.ndarray, min_count: int) -> np.ndarray:
         sums[lo] = sums[lo] + sums[hi]
         del groups[hi]
         del sums[hi]
-    if sums[0] < min_count and len(groups) == 1:
-        raise DistributionError(
-            f"cannot reach min_count={min_count} with only {sums[0]} observations")
     assignment = np.empty(len(marginals), dtype=np.int64)
     for g, members in enumerate(groups):
         for m in members:
@@ -128,28 +126,12 @@ class JointTable:
     col_of: np.ndarray = field(repr=False)
 
     @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
     def n_rows(self) -> int:
         return self.counts.shape[0]
 
     @property
     def n_cols(self) -> int:
         return self.counts.shape[1]
-
-    @cached_property
-    def row_records(self) -> list[np.ndarray]:
-        """Record indices grouped by retained row."""
-        order = np.argsort(self.row_of, kind="stable")
-        return [order[self.row_of[order] == i] for i in range(self.n_rows)]
-
-    @cached_property
-    def col_records(self) -> list[np.ndarray]:
-        """Record indices grouped by retained column."""
-        order = np.argsort(self.col_of, kind="stable")
-        return [order[self.col_of[order] == j] for j in range(self.n_cols)]
 
 
 def build_joint_wind_table(series: JointSeries, spec1: BinSpec, spec2: BinSpec) -> JointTable:
@@ -178,12 +160,6 @@ def merge_sparse_bins(table: JointTable, min_count: int) -> JointTable:
     retained-bin assignment. Row merges cannot change column marginals, so
     the two axes are folded independently.
     """
-    if min_count < 1:
-        raise DistributionError(f"min_count must be >= 1, got {min_count}")
-    if min_count > table.total:
-        raise DistributionError(
-            f"min_count={min_count} exceeds total observation count {table.total}")
-
     assign1 = _merge_groups(table.counts.sum(axis=1), min_count)
     assign2 = _merge_groups(table.counts.sum(axis=0), min_count)
 
@@ -209,70 +185,36 @@ class DemandConditional:
     Rows are retained mean-wind bins after the same sparse-merge policy as
     the joint table, applied along the mean-wind axis; every original
     mean-wind bin maps to a populated retained row, so any mean value the
-    sampler can produce resolves to a nonempty demand slice.
+    sampler can produce resolves to a nonempty set of demand records.
     """
 
     mean_spec: BinSpec
-    demand_spec: BinSpec
-    counts: np.ndarray
     merged_map: np.ndarray
     demand_values: np.ndarray = field(repr=False)
     row_of: np.ndarray = field(repr=False)
 
     @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
     def n_rows(self) -> int:
-        return self.counts.shape[0]
-
-    def row_for_mean(self, mean_wind: float) -> int:
-        return int(self.merged_map[self.mean_spec.index(mean_wind)])
-
-    @cached_property
-    def row_records(self) -> list[np.ndarray]:
-        order = np.argsort(self.row_of, kind="stable")
-        return [order[self.row_of[order] == i] for i in range(self.n_rows)]
+        return int(self.merged_map.max()) + 1
 
 
-def build_demand_conditional(series: JointSeries, mean_spec: BinSpec,
-                             demand_spec: BinSpec, min_count: int = 10) -> DemandConditional:
-    """Bin demand against mean wind, then fold sparse mean-wind rows.
+def build_demand_conditional(series: JointSeries, wind_width: float,
+                             min_count: int) -> DemandConditional:
+    """Group demand records by their binned mean wind, then fold sparse rows.
 
-    The mean-wind spec must cover every mean the sampler can produce, i.e.
-    [(min w1 + min w2) / 2, (max w1 + max w2) / 2]: resampling the winds
-    independently within bins can pair values never observed together.
+    The mean-wind bins of the given width cover every mean the sampler can
+    produce, [(min w1 + min w2) / 2, (max w1 + max w2) / 2]: resampling the
+    winds independently within bins can pair values never observed together.
     """
-    safe_lo = (float(series.w1.min()) + float(series.w2.min())) / 2.0
-    safe_hi = (float(series.w1.max()) + float(series.w2.max())) / 2.0
-    if mean_spec.origin > safe_lo or mean_spec.max_edge < safe_hi:
-        raise DistributionError(
-            f"mean-wind spec [{mean_spec.origin}, {mean_spec.max_edge}] does not cover "
-            f"the reachable mean range [{safe_lo}, {safe_hi}]; "
-            f"use BinSpec.covering({safe_lo}, {safe_hi}, width)")
-
-    means = (series.w1 + series.w2) / 2.0
-    raw_rows = mean_spec.indices(means)
-    demand_cols = demand_spec.indices(series.p_d)
-
-    marginals = np.bincount(raw_rows, minlength=mean_spec.n_bins)
-    if min_count < 1:
-        raise DistributionError(f"min_count must be >= 1, got {min_count}")
-    if min_count > len(series):
-        raise DistributionError(
-            f"min_count={min_count} exceeds total observation count {len(series)}")
-    assign = _merge_groups(marginals, min_count)
-
-    row_of = assign[raw_rows]
-    counts = np.zeros((int(assign.max()) + 1, demand_spec.n_bins), dtype=np.int64)
-    np.add.at(counts, (row_of, demand_cols), 1)
-
+    mean_spec = BinSpec.covering((float(series.w1.min()) + float(series.w2.min())) / 2.0,
+                                 (float(series.w1.max()) + float(series.w2.max())) / 2.0,
+                                 wind_width)
+    raw_rows = mean_spec.indices((series.w1 + series.w2) / 2.0)
+    assign = _merge_groups(np.bincount(raw_rows, minlength=mean_spec.n_bins), min_count)
     return DemandConditional(
-        mean_spec=mean_spec, demand_spec=demand_spec, counts=counts,
-        merged_map=assign,
+        mean_spec=mean_spec, merged_map=assign,
         demand_values=np.asarray(series.p_d, dtype=np.float64),
-        row_of=row_of)
+        row_of=assign[raw_rows])
 
 
 def count_cell_components(table: JointTable) -> int:

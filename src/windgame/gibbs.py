@@ -1,24 +1,26 @@
 """Three-variable Gibbs sampler over the empirical tables, plus
 ensemble convergence diagnostics.
 
-Each sweep resamples w1 given w2's bin, then w2 given the new w1's bin, then
-demand given the binned mean of the new winds, in exactly that order. Every
-draw consumes uniforms from a per-chain generator derived from the master
-seed and the chain index, so a realisation is reproducible in isolation.
-All chains of an ensemble advance together, one sweep per numpy step over
-flat CSR copies of the tables, and each is bit-identical to the same chain
-run alone.
+``SamplerTables.from_series`` holds the table policy: it bins a series,
+merges sparse bins, checks that the joint table is connected and groups
+the records of each conditional into flat CSR arrays, once. Each sweep
+resamples w1 given w2's bin, then w2 given the new w1's bin, then demand
+given the binned mean of the new winds, in exactly that order. Every draw
+consumes uniforms from a per-chain generator derived from the master seed
+and the chain index, so a realisation is reproducible in isolation. All
+chains of an ensemble advance together, one sweep per numpy step over the
+CSR arrays, and each is bit-identical to the same chain run alone.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import stdtrit
 
-from .dist import DemandConditional, JointTable, assert_ergodic
+from .dist import (BinSpec, DemandConditional, JointTable, assert_ergodic,
+                   build_demand_conditional, build_joint_wind_table, merge_sparse_bins)
 from .errors import DistributionError
 from .ingest import JointSeries
 
@@ -69,44 +71,58 @@ class Realisation:
         return (float(self.w1.mean()), float(self.w2.mean()), float(self.p_d.mean()))
 
 
-def _csr(groups: list[np.ndarray], *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Flatten per-group member records into compressed sparse rows.
+def _csr(keys: np.ndarray, n_groups: int, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Group records by key into compressed sparse rows.
 
-    Returns each group's start and length, then ``v[members]`` for every
-    ``v`` in ``values``, groups laid end to end in their own member order.
-    Lengths are float64 so ``u * length`` rounds exactly as it does with a
-    Python int.
+    Returns each group's start and length, then every ``v`` in ``values``
+    reordered so that groups lie end to end in key order, each in record
+    order. Lengths are float64 so ``u * length`` rounds exactly as it does
+    with a Python int.
     """
-    lengths = np.array([len(g) for g in groups], dtype=np.int64)
-    members = np.concatenate(groups)
+    order = np.argsort(keys, kind="stable")
+    lengths = np.bincount(keys, minlength=n_groups)
     return (np.cumsum(lengths) - lengths, lengths.astype(np.float64),
-            *(v[members] for v in values))
+            *(v[order] for v in values))
 
 
 @dataclass(frozen=True)
 class SamplerTables:
-    """Immutable bundle of the joint wind table and the demand conditional."""
+    """The joint wind table and the demand conditional, checked and grouped.
+
+    ``flat`` holds the three conditionals the sampler draws from, as CSR
+    arrays. Per retained column: the raw w1 values of its member records and
+    their retained rows. Per retained row: the raw w2 values and retained
+    columns. Per retained mean-wind row: the raw demand values. Drawing a
+    member uniformly reproduces count-proportional conditional weights.
+    Construction fails if the joint table is disconnected or a mean-wind
+    row has no demand records.
+    """
 
     joint: JointTable
     demand: DemandConditional
+    flat: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def flat(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """The three conditionals the sampler draws from, as CSR arrays.
-
-        Per retained column: the raw w1 values of its member records and
-        their retained rows. Per retained row: the raw w2 values and retained
-        columns. Per retained mean-wind row: the raw demand values. Drawing
-        a member uniformly reproduces count-proportional conditional weights.
-        """
+    def __post_init__(self):
         joint, demand = self.joint, self.demand
         assert_ergodic(joint)
-        for row, members in enumerate(demand.row_records):
-            if len(members) == 0:
-                raise DistributionError(f"mean-wind row {row} has no demand members")
-        return (_csr(joint.col_records, joint.w1_values, joint.row_of),
-                _csr(joint.row_records, joint.w2_values, joint.col_of),
-                _csr(demand.row_records, demand.demand_values))
+        flat = (_csr(joint.col_of, joint.n_cols, joint.w1_values, joint.row_of),
+                _csr(joint.row_of, joint.n_rows, joint.w2_values, joint.col_of),
+                _csr(demand.row_of, demand.n_rows, demand.demand_values))
+        empty = np.flatnonzero(flat[2][1] == 0)
+        if len(empty):
+            raise DistributionError(f"mean-wind row {empty[0]} has no demand members")
+        object.__setattr__(self, "flat", flat)
+
+    @classmethod
+    def from_series(cls, series: JointSeries, wind_width: float,
+                    min_count: int) -> "SamplerTables":
+        """Bin both winds and the mean wind at ``wind_width`` over the ranges
+        the series spans, and fold bins holding fewer than ``min_count``
+        records into their neighbours."""
+        spec1 = BinSpec.covering(float(series.w1.min()), float(series.w1.max()), wind_width)
+        spec2 = BinSpec.covering(float(series.w2.min()), float(series.w2.max()), wind_width)
+        joint = merge_sparse_bins(build_joint_wind_table(series, spec1, spec2), min_count)
+        return cls(joint=joint, demand=build_demand_conditional(series, wind_width, min_count))
 
 
 def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -146,8 +162,8 @@ def _sample(config: ChainConfig, tables: SamplerTables,
     out = np.empty((3, len(rngs), n - burn))
 
     def draw_demand(w1, w2, u):
-        # build_demand_conditional checked that mean_spec covers every mean
-        # of two sampled winds, so the range check can be skipped
+        # build_demand_conditional's mean_spec covers every mean of two
+        # sampled winds, so the range check can be skipped
         row = mean_map[mean_spec.unchecked_indices((w1 + w2) * 0.5)]
         return dem_vals[dem_start[row] + (u * dem_len[row]).astype(np.int64)]
 

@@ -6,9 +6,9 @@ Energy tables are built once per realisation and reused across sweep points,
 since cost parameters cannot affect the physics. Realisations are solved
 independently, on a process pool when ``workers`` > 1; each result is a
 function of the realisation alone, so reports are byte-identical for every
-pool size. Failures, including a worker process that dies, are re-raised
-tagged with the stage they occurred in, and report files are renamed into
-place only once fully written.
+pool size. Failures, including a worker process that dies and an interrupt
+(Ctrl-C), are re-raised tagged with the stage they occurred in, and report
+files are renamed into place only once fully written.
 """
 from __future__ import annotations
 
@@ -30,8 +30,6 @@ import scipy
 
 from . import __version__
 from .config import ScenarioConfig
-from .dist import (BinSpec, assert_ergodic, build_demand_conditional,
-                   build_joint_wind_table, merge_sparse_bins)
 from .errors import StageError, WindGameError
 from .game import CostParams, profit_surfaces, stackelberg
 from .gibbs import Realisation, SamplerTables, StatsReport, convergence_stats, run_ensemble
@@ -64,6 +62,8 @@ def _stage(name: str, timing: dict):
         yield
     except WindGameError as exc:
         raise StageError(name, exc) from exc
+    except KeyboardInterrupt as exc:
+        raise StageError(name, WindGameError("interrupted")) from exc
     elapsed = time.perf_counter() - start
     timing[name] = round(elapsed, 3)
     log.info("stage %s: done in %.2fs", name, elapsed)
@@ -71,15 +71,11 @@ def _stage(name: str, timing: dict):
 
 def ingest_joint_series(config: ScenarioConfig) -> JointSeries:
     """Load, clean, normalize and align the three configured series."""
-    w1, rep1 = load_series_csv(config.wind1.path,
-                               {"timestamp": config.wind1.time_col,
-                                "value": config.wind1.value_col}, label="wind1")
-    w2, rep2 = load_series_csv(config.wind2.path,
-                               {"timestamp": config.wind2.time_col,
-                                "value": config.wind2.value_col}, label="wind2")
-    demand, rep3 = load_series_csv(config.demand.path,
-                                   {"timestamp": config.demand.time_col,
-                                    "value": config.demand.value_col}, label="demand")
+    (w1, rep1), (w2, rep2), (demand, rep3) = [
+        load_series_csv(source.path, {"timestamp": source.time_col,
+                                      "value": source.value_col}, label=label)
+        for label, source in (("wind1", config.wind1), ("wind2", config.wind2),
+                              ("demand", config.demand))]
     for report in (rep1, rep2, rep3):
         log.info("%s", report.summary())
     demand = normalize_demand(demand, config.demand_target_mean)
@@ -90,22 +86,10 @@ def ingest_joint_series(config: ScenarioConfig) -> JointSeries:
 
 def build_tables(series: JointSeries, config: ScenarioConfig) -> SamplerTables:
     """Bin, merge and connectivity-check the empirical distributions."""
-    wind_width = config.wind_bin_width
-    spec1 = BinSpec.covering(float(series.w1.min()), float(series.w1.max()), wind_width)
-    spec2 = BinSpec.covering(float(series.w2.min()), float(series.w2.max()), wind_width)
-    joint = merge_sparse_bins(build_joint_wind_table(series, spec1, spec2),
-                              config.min_count)
-    assert_ergodic(joint)
-
-    mean_lo = (float(series.w1.min()) + float(series.w2.min())) / 2.0
-    mean_hi = (float(series.w1.max()) + float(series.w2.max())) / 2.0
-    mean_spec = BinSpec.covering(mean_lo, mean_hi, wind_width)
-    demand_spec = BinSpec.covering(float(series.p_d.min()), float(series.p_d.max()),
-                                   config.demand_bin_width)
-    demand = build_demand_conditional(series, mean_spec, demand_spec, config.min_count)
+    tables = SamplerTables.from_series(series, config.wind_bin_width, config.min_count)
     log.info("joint table %dx%d, demand conditional %d rows",
-             joint.n_rows, joint.n_cols, demand.n_rows)
-    return SamplerTables(joint=joint, demand=demand)
+             tables.joint.n_rows, tables.joint.n_cols, tables.demand.n_rows)
+    return tables
 
 
 def resolve_power_curve(config: ScenarioConfig) -> PowerCurve:

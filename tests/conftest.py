@@ -4,8 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from windgame import (BinSpec, SamplerTables, build_demand_conditional,
-                      build_joint_wind_table, merge_sparse_bins)
+from windgame import SamplerTables
 from windgame.ingest import JointSeries
 from windgame.synthetic import make_joint_series
 
@@ -13,17 +12,8 @@ REPO_ROOT = __file__.rsplit("/", 2)[0]
 
 
 def tables_for(series: JointSeries, wind_width: float = 1.0,
-               demand_width: float = 5.0, min_count: int = 10) -> SamplerTables:
-    spec1 = BinSpec.covering(float(series.w1.min()), float(series.w1.max()), wind_width)
-    spec2 = BinSpec.covering(float(series.w2.min()), float(series.w2.max()), wind_width)
-    joint = merge_sparse_bins(build_joint_wind_table(series, spec1, spec2), min_count)
-    mean_spec = BinSpec.covering(
-        (float(series.w1.min()) + float(series.w2.min())) / 2.0,
-        (float(series.w1.max()) + float(series.w2.max())) / 2.0, wind_width)
-    demand_spec = BinSpec.covering(float(series.p_d.min()), float(series.p_d.max()),
-                                   demand_width)
-    demand = build_demand_conditional(series, mean_spec, demand_spec, min_count)
-    return SamplerTables(joint=joint, demand=demand)
+               min_count: int = 10) -> SamplerTables:
+    return SamplerTables.from_series(series, wind_width, min_count)
 
 
 def joint_from_arrays(w1, w2, p_d) -> JointSeries:

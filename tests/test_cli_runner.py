@@ -22,11 +22,16 @@ CONFIGS_DIR = f"{REPO_ROOT}/configs"
 
 def write_tiny_dataset(tmp_path, n=240, seed=5):
     rng = np.random.default_rng(seed)
-    start = np.datetime64("2019-01-01T00:00:00", "s")
-    stamps = [str(start + np.timedelta64(3600 * i, "s")) for i in range(n)]
     w1 = np.clip(rng.normal(12.0, 4.0, n), 0.1, 28.0)
     w2 = np.clip(w1 + rng.normal(0.0, 2.0, n), 0.1, 28.0)
     demand = np.clip(rng.normal(100.0, 15.0, n), 40.0, 170.0)
+    write_series(tmp_path, w1, w2, demand)
+
+
+def write_series(tmp_path, w1, w2, demand):
+    """Hourly w1.csv, w2.csv and demand.csv holding the given values."""
+    start = np.datetime64("2019-01-01T00:00:00", "s")
+    stamps = [str(start + np.timedelta64(3600 * i, "s")) for i in range(len(w1))]
     for name, header, vals in (("w1.csv", "wind_speed_ms", w1),
                                ("w2.csv", "wind_speed_ms", w2),
                                ("demand.csv", "demand_mw", demand)):
@@ -152,6 +157,23 @@ class TestLoadConfig:
         assert (config.curve_points, config.curve_alpha, config.curve_beta) == (None, None, None)
         assert config.chain == full.chain and config.costs == full.costs
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("max_mw = 40.0", "max_mw = 40.3",
+         r"\[grid\] p_n_max 40.3 is not an integer multiple of step 10.0"),
+        ("[grid]", "[power_curve]\nalpha = 0.0\nbeta = 7.5\n\n[grid]",
+         r"\[power_curve\] power curve parameters must be positive"),
+        ("[grid]", "[power_curve]\nalpha = 0.9\nbeta = -1.0\n\n[grid]",
+         r"\[power_curve\] power curve parameters must be positive"),
+        ("[grid]", "[power_curve]\npoints = curve.csv\nalpha = 0.9\nbeta = 7.5\n\n[grid]",
+         r"\[power_curve\] give either points or alpha and beta, not both"),
+    ], ids=["grid-max-off-step", "zero-alpha", "negative-beta", "points-and-alpha-beta"])
+    def test_bad_grid_or_curve_refused_at_load(self, tiny_config, old, new, message):
+        text = tiny_config.read_text(encoding="utf-8")
+        assert old in text
+        tiny_config.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(ConfigError, match=message):
+            load_config(tiny_config)
+
     def test_seed_override(self, tiny_config):
         config = override_seed(load_config(tiny_config), 4321)
         assert config.chain.seed == 4321
@@ -208,6 +230,16 @@ class TestRunScenario:
         path = write_tiny_config(tmp_path)
         (tmp_path / "w1.csv").unlink()
         with pytest.raises(StageError, match=r"\[ingest\]"):
+            run_scenario(load_config(path))
+
+    def test_disconnected_table_fails_in_tables_stage(self, tmp_path):
+        # two clusters of identical winds: at width 4 the empty middle bin
+        # folds into the lower one, leaving two diagonal cells
+        winds = np.repeat([5.0, 15.0], 12)
+        write_series(tmp_path, winds, winds, np.full(24, 100.0))
+        path = write_tiny_config(tmp_path)
+        with pytest.raises(StageError, match=r"\[tables\] joint table splits into 2 "
+                                             r"disconnected blocks"):
             run_scenario(load_config(path))
 
     def test_worker_crash_is_stage_tagged(self, tiny_config, monkeypatch, capsys):
@@ -308,6 +340,24 @@ class TestCli:
         (tiny_config.parent / "w1.csv").unlink()
         assert main(["stats", "--config", str(tiny_config)]) == 1
         assert "[ingest]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_interrupt_is_stage_tagged(self, tiny_config, monkeypatch, capsys, command):
+        import windgame.runner as runner_mod
+
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(runner_mod, "ingest_joint_series", interrupted)
+        args = [command, "--config", str(tiny_config)]
+        if command == "run":
+            args += ["--out", str(tiny_config.parent / "out")]
+        try:
+            code = main(args)
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped the CLI")
+        assert code == 1
+        assert "error: [ingest] interrupted" in capsys.readouterr().err
 
     def test_stats_needs_two_realisations(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)

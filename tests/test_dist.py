@@ -2,7 +2,8 @@
 
 A conditional slice is the list of member records of one retained bin; the
 sampler draws a member uniformly, so value frequencies within a slice are
-the conditional weights.
+the conditional weights. The slice helpers here group records from the raw
+retained-bin keys, independently of the sampler's CSR grouping.
 """
 from __future__ import annotations
 
@@ -25,11 +26,15 @@ def weights(values):
 
 
 def w1_given_col(table, col):
-    return table.w1_values[table.col_records[col]]
+    return table.w1_values[np.flatnonzero(table.col_of == col)]
 
 
 def demand_given_row(cond, row):
-    return cond.demand_values[cond.row_records[row]]
+    return cond.demand_values[np.flatnonzero(cond.row_of == row)]
+
+
+def row_for_mean(cond, mean_wind):
+    return int(cond.merged_map[cond.mean_spec.indices(np.array([mean_wind]))[0]])
 
 
 def table_from(w1, w2, spec1, spec2):
@@ -47,20 +52,20 @@ class TestBinSpec:
 
     def test_max_edge_falls_in_last_bin(self):
         spec = BinSpec(width=1.0, origin=0.0, max_edge=10.0)
-        assert spec.index(10.0) == 9
-        assert spec.index(0.0) == 0
+        assert spec.indices(np.array([10.0, 0.0])).tolist() == [9, 0]
 
     def test_out_of_range_names_value(self):
         spec = BinSpec(width=1.0, origin=0.0, max_edge=10.0)
         with pytest.raises(DistributionError, match="10.5"):
-            spec.index(10.5)
+            spec.indices(np.array([10.5]))
         with pytest.raises(DistributionError, match="-0.1"):
             spec.indices(np.array([5.0, -0.1]))
 
     def test_covering_spans_inputs(self):
         spec = BinSpec.covering(3.2, 27.9, 1.0)
         assert spec.origin <= 3.2 and spec.max_edge >= 27.9
-        assert spec.index(3.2) >= 0 and spec.index(27.9) <= spec.n_bins - 1
+        first, last = spec.indices(np.array([3.2, 27.9]))
+        assert first >= 0 and last <= spec.n_bins - 1
 
     def test_bad_parameters(self):
         with pytest.raises(DistributionError):
@@ -72,7 +77,6 @@ class TestBinSpec:
 class TestBuildJointTable:
     def test_degenerate_single_cell(self):
         table = table_from([5.0, 5.2, 5.4, 5.6], [15.0, 15.1, 15.2, 15.3], WIDE, WIDE)
-        assert table.total == 4
         assert table.counts[0, 1] == 4
         assert table.counts.sum() == 4
 
@@ -128,7 +132,7 @@ class TestMergeSparseBins:
         spec = BinSpec.covering(0.0, float(max(w1.max(), w2.max())), 1.0)
         table = table_from(w1, w2, spec, spec)
         merged = merge_sparse_bins(table, 10)
-        assert merged.total == table.total == 800
+        assert merged.counts.sum() == table.counts.sum() == 800
         assert np.all(merged.counts.sum(axis=1) >= 10)
         assert np.all(merged.counts.sum(axis=0) >= 10)
         # every original bin resolves to a retained bin
@@ -148,7 +152,7 @@ class TestMergeSparseBins:
         w2 = np.roll(w1, 1)
         spec = BinSpec(width=3.0, origin=0.0, max_edge=30.0)
         merged = merge_sparse_bins(table_from(w1, w2, spec, spec), min_count)
-        assert merged.total == len(values)
+        assert merged.counts.sum() == len(values)
         assert np.all(merged.counts.sum(axis=1) >= min_count)
         assert np.all(merged.counts.sum(axis=0) >= min_count)
 
@@ -165,15 +169,22 @@ class TestConditionalSlice:
         assert weights(w1_given_col(table, 0)) == ([5.0, 25.0], [0.75, 0.25])
 
     def test_every_slice_of_merged_table_is_proper(self, synthetic_tables):
-        table = synthetic_tables.joint
-        for i, members in enumerate(table.row_records):
-            assert len(members) > 0
-            assert np.all(table.row_of[members] == i)
-        for j, members in enumerate(table.col_records):
-            assert len(members) > 0
-            assert np.all(table.col_of[members] == j)
-        assert sorted(np.concatenate(table.row_records).tolist()) == list(range(table.total))
-        assert sorted(np.concatenate(table.col_records).tolist()) == list(range(table.total))
+        # the sampler's CSR groups lie end to end, cover every record once,
+        # and group j holds exactly the records keyed j, in record order
+        joint, demand = synthetic_tables.joint, synthetic_tables.demand
+        by_col, by_row, by_mean = synthetic_tables.flat
+        for (start, length, *values), keys, raw in (
+                (by_col, joint.col_of, (joint.w1_values, joint.row_of)),
+                (by_row, joint.row_of, (joint.w2_values, joint.col_of)),
+                (by_mean, demand.row_of, (demand.demand_values,))):
+            assert np.all(length > 0)
+            assert start[0] == 0 and np.array_equal(start[1:], start[:-1] + length[:-1])
+            assert start[-1] + length[-1] == len(keys)
+            for group in range(len(start)):
+                members = np.flatnonzero(keys == group)
+                lo, hi = int(start[group]), int(start[group] + length[group])
+                for flat, column in zip(values, raw):
+                    assert np.array_equal(flat[lo:hi], column[members])
 
     def test_support_is_subset_of_observed(self, synthetic_series, synthetic_tables):
         table = synthetic_tables.joint
@@ -184,52 +195,46 @@ class TestConditionalSlice:
 class TestDemandConditional:
     def test_single_record_point_mass(self):
         series = joint_from_arrays([10.0], [14.0], [100.0])
-        mean_spec = BinSpec(width=1.0, origin=10.0, max_edge=15.0)
-        demand_spec = BinSpec(width=5.0, origin=95.0, max_edge=105.0)
-        cond = build_demand_conditional(series, mean_spec, demand_spec, min_count=1)
+        cond = build_demand_conditional(series, 1.0, min_count=1)
         assert cond.n_rows == 1
-        assert weights(demand_given_row(cond, cond.row_for_mean(12.0))) == ([100.0], [1.0])
+        assert weights(demand_given_row(cond, row_for_mean(cond, 12.0))) == ([100.0], [1.0])
 
     def test_identical_mean_wind_uniform_demand(self):
         series = joint_from_arrays([10.0, 14.0], [14.0, 10.0], [90.0, 110.0])
-        mean_spec = BinSpec(width=1.0, origin=10.0, max_edge=15.0)
-        demand_spec = BinSpec(width=5.0, origin=85.0, max_edge=115.0)
-        cond = build_demand_conditional(series, mean_spec, demand_spec, min_count=1)
-        assert weights(demand_given_row(cond, cond.row_for_mean(12.0))) == \
+        cond = build_demand_conditional(series, 1.0, min_count=1)
+        assert weights(demand_given_row(cond, row_for_mean(cond, 12.0))) == \
             ([90.0, 110.0], [0.5, 0.5])
 
     def test_row_counts_match_brute_force_grouping(self, synthetic_series):
         series = synthetic_series
-        mean_spec = BinSpec.covering(
-            (float(series.w1.min()) + float(series.w2.min())) / 2.0,
-            (float(series.w1.max()) + float(series.w2.max())) / 2.0, 1.0)
-        demand_spec = BinSpec.covering(float(series.p_d.min()), float(series.p_d.max()), 5.0)
-        cond = build_demand_conditional(series, mean_spec, demand_spec, min_count=10)
+        cond = build_demand_conditional(series, 1.0, min_count=10)
+        spec = cond.mean_spec
 
         # independent grouping oracle over raw records
         expected = {}
         for a, b in zip(series.w1, series.w2):
-            row = int(cond.merged_map[mean_spec.index((a + b) / 2.0)])
+            raw = min(int(((a + b) / 2.0 - spec.origin) / spec.width), spec.n_bins - 1)
+            row = int(cond.merged_map[raw])
             expected[row] = expected.get(row, 0) + 1
-        actual = cond.counts.sum(axis=1)
+        actual = np.bincount(cond.row_of, minlength=cond.n_rows)
         assert {k: int(v) for k, v in enumerate(actual)} == expected
-        assert cond.total == len(series)
+        assert actual.sum() == len(series)
         assert np.all(actual >= 10)
-
-    def test_spec_must_cover_reachable_means(self):
-        series = joint_from_arrays([2.0, 20.0], [2.0, 20.0], [100.0, 100.0])
-        narrow = BinSpec(width=1.0, origin=2.0, max_edge=11.0)  # misses mean 20
-        demand_spec = BinSpec(width=5.0, origin=95.0, max_edge=105.0)
-        with pytest.raises(DistributionError, match="reachable mean range"):
-            build_demand_conditional(series, narrow, demand_spec, min_count=1)
 
     def test_every_reachable_mean_resolves(self, synthetic_series, synthetic_tables):
         cond = synthetic_tables.demand
         lo = (float(synthetic_series.w1.min()) + float(synthetic_series.w2.min())) / 2.0
         hi = (float(synthetic_series.w1.max()) + float(synthetic_series.w2.max())) / 2.0
         for mean in np.linspace(lo, hi, 200):
-            row = cond.row_for_mean(float(mean))
+            row = row_for_mean(cond, float(mean))
             assert len(demand_given_row(cond, row)) > 0
+
+    def test_min_count_checked(self):
+        series = joint_from_arrays([10.0, 14.0], [14.0, 10.0], [90.0, 110.0])
+        with pytest.raises(DistributionError, match="exceeds total"):
+            build_demand_conditional(series, 1.0, min_count=3)
+        with pytest.raises(DistributionError, match="must be >= 1"):
+            build_demand_conditional(series, 1.0, min_count=0)
 
 
 class TestConnectivity:
@@ -259,5 +264,5 @@ class TestDumps:
         lines = joint_path.read_text().strip().splitlines()
         assert lines[0] == "bin_i,bin_j,count"
         total = sum(int(line.split(",")[2]) for line in lines[1:])
-        assert total == synthetic_tables.joint.total
+        assert total == synthetic_tables.joint.counts.sum()
         assert map_path.read_text().startswith("axis,original_bin,retained_bin")

@@ -5,6 +5,8 @@ records; the lockstep sampler must reproduce it bit for bit.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def oracle_chain(config: ChainConfig, tables: SamplerTables,
 
     def draw_demand(w1: float, w2: float, u: float) -> float:
         row = int(demand.merged_map[bin_of(demand.mean_spec, (w1 + w2) * 0.5)])
-        members = demand.row_records[row]
+        members = np.flatnonzero(demand.row_of == row)
         return float(demand.demand_values[members[int(u * len(members))]])
 
     rng = chain_rng(config.seed, chain_index)
@@ -42,10 +44,10 @@ def oracle_chain(config: ChainConfig, tables: SamplerTables,
     col = int(joint.merged_map_2[bin_of(joint.spec2, w2)])
     for _ in range(config.n - 1):
         u = rng.random(3)
-        members = joint.col_records[col]
+        members = np.flatnonzero(joint.col_of == col)
         record = members[int(u[0] * len(members))]
         w1 = float(joint.w1_values[record])
-        members = joint.row_records[joint.row_of[record]]
+        members = np.flatnonzero(joint.row_of == joint.row_of[record])
         record = members[int(u[1] * len(members))]
         w2 = float(joint.w2_values[record])
         col = int(joint.col_of[record])
@@ -60,7 +62,7 @@ def states_of(real: Realisation) -> list[tuple[float, float, float]]:
 def single_cell_tables(values=((12.3, 4.5, 100.0),)):
     w1, w2, pd = (np.array(col) for col in zip(*values))
     series = joint_from_arrays(w1, w2, pd)
-    return tables_for(series, wind_width=30.0, demand_width=50.0, min_count=1)
+    return tables_for(series, wind_width=30.0, min_count=1)
 
 
 def symmetric_tables(repeats=1):
@@ -68,8 +70,7 @@ def symmetric_tables(repeats=1):
     w1 = np.tile([5.0, 5.0, 15.0, 15.0], repeats)
     w2 = np.tile([5.0, 15.0, 5.0, 15.0], repeats)
     pd = np.full(4 * repeats, 100.0)
-    return tables_for(joint_from_arrays(w1, w2, pd),
-                      wind_width=10.0, demand_width=50.0, min_count=1)
+    return tables_for(joint_from_arrays(w1, w2, pd), wind_width=10.0, min_count=1)
 
 
 def first_states(tables, seeds, n=1):
@@ -181,7 +182,8 @@ class TestRunChain:
 
         real = ensemble[0]
         rows = demand.merged_map[demand.mean_spec.indices((real.w1 + real.w2) / 2.0)]
-        row_values = [set(demand.demand_values[idx].tolist()) for idx in demand.row_records]
+        row_values = [set(demand.demand_values[demand.row_of == row].tolist())
+                      for row in range(demand.n_rows)]
         assert all(p in row_values[r] for p, r in zip(real.p_d.tolist(), rows))
 
     def test_disconnected_table_fails_with_diagnostic(self):
@@ -194,9 +196,14 @@ class TestRunChain:
             w2_values=np.array([5.0] * 4 + [15.0] * 4),
             row_of=np.array([0] * 4 + [1] * 4), col_of=np.array([0] * 4 + [1] * 4))
         good = single_cell_tables()
-        tables = SamplerTables(joint=disconnected, demand=good.demand)
         with pytest.raises(ErgodicityError, match="disconnected"):
-            run_chain(ChainConfig(n=10, realisations=1, seed=0), tables, 0)
+            SamplerTables(joint=disconnected, demand=good.demand)
+
+    def test_demand_row_without_records_rejected(self):
+        good = single_cell_tables()
+        demand = replace(good.demand, merged_map=np.array([0, 1]))
+        with pytest.raises(DistributionError, match="mean-wind row 1 has no demand members"):
+            SamplerTables(joint=good.joint, demand=demand)
 
     def test_bad_config_rejected(self):
         with pytest.raises(DistributionError):
