@@ -15,16 +15,13 @@ from .dist import (BinSpec, DemandConditional, JointTable, assert_ergodic,
 from .errors import (ConfigError, DistributionError, ErgodicityError, FitError,
                      IngestError, StageError, WindGameError)
 from .game import (BestResponse, CostParams, Equilibrium, ProfitSurfaces,
-                   dump_equilibrium_csv, follower_best_response, profit_surfaces,
-                   stackelberg)
+                   follower_best_response, profit_surfaces, stackelberg)
 from .gibbs import (ChainConfig, Realisation, SamplerTables, StatsReport, VariableStats,
-                    chain_rng, convergence_stats, dump_realisations_csv, run_chain,
-                    run_ensemble, wci_95)
+                    chain_rng, convergence_stats, run_chain, run_ensemble, wci_95)
 from .ingest import (GapReport, JointSeries, TimeSeries, align_series,
                      load_series_csv, normalize_demand)
 from .sim import (EnergyTables, PerUnitSeries, PowerCurve, StrategyGrid,
                   build_energy_tables, curtailment_timestep, default_power_curve,
-                  dump_energy_tables_csv, fit_sigmoid, load_curve_points,
-                  per_unit_output, per_unit_series)
+                  fit_sigmoid, load_curve_points, per_unit_output, per_unit_series)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,12 +4,15 @@
  * loop documented in sim.py, in the same order and with plain double
  * arithmetic:
  *
- *   e_g1[i]   += (x1[t]*grid[i]) * dt        (e_g2 likewise with x2)
+ *   e_g1[i]   += x1[t]*grid[i]        (e_g2 likewise with x2)
  *   g1 = x1[t]*grid[i];  total = g1 + x2[t]*grid[j]
  *   surplus   = max(total - p_d[t], 0)
  *   share     = total > 0 ? g1 / total : 0
  *   pc1       = surplus * share
- *   e_c1[i,j] += pc1 * dt;  e_c2[i,j] += (surplus - pc1) * dt
+ *   e_c1[i,j] += pc1;  e_c2[i,j] += surplus - pc1
+ *
+ * Timesteps are one hour long (ingest accepts hourly series only), so the
+ * sums are energies in MWh without a timestep factor.
  *
  * Each cell is summed over t in ascending order, so the tables are
  * bit-identical to that loop as long as the compiler neither contracts
@@ -41,15 +44,14 @@ ENERGY_CLONES
 void energy_tables(ptrdiff_t n, ptrdiff_t k,
                    const double *restrict x1, const double *restrict x2,
                    const double *restrict p_d, const double *restrict grid,
-                   double dt,
                    double *restrict e_g1, double *restrict e_g2,
                    double *restrict e_c1, double *restrict e_c2)
 {
     for (ptrdiff_t t = 0; t < n; t++) {
         const double u1 = x1[t], u2 = x2[t];
         for (ptrdiff_t a = 0; a < k; a++) {
-            e_g1[a] += (u1 * grid[a]) * dt;
-            e_g2[a] += (u2 * grid[a]) * dt;
+            e_g1[a] += u1 * grid[a];
+            e_g2[a] += u2 * grid[a];
         }
     }
     for (ptrdiff_t i = 0; i < k; i++) {
@@ -72,8 +74,8 @@ void energy_tables(ptrdiff_t n, ptrdiff_t k,
                      * 0/1 == 0. */
                     const double share = g1 / (total + (total > 0.0 ? 0.0 : 1.0));
                     const double pc1 = surplus * share;
-                    c1[jj] += pc1 * dt;
-                    c2[jj] += (surplus - pc1) * dt;
+                    c1[jj] += pc1;
+                    c2[jj] += surplus - pc1;
                 }
             }
         }

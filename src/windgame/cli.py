@@ -10,6 +10,7 @@ success, 1 on any stage failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 
@@ -19,10 +20,17 @@ from .runner import _sampling_stages, emit_report, run_scenario
 from .sim import fit_sigmoid, load_curve_points
 
 
+def _positive_int(text: str) -> int:
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario INI file")
-    sub.add_argument("--workers", type=int, default=1,
-                     help="process pool size for realisations (default 1)")
+    sub.add_argument("--workers", type=_positive_int, default=1,
+                     help="process pool size for realisations, at least 1 (default 1)")
     sub.add_argument("--profile", choices=("desk", "paper"),
                      help="override run dimensions with a named profile")
     sub.add_argument("--seed", type=int, help="override the master seed")

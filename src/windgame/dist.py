@@ -6,14 +6,13 @@ into their nearest better-populated neighbour until every retained bin holds
 at least ``min_count`` observations, which is what makes the sampled chain
 ergodic; connectivity of the nonempty cells is checked, not silently
 repaired. ``gibbs.SamplerTables`` builds these tables from a series, runs
-that check and groups the records by retained bin for the sampler.
+that check and groups the records by retained bin for the sampler. The
+tables stay in memory: nothing here writes files.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -253,21 +252,3 @@ def assert_ergodic(table: JointTable) -> None:
             f"joint table splits into {components} disconnected blocks; the chain "
             f"cannot visit all states. Increase min_count or the bin width.")
 
-
-def dump_joint_csv(table: JointTable, path: str | Path) -> None:
-    """Write (bin_i, bin_j, count) triples for nonempty cells."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bin_i", "bin_j", "count"])
-        for i, j in zip(*np.nonzero(table.counts)):
-            writer.writerow([int(i), int(j), int(table.counts[i, j])])
-
-
-def dump_merged_map_csv(table: JointTable, path: str | Path) -> None:
-    """Write original-bin to retained-bin pairs for both axes."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["axis", "original_bin", "retained_bin"])
-        for axis, mapping in ((1, table.merged_map_1), (2, table.merged_map_2)):
-            for orig, kept in enumerate(mapping):
-                writer.writerow([axis, orig, int(kept)])

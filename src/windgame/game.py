@@ -7,12 +7,11 @@ the tariff net of the transmission fee on its delivered energy and pays its
 generation cost. The equilibrium is found by backward induction on the
 capacity grid: the follower's best response per leader capacity, then the
 leader's best choice against that response curve. Ties break toward the
-smaller capacity.
+smaller capacity. Nothing here writes files; ``runner`` writes the reports.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -68,8 +67,6 @@ class BestResponse:
     """Follower's profit-maximizing column per leader row."""
 
     indices: np.ndarray
-    capacities: np.ndarray
-    profits: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -105,11 +102,7 @@ def follower_best_response(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Best
     if surfaces.pi2.shape != (len(grid), len(grid)):
         raise WindGameError(
             f"surface shape {surfaces.pi2.shape} does not match grid of {len(grid)}")
-    indices = np.argmax(surfaces.pi2, axis=1)
-    rows = np.arange(len(grid))
-    return BestResponse(indices=indices,
-                        capacities=grid.values[indices],
-                        profits=surfaces.pi2[rows, indices])
+    return BestResponse(indices=np.argmax(surfaces.pi2, axis=1))
 
 
 def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
@@ -132,16 +125,3 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
         follower_index=j_star,
         best_response=response)
 
-
-def dump_equilibrium_csv(equilibrium: Equilibrium, surfaces: ProfitSurfaces,
-                         grid: StrategyGrid, path: str | Path) -> None:
-    """Write the best-response curve with the equilibrium row starred."""
-    response = equilibrium.best_response
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("p_n1,br_p_n2,pi1,pi2,at_equilibrium\n")
-        for i, capacity in enumerate(grid.values):
-            j = int(response.indices[i])
-            star = "*" if i == equilibrium.leader_index else ""
-            handle.write(f"{float(capacity)!r},{float(grid.values[j])!r},"
-                         f"{float(surfaces.pi1[i, j])!r},"
-                         f"{float(surfaces.pi2[i, j])!r},{star}\n")

@@ -9,7 +9,8 @@ given the binned mean of the new winds, in exactly that order. Every draw
 consumes uniforms from a per-chain generator derived from the master seed
 and the chain index, so a realisation is reproducible in isolation. All
 chains of an ensemble advance together, one sweep per numpy step over the
-CSR arrays, and each is bit-identical to the same chain run alone.
+CSR arrays, and each is bit-identical to the same chain run alone. Samples
+stay in memory: nothing here writes files.
 """
 from __future__ import annotations
 
@@ -62,7 +63,6 @@ class Realisation:
     w2: np.ndarray
     p_d: np.ndarray
     chain_index: int
-    seed: int
 
     def __len__(self) -> int:
         return len(self.w1)
@@ -195,8 +195,7 @@ def _sample(config: ChainConfig, tables: SamplerTables,
                 out[1, :, t - burn] = w2
                 out[2, :, t - burn] = p_d
 
-    return [Realisation(w1=out[0, c], w2=out[1, c], p_d=out[2, c],
-                        chain_index=index, seed=config.seed)
+    return [Realisation(w1=out[0, c], w2=out[1, c], p_d=out[2, c], chain_index=index)
             for c, index in enumerate(chain_indices)]
 
 
@@ -251,16 +250,6 @@ class StatsReport:
                          f"{v.wci:>10.4f}{v.max_err_pct:>10.2f}{v.historic_mean:>12.4f}")
         lines.append(f"realisations={self.n_realisations} retained_samples={self.sample_size}")
         return "\n".join(lines)
-
-
-def dump_realisations_csv(realisations: list[Realisation], path) -> None:
-    """Write sampled states as (chain, t, w1, w2, p_d) rows."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("chain,t,w1,w2,p_d\n")
-        for real in realisations:
-            for t in range(len(real)):
-                handle.write(f"{real.chain_index},{t},{float(real.w1[t])!r},"
-                             f"{float(real.w2[t])!r},{float(real.p_d[t])!r}\n")
 
 
 def wci_95(sigma: float, n_realisations: int) -> float:

@@ -5,10 +5,11 @@ realisation then yields, for every capacity pair on the strategy grid, the
 total energy each player generates and the share each loses to curtailment
 under proportional ("common access") sharing.
 
+Ingest accepts hourly series only, so a sum of MW over timesteps is in MWh.
 All tensor entries are accumulated in timestep order with plain double
 adds, so they are bit-for-bit reproducible by a literal per-timestep loop:
-e_g[k]   += (x[t] * grid[k]) * dt
-e_c[i,j] += pc_i(x1[t] * grid[i], x2[t] * grid[j], p_d[t]) * dt
+e_g[k]   += x[t] * grid[k]
+e_c[i,j] += pc_i(x1[t] * grid[i], x2[t] * grid[j], p_d[t])
 
 The tables are built by a small C kernel (``_energy.c``) that performs
 exactly those operations per cell. It is compiled on the first call, not at
@@ -117,7 +118,6 @@ class EnergyTables:
     e_c1: np.ndarray
     e_c2: np.ndarray
     grid: StrategyGrid
-    timestep_hours: float = 1.0
 
 
 def per_unit_output(w, curve: PowerCurve):
@@ -125,14 +125,15 @@ def per_unit_output(w, curve: PowerCurve):
     return 1.0 / (1.0 + np.exp(-curve.alpha * (np.asarray(w, dtype=np.float64) - curve.beta)))
 
 
-def fit_sigmoid(points: list[tuple[float, float]],
-                alpha_range: tuple[float, float] = (0.02, 5.0),
-                beta_range: tuple[float, float] | None = None,
-                rounds: int = 10, resolution: int = 25) -> PowerCurve:
+# fit_sigmoid's search: initial alpha window, refinement rounds, points per axis
+_FIT_ALPHA, _FIT_ROUNDS, _FIT_RESOLUTION = (0.02, 5.0), 10, 25
+
+
+def fit_sigmoid(points: list[tuple[float, float]]) -> PowerCurve:
     """Least-squares sigmoid fit by iteratively refined grid search.
 
     ``points`` are (wind m/s, per-unit output) pairs with outputs in [0, 1].
-    Each round evaluates the residual on a resolution x resolution grid and
+    Each round evaluates the residual on a square grid of alpha and beta and
     shrinks the search window around the best cell. The summed squared
     residual of the winning parameters is stored on the returned curve.
     """
@@ -145,25 +146,21 @@ def fit_sigmoid(points: list[tuple[float, float]],
     if np.ptp(outputs) == 0.0:
         raise FitError("outputs are constant; sigmoid parameters are unidentifiable")
 
-    if beta_range is None:
-        span = max(float(np.ptp(winds)), 1.0)
-        beta_range = (max(1e-6, float(winds.min()) - 0.5 * span),
-                      float(winds.max()) + 0.5 * span)
-
-    a_lo, a_hi = alpha_range
-    b_lo, b_hi = beta_range
+    span = max(float(np.ptp(winds)), 1.0)
+    a_lo, a_hi = _FIT_ALPHA
+    b_lo, b_hi = max(1e-6, float(winds.min()) - 0.5 * span), float(winds.max()) + 0.5 * span
     best_a = best_b = best_sse = None
-    for _ in range(rounds):
-        alphas = np.linspace(a_lo, a_hi, resolution)
-        betas = np.linspace(b_lo, b_hi, resolution)
+    for _ in range(_FIT_ROUNDS):
+        alphas = np.linspace(a_lo, a_hi, _FIT_RESOLUTION)
+        betas = np.linspace(b_lo, b_hi, _FIT_RESOLUTION)
         pred = 1.0 / (1.0 + np.exp(-alphas[:, None, None]
                                    * (winds[None, None, :] - betas[None, :, None])))
         sse = ((pred - outputs[None, None, :]) ** 2).sum(axis=2)
         ia, ib = np.unravel_index(int(np.argmin(sse)), sse.shape)
         best_a, best_b, best_sse = float(alphas[ia]), float(betas[ib]), float(sse[ia, ib])
-        a_step = (a_hi - a_lo) / (resolution - 1)
-        b_step = (b_hi - b_lo) / (resolution - 1)
-        a_lo, a_hi = max(alpha_range[0], best_a - a_step), best_a + a_step
+        a_step = (a_hi - a_lo) / (_FIT_RESOLUTION - 1)
+        b_step = (b_hi - b_lo) / (_FIT_RESOLUTION - 1)
+        a_lo, a_hi = max(_FIT_ALPHA[0], best_a - a_step), best_a + a_step
         b_lo, b_hi = max(1e-6, best_b - b_step), best_b + b_step
     return PowerCurve(alpha=best_a, beta=best_b, fit_residual=best_sse)
 
@@ -180,42 +177,22 @@ def load_curve_points(path: str | Path) -> list[tuple[float, float]]:
             raise FitError(f"{path} must have columns wind_ms, output_pu; "
                            f"found {reader.fieldnames}")
         for row in reader:
-            points.append((float(row["wind_ms"]), float(row["output_pu"])))
+            try:
+                points.append((float(row["wind_ms"]), float(row["output_pu"])))
+            except (TypeError, ValueError):
+                raise FitError(f"{path} line {reader.line_num}: wind_ms and output_pu "
+                               f"must be numbers, got {row}") from None
     if not points:
         raise FitError(f"{path} contains no data rows")
     return points
 
 
-_DEFAULT_CURVE: PowerCurve | None = None
-
-
+@functools.cache
 def default_power_curve() -> PowerCurve:
     """Curve fitted to the bundled 2.05 MW turbine manufacturer data."""
-    global _DEFAULT_CURVE
-    if _DEFAULT_CURVE is None:
-        ref = resources.files("windgame").joinpath("data").joinpath(_E82_FIXTURE)
-        with resources.as_file(ref) as path:
-            _DEFAULT_CURVE = fit_sigmoid(load_curve_points(path))
-    return _DEFAULT_CURVE
-
-
-def dump_energy_tables_csv(tables: EnergyTables, curtailment_path: str | Path,
-                           generation_path: str | Path) -> None:
-    """Write curtailment cells as (i, j, e_c1, e_c2) and generation as 1-D rows."""
-    cells = len(tables.grid) ** 2
-    if cells > 10**6:
-        log.warning("dumping %d curtailment cells; expect a large file", cells)
-    with open(curtailment_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("i,j,e_c1,e_c2\n")
-        for i in range(len(tables.grid)):
-            for j in range(len(tables.grid)):
-                handle.write(f"{i},{j},{float(tables.e_c1[i, j])!r},"
-                             f"{float(tables.e_c2[i, j])!r}\n")
-    with open(generation_path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("i,p_n,e_g1,e_g2\n")
-        for i, capacity in enumerate(tables.grid.values):
-            handle.write(f"{i},{float(capacity)!r},{float(tables.e_g1[i])!r},"
-                         f"{float(tables.e_g2[i])!r}\n")
+    ref = resources.files("windgame").joinpath("data").joinpath(_E82_FIXTURE)
+    with resources.as_file(ref) as path:
+        return fit_sigmoid(load_curve_points(path))
 
 
 def curtailment_timestep(p_g1: float, p_g2: float, p_d: float) -> tuple[float, float]:
@@ -290,31 +267,30 @@ def _load_kernel():
         log.warning("compiled energy kernel unavailable, using the numpy loop: %s%s",
                     exc, f"\n{stderr}" if stderr else "")
         return None
-    kernel.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, _F64, _F64, _F64, _F64,
-                       ctypes.c_double, _F64, _F64, _F64, _F64]
+    kernel.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[_F64] * 8]
     kernel.restype = None
     return kernel
 
 
-def _accumulate_numpy(x1, x2, p_d, values, dt, e_g1, e_g2, e_c1, e_c2) -> None:
+def _accumulate_numpy(x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2) -> None:
     """The kernel's arithmetic, one timestep at a time over the whole grid."""
     with np.errstate(divide="ignore", invalid="ignore"):
         for t in range(len(p_d)):
             g1 = x1[t] * values
             g2 = x2[t] * values
-            e_g1 += g1 * dt
-            e_g2 += g2 * dt
+            e_g1 += g1
+            e_g2 += g2
             total = g1[:, None] + g2[None, :]
             surplus = total - p_d[t]
             np.maximum(surplus, 0.0, out=surplus)
             share1 = np.where(total > 0.0, g1[:, None] / total, 0.0)
             pc1 = surplus * share1
-            e_c1 += pc1 * dt
-            e_c2 += (surplus - pc1) * dt
+            e_c1 += pc1
+            e_c2 += surplus - pc1
 
 
 def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCurve,
-                        grid: StrategyGrid, timestep_hours: float = 1.0) -> EnergyTables:
+                        grid: StrategyGrid) -> EnergyTables:
     """Accumulate generation and curtailment over all timesteps and capacity
     pairs.
 
@@ -330,7 +306,6 @@ def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCu
     x1, x2, p_d = (np.ascontiguousarray(a, dtype=np.float64)
                    for a in (series.x1, series.x2, series.p_d))
     k = len(values)
-    dt = timestep_hours
 
     e_g1 = np.zeros(k)
     e_g2 = np.zeros(k)
@@ -338,8 +313,7 @@ def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCu
     e_c2 = np.zeros((k, k))
     kernel = _load_kernel()
     if kernel is None:
-        _accumulate_numpy(x1, x2, p_d, values, dt, e_g1, e_g2, e_c1, e_c2)
+        _accumulate_numpy(x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)
     else:
-        kernel(len(p_d), k, x1, x2, p_d, values, dt, e_g1, e_g2, e_c1, e_c2)
-    return EnergyTables(e_g1=e_g1, e_g2=e_g2, e_c1=e_c1, e_c2=e_c2,
-                        grid=grid, timestep_hours=timestep_hours)
+        kernel(len(p_d), k, x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)
+    return EnergyTables(e_g1=e_g1, e_g2=e_g2, e_c1=e_c1, e_c2=e_c2, grid=grid)

@@ -365,6 +365,38 @@ class TestCli:
         assert main(["stats", "--config", str(path)]) == 1
         assert "at least 2 realisations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused(self, tiny_config, capsys, command, workers):
+        args = [command, "--config", str(tiny_config), "--workers", workers]
+        if command == "run":
+            args += ["--out", str(tiny_config.parent / "out")]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert (f"argument --workers: must be an integer of at least 1, got '{workers}'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["fit-curve", "run"])
+    @pytest.mark.parametrize("bad_row, shown", [("9.0,abc", "'abc'"), ("9.0", "None")],
+                             ids=["non-numeric-cell", "short-row"])
+    def test_malformed_curve_points(self, tiny_config, capsys, command, bad_row, shown):
+        points = (tiny_config.parent / "curve.csv").resolve()
+        points.write_text(f"wind_ms,output_pu\n3.0,0.01\n{bad_row}\n15.0,0.99\n",
+                          encoding="utf-8")
+        if command == "fit-curve":
+            args, prefix = ["fit-curve", "--points", str(points)], "error: "
+        else:
+            text = tiny_config.read_text(encoding="utf-8")
+            tiny_config.write_text(text.replace("[grid]", "[power_curve]\npoints = curve.csv"
+                                                "\n\n[grid]"), encoding="utf-8")
+            args = ["run", "--config", str(tiny_config), "--out", str(tiny_config.parent / "o")]
+            prefix = "error: [curve] "
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"{prefix}{points} line 3: wind_ms and output_pu must be numbers" in err
+        assert shown in err
+
     def test_fit_curve_subcommand(self, capsys):
         code = main(["fit-curve", "--points",
                      f"{REPO_ROOT}/src/windgame/data/enercon_e82_power_curve.csv"])

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from windgame import (BinSpec, DistributionError, ErgodicityError, JointTable,
                       assert_ergodic, build_demand_conditional, build_joint_wind_table,
                       count_cell_components, merge_sparse_bins)
-from windgame.dist import dump_joint_csv, dump_merged_map_csv
 
 from conftest import joint_from_arrays
 
@@ -253,16 +252,3 @@ class TestConnectivity:
         assert count_cell_components(table) == 2
         with pytest.raises(ErgodicityError, match="disconnected"):
             assert_ergodic(table)
-
-
-class TestDumps:
-    def test_dump_files(self, tmp_path, synthetic_tables):
-        joint_path = tmp_path / "joint.csv"
-        map_path = tmp_path / "merged.csv"
-        dump_joint_csv(synthetic_tables.joint, joint_path)
-        dump_merged_map_csv(synthetic_tables.joint, map_path)
-        lines = joint_path.read_text().strip().splitlines()
-        assert lines[0] == "bin_i,bin_j,count"
-        total = sum(int(line.split(",")[2]) for line in lines[1:])
-        assert total == synthetic_tables.joint.counts.sum()
-        assert map_path.read_text().startswith("axis,original_bin,retained_bin")

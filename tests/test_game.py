@@ -68,13 +68,13 @@ class TestFollowerBestResponse:
         pi2 = np.array([[0.0, 5.0, 3.0]] * 3)
         surfaces = ProfitSurfaces(pi1=np.zeros((3, 3)), pi2=pi2)
         response = follower_best_response(surfaces, grid)
-        assert list(response.capacities) == [0.5, 0.5, 0.5]
+        assert list(grid.values[response.indices]) == [0.5, 0.5, 0.5]
 
     def test_ties_break_to_smallest_capacity(self):
         grid = StrategyGrid(step=0.5, p_n_max=1.0)
         surfaces = ProfitSurfaces(pi1=np.zeros((3, 3)), pi2=np.zeros((3, 3)))
         response = follower_best_response(surfaces, grid)
-        assert list(response.capacities) == [0.0, 0.0, 0.0]
+        assert list(grid.values[response.indices]) == [0.0, 0.0, 0.0]
 
     def test_matches_exhaustive_row_scan(self):
         rng = np.random.default_rng(19)
@@ -169,19 +169,3 @@ class TestStackelberg:
         # cost evaluation must never perturb the physics tables
         assert snapshot == (tables.e_g1.tobytes(), tables.e_g2.tobytes(),
                             tables.e_c1.tobytes(), tables.e_c2.tobytes())
-
-    def test_dump_equilibrium_csv(self, tmp_path):
-        from windgame import dump_equilibrium_csv
-        tables, grid = tables_2x2()
-        surfaces = profit_surfaces(tables, COSTS)
-        eq = stackelberg(surfaces, grid)
-        path = tmp_path / "equilibrium.csv"
-        dump_equilibrium_csv(eq, surfaces, grid, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "p_n1,br_p_n2,pi1,pi2,at_equilibrium"
-        assert len(lines) == 1 + len(grid)
-        starred = [line for line in lines[1:] if line.endswith("*")]
-        assert len(starred) == 1
-        cells = starred[0].split(",")
-        assert float(cells[0]) == eq.p_n1_star
-        assert float(cells[1]) == eq.p_n2_star

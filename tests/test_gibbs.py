@@ -228,21 +228,9 @@ class TestRunEnsemble:
                 assert not np.array_equal(ensemble[a].w1, ensemble[b].w1)
 
 
-def test_dump_realisations_csv(tmp_path, synthetic_tables):
-    from windgame import dump_realisations_csv
-    ensemble = run_ensemble(ChainConfig(n=50, realisations=2, seed=12), synthetic_tables)
-    path = tmp_path / "states.csv"
-    dump_realisations_csv(ensemble, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "chain,t,w1,w2,p_d"
-    assert len(lines) == 1 + 2 * 40
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[2]) == ensemble[0].w1[0]
-
-
 def fake_realisation(mean, index):
     arr = np.full(10, mean)
-    return Realisation(w1=arr, w2=arr, p_d=arr, chain_index=index, seed=0)
+    return Realisation(w1=arr, w2=arr, p_d=arr, chain_index=index)
 
 
 class TestConvergenceStats:

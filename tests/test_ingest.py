@@ -32,25 +32,43 @@ class TestLoadSeriesCsv:
         assert np.all(np.diff(series.timestamps) > np.timedelta64(0, "s"))
         assert report.rows_kept == 3 and report.dropped_total == 0
 
+    def test_utc_offsets_converted_to_naive_utc(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed_ms\n"
+                               "2015-01-01T01:00:00Z,5.0\n"
+                               "2015-01-01T03:00:00+01:00,6.0\n"
+                               "2015-01-01T03:00:00,7.0\n")
+        series, report = load_series_csv(path, COLMAP)
+        assert list(series.timestamps) == list(hourly(3, "2015-01-01T01:00:00"))
+        assert list(series.values) == [5.0, 6.0, 7.0]
+        assert report.dropped_total == 0
+
     def test_blank_cell_dropped_and_reported(self, tmp_path):
+        # a row shorter than the value column is missing; a blank line is no row
         path = write(tmp_path, "timestamp,wind_speed_ms\n"
                                "2015-01-01T00:00:00,5.0\n"
                                "2015-01-01T01:00:00,\n"
-                               "2015-01-01T02:00:00,6.0\n")
+                               "\n"
+                               "2015-01-01T02:00:00,6.0\n"
+                               "2015-01-01T03:00:00\n")
         series, report = load_series_csv(path, COLMAP)
         assert len(series) == 2
-        assert report.dropped_missing == 1
-        assert "1 missing" in report.summary()
+        assert report.rows_read == 4
+        assert report.dropped_missing == 2
+        assert "2 missing" in report.summary()
 
     def test_duplicate_timestamp_keeps_first(self, tmp_path):
         path = write(tmp_path, "timestamp,wind_speed_ms\n"
                                "2015-01-01T00:00:00,5.0\n"
                                "2015-01-01T01:00:00,6.0\n"
-                               "2015-01-01T01:00:00,9.9\n")
+                               "2015-01-01T01:00:00,9.9\n"
+                               "2015-01-01T02:00:00.2,7.0\n"
+                               "2015-01-01T02:00:00.7,8.0\n")
         series, report = load_series_csv(path, COLMAP)
-        assert len(series) == 2
+        assert len(series) == 3
         assert series.values[1] == 6.0  # first occurrence wins
-        assert report.dropped_duplicate == 1
+        # timestamps are kept to the second, so sub-second variants collide
+        assert series.values[2] == 7.0
+        assert report.dropped_duplicate == 2
 
     def test_unparseable_rows_dropped(self, tmp_path):
         path = write(tmp_path, "timestamp,wind_speed_ms\n"
@@ -64,10 +82,13 @@ class TestLoadSeriesCsv:
     def test_negative_sentinel_dropped_as_invalid(self, tmp_path):
         path = write(tmp_path, "timestamp,wind_speed_ms\n"
                                "2015-01-01T00:00:00,-999.0\n"
-                               "2015-01-01T01:00:00,6.0\n")
+                               "2015-01-01T01:00:00,6.0\n"
+                               "2015-01-01T02:00:00,nan\n"
+                               "2015-01-01T03:00:00,inf\n"
+                               "2015-01-01T04:00:00,1e400\n")
         series, report = load_series_csv(path, COLMAP)
         assert len(series) == 1
-        assert report.dropped_invalid == 1
+        assert report.dropped_invalid == 4
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="file not found"):
