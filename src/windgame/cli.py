@@ -30,7 +30,7 @@ def _positive_int(text: str) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario INI file")
     sub.add_argument("--workers", type=_positive_int, default=1,
-                     help="process pool size for realisations, at least 1 (default 1)")
+                     help="threads solving realisations, at least 1 (default 1)")
     sub.add_argument("--profile", choices=("desk", "paper"),
                      help="override run dimensions with a named profile")
     sub.add_argument("--seed", type=int, help="override the master seed")

@@ -95,15 +95,17 @@ class ScenarioConfig:
             raise ConfigError("power curve needs both alpha and beta, or neither")
         if self.curve_alpha is not None and self.curve_points is not None:
             raise ConfigError("[power_curve] give either points or alpha and beta, not both")
-        try:
-            StrategyGrid(step=self.grid_step, p_n_max=self.grid_max)
-        except WindGameError as exc:
-            raise ConfigError(f"[grid] {exc}") from None
+        _section("grid", StrategyGrid, step=self.grid_step, p_n_max=self.grid_max)
         if self.curve_alpha is not None:
-            try:
-                PowerCurve(alpha=self.curve_alpha, beta=self.curve_beta)
-            except WindGameError as exc:
-                raise ConfigError(f"[power_curve] {exc}") from None
+            _section("power_curve", PowerCurve, alpha=self.curve_alpha, beta=self.curve_beta)
+
+
+def _section(name: str, build, **values):
+    """``build(**values)``, with a validation error prefixed by its INI section."""
+    try:
+        return build(**values)
+    except WindGameError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
 def _get(parser: configparser.ConfigParser, section: str, key: str,
@@ -142,7 +144,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if not parser.has_section(section):
             raise ConfigError(f"missing required section [{section}] in {path}")
 
-    chain = ChainConfig(
+    chain = _section(
+        "chain", ChainConfig,
         n=_get(parser, "chain", "n", int, required=True),
         realisations=_get(parser, "chain", "realisations", int, required=True),
         burn_in_fraction=_get(parser, "chain", "burn_in_fraction", float, default=0.20),
@@ -161,7 +164,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
             return fraction * p_g
         raise ConfigError(f"[costs] missing {name}_frac or {name}_mwh")
 
-    costs = CostParams(
+    costs = _section(
+        "costs", CostParams,
         p_g=p_g,
         p_t=cost_rate("p_t"),
         c_g1=cost_rate("c_g1"),

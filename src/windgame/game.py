@@ -7,7 +7,8 @@ the tariff net of the transmission fee on its delivered energy and pays its
 generation cost. The equilibrium is found by backward induction on the
 capacity grid: the follower's best response per leader capacity, then the
 leader's best choice against that response curve. Ties break toward the
-smaller capacity. Nothing here writes files; ``runner`` writes the reports.
+smaller capacity. ``equilibrium`` builds only the follower's surface;
+``stackelberg`` over ``profit_surfaces`` is the full-surface reference.
 """
 from __future__ import annotations
 
@@ -97,12 +98,20 @@ def profit_surfaces(tables: EnergyTables, costs: CostParams) -> ProfitSurfaces:
     return ProfitSurfaces(pi1=pi1, pi2=pi2)
 
 
-def follower_best_response(surfaces: ProfitSurfaces, grid: StrategyGrid) -> BestResponse:
-    """Follower's argmax per leader capacity; ties go to the smaller capacity."""
-    if surfaces.pi2.shape != (len(grid), len(grid)):
-        raise WindGameError(
-            f"surface shape {surfaces.pi2.shape} does not match grid of {len(grid)}")
-    return BestResponse(indices=np.argmax(surfaces.pi2, axis=1))
+def _backward_induction(pi2: np.ndarray, grid: StrategyGrid, leader_profits) -> Equilibrium:
+    """The follower's argmax per row of ``pi2``, then the leader's argmax of
+    ``leader_profits(rows, cols)``; np.argmax's first maximum breaks ties low."""
+    if pi2.shape != (len(grid), len(grid)):
+        raise WindGameError(f"surface shape {pi2.shape} does not match grid of {len(grid)}")
+    cols = np.argmax(pi2, axis=1)
+    pi1 = leader_profits(np.arange(len(grid)), cols)
+    if not np.all(np.isfinite(pi1)):
+        raise WindGameError("profit surfaces must be finite")
+    i = int(np.argmax(pi1))
+    j = int(cols[i])
+    return Equilibrium(p_n1_star=float(grid.values[i]), p_n2_star=float(grid.values[j]),
+                       pi1_star=float(pi1[i]), pi2_star=float(pi2[i, j]), leader_index=i,
+                       follower_index=j, best_response=BestResponse(indices=cols))
 
 
 def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
@@ -112,16 +121,23 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
     curve; the returned pair satisfies both argmax conditions, with ties
     broken toward the smaller capacity at each level.
     """
-    response = follower_best_response(surfaces, grid)
-    leader_profits = surfaces.pi1[np.arange(len(grid)), response.indices]
-    i_star = int(np.argmax(leader_profits))
-    j_star = int(response.indices[i_star])
-    return Equilibrium(
-        p_n1_star=float(grid.values[i_star]),
-        p_n2_star=float(grid.values[j_star]),
-        pi1_star=float(surfaces.pi1[i_star, j_star]),
-        pi2_star=float(surfaces.pi2[i_star, j_star]),
-        leader_index=i_star,
-        follower_index=j_star,
-        best_response=response)
+    return _backward_induction(surfaces.pi2, grid, lambda rows, cols: surfaces.pi1[rows, cols])
 
+
+def equilibrium(tables: EnergyTables, costs: CostParams, out=None) -> Equilibrium:
+    """``stackelberg(profit_surfaces(tables, costs), tables.grid)`` bit for bit, from
+    one k x k buffer: pi1 is evaluated only along the follower's best response.
+    Pass the same float64 ``out`` for every sweep point to reuse that buffer."""
+    pi2 = np.subtract(tables.e_g2[None, :], tables.e_c2, out=out)
+    pi2 *= costs.p_g - costs.p_t
+    pi2 -= tables.e_g2[None, :] * costs.c_g2
+    if not np.all(np.isfinite(pi2)):
+        raise WindGameError("profit surfaces must be finite")
+
+    def leader_profits(rows, cols):
+        delivered1 = tables.e_g1[rows] - tables.e_c1[rows, cols]
+        delivered2 = tables.e_g2[cols] - tables.e_c2[rows, cols]
+        return (delivered1 * costs.p_g - tables.e_g1[rows] * costs.c_g1
+                + delivered2 * costs.p_t - costs.c_t)
+
+    return _backward_induction(pi2, tables.grid, leader_profits)

@@ -3,25 +3,22 @@
 Pipeline: ingest -> distribution tables -> chain ensemble -> per-realisation
 energy tables -> equilibrium at every sweep point -> ensemble aggregation.
 Energy tables are built once per realisation and reused across sweep points,
-since cost parameters cannot affect the physics. Realisations are solved
-independently, on a process pool when ``workers`` > 1; each result is a
-function of the realisation alone, so reports are byte-identical for every
-pool size. Failures, including a worker process that dies and an interrupt
-(Ctrl-C), are re-raised tagged with the stage they occurred in, and report
-files are renamed into place only once fully written.
+since cost parameters cannot affect the physics. Realisations are solved on
+``workers`` threads (the energy kernel and numpy's k x k loops release the
+GIL); each result is a function of the realisation alone, so reports are
+byte-identical for every pool size. Failures, in a thread too, and Ctrl-C
+are re-raised tagged with their stage; after one, no realisation starts and
+those in flight finish. Reports are renamed into place once written.
 """
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import logging
-import multiprocessing
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,7 +28,7 @@ import scipy
 from . import __version__
 from .config import ScenarioConfig
 from .errors import StageError, WindGameError
-from .game import CostParams, profit_surfaces, stackelberg
+from .game import CostParams, equilibrium
 from .gibbs import Realisation, SamplerTables, StatsReport, convergence_stats, run_ensemble
 from .ingest import JointSeries, align_series, load_series_csv, normalize_demand
 from .sim import PowerCurve, StrategyGrid, build_energy_tables, default_power_curve, \
@@ -124,35 +121,15 @@ def _sampling_stages(config: ScenarioConfig, timing: dict
 def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: StrategyGrid,
                        costs: list[CostParams]) -> np.ndarray:
     """Equilibria of one realisation at every sweep point: a (sweep, 4) block
-    of p_n1, p_n2, pi1, pi2. Module-level so a process pool can run it."""
+    of p_n1, p_n2, pi1, pi2. One k x k buffer serves every point; one per point
+    can fragment a thread's heap and leave two resident."""
     energies = build_energy_tables(realisation, curve, grid)
     block = np.empty((len(costs), 4))
+    pi2 = np.empty((len(grid), len(grid)))
     for s_idx, point in enumerate(costs):
-        eq = stackelberg(profit_surfaces(energies, point), grid)
+        eq = equilibrium(energies, point, out=pi2)
         block[s_idx] = (eq.p_n1_star, eq.p_n2_star, eq.pi1_star, eq.pi2_star)
     return block
-
-
-def _solve_all(realisations: list[Realisation], solve, workers: int) -> list[np.ndarray]:
-    """``solve`` mapped over the realisations, in order: a plain loop for one
-    worker, else a pool of ``min(workers, N)`` fresh interpreters."""
-    blocks = []
-    with contextlib.ExitStack() as stack:
-        if workers <= 1:
-            results = map(solve, realisations)
-        else:
-            pool = stack.enter_context(ProcessPoolExecutor(
-                max_workers=min(workers, len(realisations)),
-                mp_context=multiprocessing.get_context("spawn")))
-            results = pool.map(solve, realisations)
-        try:
-            for block in results:
-                blocks.append(block)
-                log.info("realisation %d/%d solved across %d sweep points",
-                         len(blocks), len(realisations), len(block))
-        except BrokenProcessPool as exc:
-            raise WindGameError(f"a worker process died: {exc}") from exc
-    return blocks
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
@@ -166,8 +143,14 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
         sweep_fracs = config.sweep.values()
         costs = [_swept_costs(config.costs, config.sweep.parameter, frac)
                  for frac in sweep_fracs]
-        solve = functools.partial(_solve_realisation, curve=curve, grid=grid, costs=costs)
-        per_real = np.stack(_solve_all(realisations, solve, workers), axis=1)
+        blocks = []
+        with ThreadPoolExecutor(max_workers=min(workers, len(realisations))) as pool:
+            for block in pool.map(lambda r: _solve_realisation(r, curve, grid, costs),
+                                  realisations):
+                blocks.append(block)
+                log.info("realisation %d/%d solved across %d sweep points",
+                         len(blocks), len(realisations), len(block))
+        per_real = np.stack(blocks, axis=1)
         aggregates = np.stack([per_real.mean(axis=1),
                                per_real.min(axis=1),
                                per_real.max(axis=1)], axis=1)

@@ -31,6 +31,7 @@ import platform
 import shutil
 import subprocess
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -224,6 +225,8 @@ _KERNEL_SOURCE = "_energy.c"
 # must run on every CPU of that type; _energy.c dispatches by CPU at load.
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+# serialises _load_kernel's first call, so one thread compiles or warns
+_KERNEL_LOCK = threading.Lock()
 
 
 def _compile_kernel() -> Path:
@@ -311,7 +314,8 @@ def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCu
     e_g2 = np.zeros(k)
     e_c1 = np.zeros((k, k))
     e_c2 = np.zeros((k, k))
-    kernel = _load_kernel()
+    with _KERNEL_LOCK:
+        kernel = _load_kernel()
     if kernel is None:
         _accumulate_numpy(x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)
     else:

@@ -5,12 +5,13 @@ import csv
 import json
 import os
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from windgame import ConfigError, StageError
+from windgame import ConfigError, StageError, WindGameError
 from windgame.cli import main
 from windgame.config import PROFILES, apply_profile, load_config, override_seed
 from windgame.runner import emit_report, ingest_joint_series, run_scenario
@@ -242,21 +243,36 @@ class TestRunScenario:
                                              r"disconnected blocks"):
             run_scenario(load_config(path))
 
-    def test_worker_crash_is_stage_tagged(self, tiny_config, monkeypatch, capsys):
+    def test_failure_in_a_thread_is_stage_tagged(self, tiny_config, monkeypatch):
         import windgame.runner as runner_mod
 
-        class DiesWhenUnpickled:
-            def __reduce__(self):
-                return os._exit, (1,)
+        def fails(realisation, curve, grid, costs):
+            raise WindGameError(f"solve of realisation {realisation.chain_index} failed")
 
-        monkeypatch.setattr(runner_mod, "resolve_power_curve",
-                            lambda config: DiesWhenUnpickled())
-        with pytest.raises(StageError, match=r"\[game\] a worker process died"):
+        monkeypatch.setattr(runner_mod, "_solve_realisation", fails)
+        with pytest.raises(StageError, match=r"\[game\] solve of realisation 0 failed"):
             run_scenario(load_config(tiny_config), workers=2)
-        code = main(["run", "--config", str(tiny_config), "--out",
-                     str(tiny_config.parent / "out"), "--workers", "2"])
-        assert code == 1
-        assert "error: [game] a worker process died" in capsys.readouterr().err
+
+    def test_interrupt_in_a_thread_starts_no_new_realisation(self, tmp_path, monkeypatch,
+                                                             capsys):
+        import windgame.runner as runner_mod
+        write_tiny_dataset(tmp_path)
+        path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 20\nseed = 99")
+        started = []
+
+        def solve(realisation, curve, grid, costs):
+            started.append(realisation.chain_index)  # list.append is atomic
+            if realisation.chain_index == 1:
+                raise KeyboardInterrupt
+            time.sleep(0.05)
+            return np.zeros((len(costs), 4))
+
+        monkeypatch.setattr(runner_mod, "_solve_realisation", solve)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out), "--workers", "2"]) == 1
+        assert "error: [game] interrupted" in capsys.readouterr().err
+        assert 2 <= len(started) < 20
+        assert not out.exists()
 
     def test_interrupted_report_leaves_previous_files(self, tiny_config, tmp_path,
                                                       monkeypatch):
@@ -358,6 +374,20 @@ class TestCli:
             pytest.fail("KeyboardInterrupt escaped the CLI")
         assert code == 1
         assert "error: [ingest] interrupted" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("n = 300", "n = 0", "[chain] chain length n must be >= 1, got 0"),
+        ("seed = 99", "seed = 99\nburn_in_fraction = 1.5",
+         "[chain] burn_in_fraction must be in [0, 1), got 1.5"),
+        ("p_g = 74.3", "p_g = 0", "[costs] generation tariff must be positive, got 0.0"),
+    ], ids=["n", "burn_in_fraction", "p_g"])
+    def test_bad_chain_or_costs_named_by_section(self, tiny_config, capsys, old, new, message):
+        text = tiny_config.read_text(encoding="utf-8")
+        assert old in text
+        tiny_config.write_text(text.replace(old, new), encoding="utf-8")
+        assert main(["run", "--config", str(tiny_config),
+                     "--out", str(tiny_config.parent / "out")]) == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
 
     def test_stats_needs_two_realisations(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)

@@ -1,13 +1,14 @@
 """Profit evaluation and backward-induction equilibrium."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from windgame import (CostParams, EnergyTables, ProfitSurfaces, StrategyGrid,
-                      WindGameError, follower_best_response, profit_surfaces,
-                      stackelberg)
+from windgame import (CostParams, EnergyTables, Equilibrium, ProfitSurfaces, StrategyGrid,
+                      WindGameError, equilibrium, profit_surfaces, stackelberg)
 
 
 def tables_2x2():
@@ -67,13 +68,13 @@ class TestFollowerBestResponse:
         grid = StrategyGrid(step=0.5, p_n_max=1.0)
         pi2 = np.array([[0.0, 5.0, 3.0]] * 3)
         surfaces = ProfitSurfaces(pi1=np.zeros((3, 3)), pi2=pi2)
-        response = follower_best_response(surfaces, grid)
+        response = stackelberg(surfaces, grid).best_response
         assert list(grid.values[response.indices]) == [0.5, 0.5, 0.5]
 
     def test_ties_break_to_smallest_capacity(self):
         grid = StrategyGrid(step=0.5, p_n_max=1.0)
         surfaces = ProfitSurfaces(pi1=np.zeros((3, 3)), pi2=np.zeros((3, 3)))
-        response = follower_best_response(surfaces, grid)
+        response = stackelberg(surfaces, grid).best_response
         assert list(grid.values[response.indices]) == [0.0, 0.0, 0.0]
 
     def test_matches_exhaustive_row_scan(self):
@@ -81,7 +82,7 @@ class TestFollowerBestResponse:
         grid = StrategyGrid(step=1.0, p_n_max=19.0)
         pi2 = rng.normal(size=(20, 20))
         surfaces = ProfitSurfaces(pi1=rng.normal(size=(20, 20)), pi2=pi2)
-        response = follower_best_response(surfaces, grid)
+        response = stackelberg(surfaces, grid).best_response
         for i in range(20):
             assert pi2[i, response.indices[i]] == pi2[i].max()
 
@@ -89,7 +90,7 @@ class TestFollowerBestResponse:
         grid = StrategyGrid(step=1.0, p_n_max=5.0)
         surfaces = ProfitSurfaces(pi1=np.zeros((3, 3)), pi2=np.zeros((3, 3)))
         with pytest.raises(WindGameError, match="does not match"):
-            follower_best_response(surfaces, grid)
+            stackelberg(surfaces, grid)
 
 
 class TestStackelberg:
@@ -169,3 +170,44 @@ class TestStackelberg:
         # cost evaluation must never perturb the physics tables
         assert snapshot == (tables.e_g1.tobytes(), tables.e_g2.tobytes(),
                             tables.e_c1.tobytes(), tables.e_c2.tobytes())
+
+
+class TestEquilibrium:
+    """The runner's solve against the full-surface reference."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
+           st.booleans())
+    @example(k=1, seed=0, integral=True)
+    def test_matches_full_surface_reference(self, k, seed, integral):
+        # small integers make cells of a row, and rows, tie; floats round
+        rng = np.random.default_rng(seed)
+
+        def draw(high, size):
+            return rng.integers(0, high, size).astype(float) if integral \
+                else rng.uniform(0.0, high, size)
+
+        grid = StrategyGrid(step=1.0, p_n_max=float(k - 1))
+        tables = EnergyTables(e_g1=draw(4, k), e_g2=draw(4, k), e_c1=draw(3, (k, k)),
+                              e_c2=draw(3, (k, k)), grid=grid)
+        costs = CostParams(p_g=1.0 + draw(3, None), p_t=draw(3, None), c_g1=draw(3, None),
+                           c_g2=draw(3, None), c_t=draw(9, None))
+        ref = stackelberg(profit_surfaces(tables, costs), grid)
+        # a reused buffer arrives holding the previous point's values
+        for eq in (equilibrium(tables, costs),
+                   equilibrium(tables, costs, out=np.full((k, k), np.nan))):
+            for f in dataclasses.fields(Equilibrium):
+                if f.name != "best_response":
+                    assert getattr(eq, f.name) == getattr(ref, f.name), f.name
+            assert np.array_equal(eq.best_response.indices, ref.best_response.indices)
+
+    @pytest.mark.parametrize("name, cell", [("e_c2", (1, 1)), ("e_g1", 1)],
+                             ids=["follower-surface", "leader-curve"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_energy_rejected(self, name, cell, bad):
+        tables, grid = tables_2x2()
+        table = getattr(tables, name).copy()
+        table[cell] = bad
+        with pytest.raises(WindGameError, match="must be finite"):
+            equilibrium(dataclasses.replace(tables, **{name: table}), COSTS)

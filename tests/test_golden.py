@@ -30,10 +30,12 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(GOLDEN))
-def test_reports_match_golden_digests(scenario, tmp_path):
+@pytest.mark.parametrize("scenario, workers",
+                         [pytest.param(s, 1, id=str(s)) for s in sorted(GOLDEN)]
+                         + [pytest.param(s, 3, id=f"{s}-workers3") for s in sorted(GOLDEN)])
+def test_reports_match_golden_digests(scenario, workers, tmp_path):
     config = load_config(f"{REPO_ROOT}/configs/scenario{scenario}.ini")
-    emit_report(run_scenario(config), tmp_path)
+    emit_report(run_scenario(config, workers=workers), tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN[scenario]}
     assert digests == GOLDEN[scenario]

@@ -4,6 +4,10 @@ from __future__ import annotations
 import logging
 import math
 import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -347,3 +351,36 @@ class TestKernelBuild:
         warnings = [r for r in caplog.records if "using the numpy loop" in r.getMessage()]
         assert len(warnings) == 1
         assert "no C compiler" in warnings[0].getMessage()
+
+    def test_concurrent_first_load_warns_once(self, tmp_path, monkeypatch, caplog):
+        def slow_no_compiler(name):
+            time.sleep(0.05)  # holds the first load open while the others arrive
+            return None
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(sim.shutil, "which", slow_no_compiler)
+        series = random_per_unit(20, seed=15)
+        grid = StrategyGrid(step=20.0, p_n_max=100.0)
+        threads = 4  # more than the cores of a small CI runner
+        barrier = threading.Barrier(threads)
+
+        def build(_):
+            barrier.wait(timeout=30)
+            return build_energy_tables(series, None, grid)
+
+        sim._load_kernel.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.WARNING, logger="windgame"), \
+                    ThreadPoolExecutor(threads) as pool:
+                futures = [pool.submit(build, t) for t in range(threads)]
+                tables = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+            sim._load_kernel.cache_clear()
+        warnings = [r for r in caplog.records if "using the numpy loop" in r.getMessage()]
+        assert len(warnings) == 1
+        for other in tables[1:]:
+            for name in ("e_g1", "e_g2", "e_c1", "e_c2"):
+                assert getattr(other, name).tobytes() == getattr(tables[0], name).tobytes()
