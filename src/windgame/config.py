@@ -129,7 +129,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
     parser = configparser.ConfigParser()
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     base = path.parent
 

@@ -45,6 +45,8 @@ class ChainConfig:
                 f"burn_in_fraction must be in [0, 1), got {self.burn_in_fraction}")
         if self.retained < 1:
             raise DistributionError("burn-in leaves no retained samples")
+        if self.seed < 0:
+            raise DistributionError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def burn_in(self) -> int:
@@ -276,12 +278,9 @@ def convergence_stats(realisations: list[Realisation],
     if n < 2:
         raise DistributionError(
             f"convergence statistics need >= 2 realisations, got {n}")
-    historic_means = historic.means()
-    names = ("w1", "w2", "p_d")
+    chain_means = np.array([r.means() for r in realisations])
     stats = {}
-    for pos, name in enumerate(names):
-        per_chain = np.array([r.means()[pos] for r in realisations])
-        mu = historic_means[pos]
+    for name, per_chain, mu in zip(("w1", "w2", "p_d"), chain_means.T, historic.means()):
         sigma = float(per_chain.std(ddof=1))
         stats[name] = VariableStats(
             name=name,

@@ -7,6 +7,8 @@ values. Input resolution is fixed at one hour; sub-hourly files are rejected.
 from __future__ import annotations
 
 import csv
+import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -16,18 +18,16 @@ import numpy as np
 
 from .errors import IngestError
 
-ONE_HOUR = np.timedelta64(3600, "s")
 
-
-def _parse_iso_timestamp(raw: str) -> np.datetime64:
-    """Parse an ISO-8601 timestamp; aware inputs are converted to UTC."""
+def _parse_iso_timestamp(raw: str) -> datetime:
+    """Parse an ISO-8601 timestamp to naive UTC, truncated to the second."""
     text = raw.strip()
-    if text.endswith(("Z", "z")):
+    if text.endswith(("Z", "z")):  # 3.11's fromisoformat rejects a lowercase z
         text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is not None:
         dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-    return np.datetime64(dt, "s")
+    return dt.replace(microsecond=0)
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ def load_series_csv(path: str | Path,
     names. Rows with missing cells, unparseable fields, or negative or
     non-finite values are dropped and counted in the returned report; among
     duplicated timestamps the first occurrence wins. Raises
-    :class:`IngestError` for a missing file, absent columns, no valid rows,
-    or sub-hourly sampling.
+    :class:`IngestError` for a missing file, a file that is not UTF-8 CSV,
+    absent columns, no valid rows, or sub-hourly sampling.
     """
     path = Path(path)
     try:
@@ -145,62 +145,53 @@ def load_series_csv(path: str | Path,
     if not path.is_file():
         raise IngestError(f"{label}: file not found: {path}")
 
-    rows_read = 0
-    dropped_missing = 0
-    dropped_unparseable = 0
-    dropped_invalid = 0
-    dropped_duplicate = 0
-    seen: dict[np.datetime64, float] = {}
+    dropped = dict.fromkeys(("missing", "unparseable", "invalid"), 0)
+    stamps: list[datetime] = []
+    values = array("d")  # raw doubles: no float object kept per row
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, [])
+            columns = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+            for needed in (ts_col, val_col):
+                if needed not in columns:
+                    raise IngestError(f"{label}: column '{needed}' not in header "
+                                      f"{header} of {path}")
+            i_ts, i_val = columns[ts_col], columns[val_col]
+            for row in filter(None, reader):  # a blank line is no row
+                if len(row) <= max(i_ts, i_val) or not row[i_ts].strip() or not row[i_val].strip():
+                    dropped["missing"] += 1
+                    continue
+                try:
+                    stamp = _parse_iso_timestamp(row[i_ts])
+                    value = float(row[i_val])
+                except ValueError:
+                    dropped["unparseable"] += 1
+                    continue
+                if not math.isfinite(value) or value < 0.0:
+                    dropped["invalid"] += 1
+                    continue
+                stamps.append(stamp)
+                values.append(value)
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise IngestError(f"{label}: cannot read {path}: {exc}") from None
+    rows_read = len(stamps) + sum(dropped.values())  # every nonblank row is kept or dropped
 
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for needed in (ts_col, val_col):
-            if needed not in header:
-                raise IngestError(f"{label}: column '{needed}' not in header "
-                                  f"{header} of {path}")
-        for row in reader:
-            rows_read += 1
-            raw_ts = row.get(ts_col)
-            raw_val = row.get(val_col)
-            if raw_ts is None or raw_val is None or not raw_ts.strip() or not raw_val.strip():
-                dropped_missing += 1
-                continue
-            try:
-                ts = _parse_iso_timestamp(raw_ts)
-            except ValueError:
-                dropped_unparseable += 1
-                continue
-            try:
-                value = float(raw_val)
-            except ValueError:
-                dropped_unparseable += 1
-                continue
-            if not np.isfinite(value) or value < 0.0:
-                dropped_invalid += 1
-                continue
-            if ts in seen:
-                dropped_duplicate += 1
-                continue
-            seen[ts] = value
-
-    if not seen:
+    if not stamps:
         raise IngestError(f"{label}: no valid rows in {path} "
                           f"({rows_read} read, all dropped)")
 
-    timestamps = np.array(sorted(seen), dtype="datetime64[s]")
-    values = np.array([seen[t] for t in timestamps], dtype=np.float64)
+    timestamps, first = np.unique(np.array(stamps, dtype="datetime64[s]"),
+                                  return_index=True)  # the first row of each timestamp
+    dropped["duplicate"] = len(stamps) - len(first)
 
-    if len(timestamps) > 1 and np.diff(timestamps).min() < ONE_HOUR:
+    if len(timestamps) > 1 and np.diff(timestamps).min() < np.timedelta64(1, "h"):
         raise IngestError(f"{label}: sub-hourly sampling detected in {path}; "
                           f"this pipeline is hourly only")
 
-    report = GapReport(label=label, rows_read=rows_read, rows_kept=len(values),
-                       dropped_missing=dropped_missing,
-                       dropped_unparseable=dropped_unparseable,
-                       dropped_invalid=dropped_invalid,
-                       dropped_duplicate=dropped_duplicate)
-    return TimeSeries(timestamps=timestamps, values=values, label=label), report
+    return (TimeSeries(timestamps=timestamps, values=np.array(values)[first], label=label),
+            GapReport(label=label, rows_read=rows_read, rows_kept=len(first),
+                      **{f"dropped_{reason}": n for reason, n in dropped.items()}))
 
 
 def normalize_demand(series: TimeSeries, target_mean: float) -> TimeSeries:

@@ -172,17 +172,20 @@ def load_curve_points(path: str | Path) -> list[tuple[float, float]]:
     if not path.is_file():
         raise FitError(f"power-curve file not found: {path}")
     points = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"wind_ms", "output_pu"} <= set(reader.fieldnames):
-            raise FitError(f"{path} must have columns wind_ms, output_pu; "
-                           f"found {reader.fieldnames}")
-        for row in reader:
-            try:
-                points.append((float(row["wind_ms"]), float(row["output_pu"])))
-            except (TypeError, ValueError):
-                raise FitError(f"{path} line {reader.line_num}: wind_ms and output_pu "
-                               f"must be numbers, got {row}") from None
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None or not {"wind_ms", "output_pu"} <= set(reader.fieldnames):
+                raise FitError(f"{path} must have columns wind_ms, output_pu; "
+                               f"found {reader.fieldnames}")
+            for row in reader:
+                try:
+                    points.append((float(row["wind_ms"]), float(row["output_pu"])))
+                except (TypeError, ValueError):
+                    raise FitError(f"{path} line {reader.line_num}: wind_ms and output_pu "
+                                   f"must be numbers, got {row}") from None
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise FitError(f"cannot read {path}: {exc}") from None
     if not points:
         raise FitError(f"{path} contains no data rows")
     return points

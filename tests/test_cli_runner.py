@@ -5,6 +5,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import replace
 
@@ -379,8 +381,9 @@ class TestCli:
         ("n = 300", "n = 0", "[chain] chain length n must be >= 1, got 0"),
         ("seed = 99", "seed = 99\nburn_in_fraction = 1.5",
          "[chain] burn_in_fraction must be in [0, 1), got 1.5"),
+        ("seed = 99", "seed = -1", "[chain] seed must be >= 0, got -1"),
         ("p_g = 74.3", "p_g = 0", "[costs] generation tariff must be positive, got 0.0"),
-    ], ids=["n", "burn_in_fraction", "p_g"])
+    ], ids=["n", "burn_in_fraction", "seed", "p_g"])
     def test_bad_chain_or_costs_named_by_section(self, tiny_config, capsys, old, new, message):
         text = tiny_config.read_text(encoding="utf-8")
         assert old in text
@@ -388,6 +391,47 @@ class TestCli:
         assert main(["run", "--config", str(tiny_config),
                      "--out", str(tiny_config.parent / "out")]) == 1
         assert f"error: {message}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_negative_seed_refused_before_ingest(self, tiny_config, monkeypatch, capsys,
+                                                 command):
+        import windgame.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "ingest_joint_series",
+                            lambda config: pytest.fail("ingest started"))
+        args = [command, "--config", str(tiny_config), "--seed", "-1"]
+        if command == "run":
+            args += ["--out", str(tiny_config.parent / "out")]
+        assert main(args) == 1
+        assert "error: seed must be >= 0, got -1\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["series", "ini", "points"])
+    def test_file_not_utf8(self, tiny_config, capsys, kind):
+        root = tiny_config.parent
+        points = (root / "curve.csv").resolve()
+        points.write_text("wind_ms,output_pu\n3.0,0.01\n9.0,0.5\n15.0,0.99\n",
+                          encoding="utf-8")
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("[grid]", "[power_curve]\npoints = curve.csv"
+                                            "\n\n[grid]"), encoding="utf-8")
+        target, prefix = {"series": ((root / "w1.csv").resolve(), "[ingest] wind1: cannot read"),
+                          "ini": (tiny_config, "cannot parse"),
+                          "points": (points, "[curve] cannot read")}[kind]
+        target.write_bytes(target.read_bytes() + b"# 15 \xb0C\n")
+        assert main(["run", "--config", str(tiny_config), "--out", str(root / "out")]) == 1
+        assert (f"error: {prefix} {target}: 'utf-8' codec can't decode byte 0xb0"
+                in capsys.readouterr().err)
+
+    def test_readme_library_use(self):
+        readme = open(f"{REPO_ROOT}/README.md", encoding="utf-8").read()
+        block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
+        block = block.split("```", 1)[0]
+        # the subprocess inherits the session's kernel cache directory
+        done = subprocess.run([sys.executable, "-c", block], cwd=REPO_ROOT,
+                              env=dict(os.environ, PYTHONPATH="src"),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "100.0 100.0"
 
     def test_stats_needs_two_realisations(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)

@@ -1,11 +1,16 @@
 """CSV loading, demand normalization, and timestamp alignment."""
 from __future__ import annotations
 
+import csv
+import re
+from datetime import datetime, timezone
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from windgame import IngestError, TimeSeries, align_series, load_series_csv, normalize_demand
+from windgame import (GapReport, IngestError, TimeSeries, align_series, load_series_csv,
+                      normalize_demand)
 
 COLMAP = {"timestamp": "timestamp", "value": "wind_speed_ms"}
 
@@ -18,6 +23,65 @@ def write(tmp_path, text, name="series.csv"):
 
 def hourly(n, start="2015-01-01T00:00:00"):
     return (np.datetime64(start, "s") + np.arange(n) * np.timedelta64(3600, "s"))
+
+
+def _oracle_timestamp(raw):
+    text = raw.strip()
+    if text.endswith(("Z", "z")):
+        text = text[:-1] + "+00:00"
+    dt = datetime.fromisoformat(text)
+    if dt.tzinfo is not None:
+        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    return np.datetime64(dt, "s")
+
+
+def dict_reader_oracle(path, ts_col, val_col):
+    """The row rules of ``load_series_csv`` as a csv.DictReader loop into a
+    first-wins dict keyed by ``np.datetime64``: the reference the loader matches.
+
+    Returns (timestamps, values, GapReport counts), or None for no valid row.
+    """
+    counts = dict.fromkeys(("rows_read", "dropped_missing", "dropped_unparseable",
+                            "dropped_invalid", "dropped_duplicate"), 0)
+    seen = {}
+    with open(path, newline="", encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            counts["rows_read"] += 1
+            raw_ts, raw_val = row.get(ts_col), row.get(val_col)
+            if raw_ts is None or raw_val is None or not raw_ts.strip() or not raw_val.strip():
+                counts["dropped_missing"] += 1
+                continue
+            try:
+                ts, value = _oracle_timestamp(raw_ts), float(raw_val)
+            except ValueError:
+                counts["dropped_unparseable"] += 1
+                continue
+            if not np.isfinite(value) or value < 0.0:
+                counts["dropped_invalid"] += 1
+            elif ts in seen:
+                counts["dropped_duplicate"] += 1
+            else:
+                seen[ts] = value
+    if not seen:
+        return None
+    stamps = np.array(sorted(seen), dtype="datetime64[s]")
+    return stamps, np.array([seen[t] for t in stamps], dtype=np.float64), counts
+
+
+HEADERS = [("timestamp", "wind_speed_ms"), ("wind_speed_ms", "timestamp"),
+           ("timestamp", "wind_speed_ms", "wind_speed_ms"),
+           ("other", "timestamp", "wind_speed_ms")]
+# few distinct hours, so that duplicates are common; offsets and sub-second
+# variants name the same instants, and a cell may be missing or unparseable
+TS_CELLS = st.one_of(
+    st.builds("2015-01-01T{:02d}:00:00{}".format, st.integers(0, 4),
+              st.sampled_from(["", "Z", "z", ".2", ".7", "+00:00", " "])),
+    st.builds("2015-01-01T{:02d}:00:00+01:00".format, st.integers(1, 5)),
+    st.sampled_from(["", "  ", "not-a-date", "2015-13-01T00:00:00"]))
+VALUE_CELLS = st.one_of(
+    st.floats(0.0, 40.0).map(repr),
+    st.sampled_from(["", " ", "0", "-0.5", "-999.0", "nan", "inf", "1e400", "abc", " 7.5 "]))
+ROW_SHAPES = st.sampled_from(["full", "full", "full", "short", "long", "blank"])
 
 
 class TestLoadSeriesCsv:
@@ -89,6 +153,65 @@ class TestLoadSeriesCsv:
         series, report = load_series_csv(path, COLMAP)
         assert len(series) == 1
         assert report.dropped_invalid == 4
+
+    def test_header_and_cell_edge_cases(self, tmp_path):
+        # as with csv.DictReader: the last of a repeated header name wins, cells
+        # past the header are ignored, and a whitespace-only cell is missing
+        path = write(tmp_path, "timestamp,wind_speed_ms,wind_speed_ms\n"
+                               "2015-01-01T00:00:00,1.0,5.0\n"
+                               "2015-01-01T01:00:00,1.0,6.0,extra,cells\n"
+                               "2015-01-01T02:00:00,1.0,   \n"
+                               "2015-01-01T03:00:00z,1.0,7.0\n")
+        series, report = load_series_csv(path, COLMAP)
+        assert list(series.values) == [5.0, 6.0, 7.0]
+        assert series.timestamps[-1] == np.datetime64("2015-01-01T03:00:00", "s")
+        assert (report.rows_read, report.dropped_missing, report.dropped_total) == (4, 1, 1)
+
+    def test_invalid_row_does_not_claim_its_timestamp(self, tmp_path):
+        path = write(tmp_path, "timestamp,wind_speed_ms\n"
+                               "2015-01-01T00:00:00,-999.0\n"
+                               "2015-01-01T00:00:00,5.0\n"
+                               "2015-01-01T01:00:00,6.0\n")
+        series, report = load_series_csv(path, COLMAP)
+        assert list(series.values) == [5.0, 6.0]
+        assert (report.dropped_invalid, report.dropped_duplicate) == (1, 0)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(HEADERS), st.lists(st.tuples(TS_CELLS, VALUE_CELLS, ROW_SHAPES),
+                                             max_size=30))
+    def test_matches_dict_reader_oracle(self, tmp_path, header, rows):
+        lines = [",".join(header)]
+        for ts, value, shape in rows:
+            if shape == "blank":
+                lines.append("")
+                continue
+            cells = [ts if name == "timestamp" else value for name in header]
+            if header.count("wind_speed_ms") > 1:  # the first of the pair is a decoy
+                cells[header.index("wind_speed_ms")] = "-1"
+            lines.append(",".join(cells[:-1] if shape == "short" else
+                                  cells + ["x"] if shape == "long" else cells))
+        path = write(tmp_path, "\n".join(lines) + "\n")
+        expected = dict_reader_oracle(path, "timestamp", "wind_speed_ms")
+        if expected is None:
+            with pytest.raises(IngestError, match="no valid rows"):
+                load_series_csv(path, COLMAP, label="x")
+            return
+        stamps, values, counts = expected
+        series, report = load_series_csv(path, COLMAP, label="x")
+        assert np.array_equal(series.timestamps, stamps)
+        assert np.array_equal(series.values, values)
+        assert report == GapReport(label="x", rows_kept=len(values), **counts)
+
+    @pytest.mark.parametrize("body, shown", [
+        (b"2015-01-01T00:00:00,5.0 \xb0\n", "'utf-8' codec can't decode byte 0xb0"),
+        (b"2015-01-01T00:00:00," + b"9" * 200_000 + b"\n", "field larger than field limit"),
+    ], ids=["not-utf8", "oversized-field"])
+    def test_unreadable_file(self, tmp_path, body, shown):
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"timestamp,wind_speed_ms\n" + body)
+        with pytest.raises(IngestError, match=f"^w1: cannot read {re.escape(str(path))}: {shown}"):
+            load_series_csv(path, COLMAP, label="w1")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError, match="file not found"):
