@@ -1,0 +1,98 @@
+"""Build and load the compiled kernels in ``_kernels.c``.
+
+The source holds two entry points: ``energy_tables`` (used by ``sim``) and
+``gibbs_chain`` (used by ``gibbs``). It is compiled on the first call to
+``load_kernels``, not at import, and cached per user under
+``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``). When no
+compiler is found or the build or load fails, one warning is logged and
+``load_kernels`` returns None, so each caller runs its numpy loop, which
+gives the same bits.
+"""
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import hashlib
+import logging
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import threading
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+log = logging.getLogger("windgame")
+
+_KERNEL_SOURCE = "_kernels.c"
+# No -ffast-math: the kernels must neither contract nor reassociate. No
+# -march=native: the cache key names only the machine type, so the binary
+# must run on every CPU of that type; energy_tables dispatches by CPU at load.
+_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+# serialises _load_kernels' first call, so one thread compiles or warns
+_KERNEL_LOCK = threading.Lock()
+
+
+def _compile_kernel() -> Path:
+    """Path of the compiled kernels in the per-user cache, built on a miss.
+
+    The file name hashes the C source, the flags and the machine type, so
+    an edited source or a shared home directory never loads a stale or
+    foreign binary. The compiler writes a temporary file that is renamed
+    over the final name, so concurrent processes never load a partial one.
+    """
+    source = resources.files("windgame").joinpath(_KERNEL_SOURCE).read_bytes()
+    key = hashlib.sha256(source + " ".join((*_KERNEL_FLAGS, platform.machine())).encode())
+    cache = os.environ.get("XDG_CACHE_HOME")
+    root = Path(cache) if cache and os.path.isabs(cache) else Path.home() / ".cache"
+    target = root / "windgame" / f"kernels-{key.hexdigest()[:16]}.so"
+    if target.is_file():
+        return target
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        raise OSError("no C compiler (cc or gcc) on PATH")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, "-x", "c", "-"],
+                       input=source, capture_output=True, check=True, timeout=300)
+        os.replace(tmp, target)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+    return target
+
+
+@functools.cache
+def _load_kernels():
+    try:
+        lib = ctypes.CDLL(str(_compile_kernel()))
+        energy, gibbs = lib.energy_tables, lib.gibbs_chain
+    except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+        log.warning("compiled kernels unavailable, using the numpy loops: %s%s",
+                    exc, f"\n{stderr}" if stderr else "")
+        return None
+    energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[_F64] * 8]
+    energy.restype = None
+    gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, _F64, ctypes.c_int64,
+                      _I64, _F64, _F64, _I64, _I64, _F64, _F64, _I64,
+                      _I64, _F64, _F64, _I64,
+                      ctypes.c_double, ctypes.c_double, ctypes.c_int64,
+                      _F64, _F64, _F64]
+    gibbs.restype = None
+    return lib
+
+
+def load_kernels():
+    """The compiled library (``energy_tables``, ``gibbs_chain``), or None once
+    it failed to build or load."""
+    with _KERNEL_LOCK:
+        return _load_kernels()

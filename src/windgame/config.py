@@ -7,6 +7,7 @@ paths resolve against the config file's directory.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -116,9 +117,12 @@ def _get(parser: configparser.ConfigParser, section: str, key: str,
         return default
     raw = parser.get(section, key)
     try:
-        return cast(raw)
+        value = cast(raw)
+        if cast is float and not math.isfinite(value):
+            raise ValueError("not a finite number")
     except ValueError as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from None
+    return value
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

@@ -7,10 +7,13 @@ the records of each conditional into flat CSR arrays, once. Each sweep
 resamples w1 given w2's bin, then w2 given the new w1's bin, then demand
 given the binned mean of the new winds, in exactly that order. Every draw
 consumes uniforms from a per-chain generator derived from the master seed
-and the chain index, so a realisation is reproducible in isolation. All
-chains of an ensemble advance together, one sweep per numpy step over the
-CSR arrays, and each is bit-identical to the same chain run alone. Samples
-stay in memory: nothing here writes files.
+and the chain index, so a realisation is reproducible in isolation. The
+start states of an ensemble are drawn together; then the ``gibbs_chain``
+kernel of ``_kernels.c`` runs each chain's sweeps over the CSR arrays. When
+the kernel cannot be built or loaded, a numpy loop advances all chains
+together, one sweep per numpy step, with the same bits. Either way each
+chain is bit-identical to the same chain run alone. Samples stay in memory:
+nothing here writes files.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtrit
 
+from . import _native
 from .dist import (BinSpec, DemandConditional, JointTable, assert_ergodic,
                    build_demand_conditional, build_joint_wind_table, merge_sparse_bins)
 from .errors import DistributionError
@@ -137,15 +141,16 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chain_index,))))
 
 
-# Sweeps of uniforms drawn per chain at a time. Larger blocks only add
-# memory: 2,048 gave no speed and raised the peak RSS of 170 chains of
-# 50,000 states from 213 to 234 MB.
+# Sweeps of uniforms the numpy fallback draws per chain at a time. Larger
+# blocks only add memory: 2,048 gave no speed and raised the peak RSS of
+# 170 chains of 50,000 states from 213 to 234 MB.
 _BLOCK = 256
 
 
 def _sample(config: ChainConfig, tables: SamplerTables,
             chain_indices: list[int]) -> list[Realisation]:
-    """Advance the given chains in lockstep, one sweep per numpy step.
+    """Run the given chains: every start state at once, then each chain's
+    sweeps in the compiled kernel (or all chains in lockstep in numpy).
 
     A chain starts from a uniformly drawn historic record (its (w1, w2)
     pair, then demand given the pair's mean wind), and each sweep draws
@@ -154,8 +159,8 @@ def _sample(config: ChainConfig, tables: SamplerTables,
     three per sweep in that order, so its samples do not depend on which
     chains run beside it. The first ``config.burn_in`` states are dropped.
     """
-    ((col_start, col_len, col_w1, col_row), (row_start, row_len, row_w2, row_col),
-     (dem_start, dem_len, dem_vals)) = tables.flat
+    flat = tables.flat
+    dem_start, dem_len, dem_vals = flat[2]
     joint = tables.joint
     mean_spec = tables.demand.mean_spec
     mean_map = tables.demand.merged_map
@@ -178,6 +183,25 @@ def _sample(config: ChainConfig, tables: SamplerTables,
     if burn == 0:
         out[:, :, 0] = w1, w2, p_d
 
+    kernels = _native.load_kernels()
+    if kernels is None:
+        _sweep_numpy(flat, draw_demand, rngs, j, n, burn, out)
+    else:
+        uniforms = np.empty(3 * (n - 1))
+        for c, rng in enumerate(rngs):
+            rng.random(out=uniforms)
+            kernels.gibbs_chain(n, burn, uniforms, int(j[c]), *flat[0], *flat[1], *flat[2],
+                                mean_map, mean_spec.origin, mean_spec.width,
+                                mean_spec.n_bins, out[0, c], out[1, c], out[2, c])
+
+    return [Realisation(w1=out[0, c], w2=out[1, c], p_d=out[2, c], chain_index=index)
+            for c, index in enumerate(chain_indices)]
+
+
+def _sweep_numpy(flat, draw_demand, rngs, j, n, burn, out) -> None:
+    """The kernel's sweeps, for all chains in lockstep: one sweep per numpy
+    step from the start columns ``j``."""
+    (col_start, col_len, col_w1, col_row), (row_start, row_len, row_w2, row_col), _ = flat
     block = np.empty((len(rngs), 3 * _BLOCK))
     for first in range(1, n, _BLOCK):
         size = min(_BLOCK, n - first)
@@ -197,9 +221,6 @@ def _sample(config: ChainConfig, tables: SamplerTables,
                 out[1, :, t - burn] = w2
                 out[2, :, t - burn] = p_d
 
-    return [Realisation(w1=out[0, c], w2=out[1, c], p_d=out[2, c], chain_index=index)
-            for c, index in enumerate(chain_indices)]
-
 
 def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> Realisation:
     """Generate one realisation: n states, first floor(burn_in * n) discarded."""
@@ -208,7 +229,7 @@ def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> R
 
 def run_ensemble(config: ChainConfig, tables: SamplerTables,
                  workers: int = 1) -> list[Realisation]:
-    """Run the configured number of independent realisations, in lockstep.
+    """Run the configured number of independent realisations.
 
     Chain k is seeded from (config.seed, k), so it is bit-identical to
     ``run_chain(config, tables, k)``; results are ordered by chain index.

@@ -10,7 +10,7 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Mapping
 
@@ -19,15 +19,20 @@ import numpy as np
 from .errors import IngestError
 
 
-def _parse_iso_timestamp(raw: str) -> datetime:
-    """Parse an ISO-8601 timestamp to naive UTC, truncated to the second."""
+_EPOCH = datetime(1970, 1, 1)
+_SECOND = timedelta(seconds=1)
+
+
+def _parse_iso_timestamp(raw: str) -> int:
+    """Parse an ISO-8601 timestamp to whole seconds since the UTC epoch,
+    truncated to the second; a timestamp without an offset is UTC."""
     text = raw.strip()
     if text.endswith(("Z", "z")):  # 3.11's fromisoformat rejects a lowercase z
         text = text[:-1] + "+00:00"
     dt = datetime.fromisoformat(text)
     if dt.tzinfo is not None:
         dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
-    return dt.replace(microsecond=0)
+    return (dt - _EPOCH) // _SECOND
 
 
 @dataclass(frozen=True)
@@ -146,8 +151,8 @@ def load_series_csv(path: str | Path,
         raise IngestError(f"{label}: file not found: {path}")
 
     dropped = dict.fromkeys(("missing", "unparseable", "invalid"), 0)
-    stamps: list[datetime] = []
-    values = array("d")  # raw doubles: no float object kept per row
+    stamps = array("q")  # epoch seconds and raw doubles: no object kept per row
+    values = array("d")
     try:
         with open(path, newline="", encoding="utf-8") as handle:
             reader = csv.reader(handle)
@@ -181,7 +186,7 @@ def load_series_csv(path: str | Path,
         raise IngestError(f"{label}: no valid rows in {path} "
                           f"({rows_read} read, all dropped)")
 
-    timestamps, first = np.unique(np.array(stamps, dtype="datetime64[s]"),
+    timestamps, first = np.unique(np.frombuffer(stamps, dtype=np.int64).view("datetime64[s]"),
                                   return_index=True)  # the first row of each timestamp
     dropped["duplicate"] = len(stamps) - len(first)
 

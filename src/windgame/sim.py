@@ -11,37 +11,25 @@ adds, so they are bit-for-bit reproducible by a literal per-timestep loop:
 e_g[k]   += x[t] * grid[k]
 e_c[i,j] += pc_i(x1[t] * grid[i], x2[t] * grid[j], p_d[t])
 
-The tables are built by a small C kernel (``_energy.c``) that performs
-exactly those operations per cell. It is compiled on the first call, not at
-import, and cached per user under ``$XDG_CACHE_HOME/windgame`` (default
-``~/.cache/windgame``). When no compiler is found or the build or load
-fails, one warning is logged and a numpy loop with the same arithmetic
-runs instead; both give the same bits.
+The tables are built by the ``energy_tables`` kernel of ``_kernels.c``,
+which performs exactly those operations per cell. ``_native`` compiles it
+on the first call, not at import, and caches it per user. When it cannot
+be built or loaded, a numpy loop with the same arithmetic runs instead;
+both give the same bits.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
 import functools
-import hashlib
-import logging
-import os
-import platform
-import shutil
-import subprocess
-import tempfile
-import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from . import _native
 from .errors import FitError, WindGameError
 from .gibbs import Realisation
-
-log = logging.getLogger("windgame")
 
 _E82_FIXTURE = "enercon_e82_power_curve.csv"
 
@@ -222,62 +210,6 @@ def per_unit_series(realisation: Realisation, curve: PowerCurve) -> PerUnitSerie
                          p_d=np.asarray(realisation.p_d, dtype=np.float64))
 
 
-_KERNEL_SOURCE = "_energy.c"
-# No -ffast-math: the kernel must neither contract nor reassociate. No
-# -march=native: the cache key names only the machine type, so the binary
-# must run on every CPU of that type; _energy.c dispatches by CPU at load.
-_KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-_F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-# serialises _load_kernel's first call, so one thread compiles or warns
-_KERNEL_LOCK = threading.Lock()
-
-
-def _compile_kernel() -> Path:
-    """Path of the compiled energy kernel in the per-user cache, built on a miss.
-
-    The file name hashes the C source, the flags and the machine type, so
-    an edited source or a shared home directory never loads a stale or
-    foreign binary. The compiler writes a temporary file that is renamed
-    over the final name, so concurrent processes never load a partial one.
-    """
-    source = resources.files("windgame").joinpath(_KERNEL_SOURCE).read_bytes()
-    key = hashlib.sha256(source + " ".join((*_KERNEL_FLAGS, platform.machine())).encode())
-    cache = os.environ.get("XDG_CACHE_HOME")
-    root = Path(cache) if cache and os.path.isabs(cache) else Path.home() / ".cache"
-    target = root / "windgame" / f"energy-{key.hexdigest()[:16]}.so"
-    if target.is_file():
-        return target
-    compiler = shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        raise OSError("no C compiler (cc or gcc) on PATH")
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
-    os.close(fd)
-    try:
-        subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, "-x", "c", "-"],
-                       input=source, capture_output=True, check=True, timeout=300)
-        os.replace(tmp, target)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-    return target
-
-
-@functools.cache
-def _load_kernel():
-    """The compiled kernel's entry point, or None once it failed to build or load."""
-    try:
-        kernel = ctypes.CDLL(str(_compile_kernel())).energy_tables
-    except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
-        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
-        log.warning("compiled energy kernel unavailable, using the numpy loop: %s%s",
-                    exc, f"\n{stderr}" if stderr else "")
-        return None
-    kernel.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[_F64] * 8]
-    kernel.restype = None
-    return kernel
-
-
 def _accumulate_numpy(x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2) -> None:
     """The kernel's arithmetic, one timestep at a time over the whole grid."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -317,10 +249,9 @@ def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCu
     e_g2 = np.zeros(k)
     e_c1 = np.zeros((k, k))
     e_c2 = np.zeros((k, k))
-    with _KERNEL_LOCK:
-        kernel = _load_kernel()
-    if kernel is None:
+    kernels = _native.load_kernels()
+    if kernels is None:
         _accumulate_numpy(x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)
     else:
-        kernel(len(p_d), k, x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)
+        kernels.energy_tables(len(p_d), k, x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)
     return EnergyTables(e_g1=e_g1, e_g2=e_g2, e_c1=e_c1, e_c2=e_c2, grid=grid)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from windgame import SamplerTables
+from windgame import SamplerTables, _native
 from windgame.ingest import JointSeries
 from windgame.synthetic import make_joint_series
 
@@ -26,9 +26,20 @@ def joint_from_arrays(w1, w2, p_d) -> JointSeries:
                        p_d=np.asarray(p_d, dtype=np.float64))
 
 
+def use_kernel_path(path: str, monkeypatch) -> str:
+    """Send the package to its compiled kernels ("compiled"; the test is
+    skipped when they cannot load) or to its numpy loops ("numpy")."""
+    if path == "compiled":
+        if _native.load_kernels() is None:
+            pytest.skip("compiled kernels unavailable on this machine")
+    else:
+        monkeypatch.setattr(_native, "load_kernels", lambda: None)
+    return path
+
+
 @pytest.fixture(scope="session", autouse=True)
 def kernel_cache(tmp_path_factory):
-    """Build the compiled energy kernel under a session temp dir, not ~/.cache."""
+    """Build the compiled kernels under a session temp dir, not ~/.cache."""
     patch = pytest.MonkeyPatch()
     patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
     yield

@@ -392,6 +392,34 @@ class TestCli:
                      "--out", str(tiny_config.parent / "out")]) == 1
         assert f"error: {message}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new", [
+        ("step_mw = 10.0", "step_mw = nan"),
+        ("max_mw = 40.0", "max_mw = inf"),
+        ("wind_width_ms = 4.0", "wind_width_ms = inf"),
+        ("wind_width_ms = 4.0", "wind_width_ms = nan"),
+        ("c_t = 1.0e5", "c_t = nan"),
+        ("demand_target_mean_mw = 108.1830", "demand_target_mean_mw = nan"),
+        ("p_t_frac = 0.20", "p_t_frac = -inf"),
+        ("stop_frac = 0.3", "stop_frac = inf"),
+    ], ids=["grid-step-nan", "grid-max-inf", "bins-width-inf", "bins-width-nan",
+            "costs-c_t-nan", "data-demand-mean-nan", "costs-p_t-frac-minus-inf",
+            "sweep-stop-inf"])
+    def test_non_finite_float_refused_at_load(self, tiny_config, monkeypatch, capsys,
+                                              old, new):
+        import windgame.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "ingest_joint_series",
+                            lambda config: pytest.fail("ingest started"))
+        text = tiny_config.read_text(encoding="utf-8")
+        assert old in text
+        tiny_config.write_text(text.replace(old, new), encoding="utf-8")
+        section = re.findall(r"^\[(\w+)\]", text.split(old)[0], flags=re.M)[-1]
+        key, value = new.split(" = ")
+        assert main(["run", "--config", str(tiny_config),
+                     "--out", str(tiny_config.parent / "out")]) == 1
+        assert (f"error: bad value for [{section}] {key}: '{value}' (not a finite number)\n"
+                == capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["run", "stats"])
     def test_negative_seed_refused_before_ingest(self, tiny_config, monkeypatch, capsys,
                                                  command):

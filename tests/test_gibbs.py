@@ -1,7 +1,9 @@
 """Chain mechanics: initialization, sweeps, determinism, ensemble statistics.
 
 ``oracle_chain`` is a literal per-sweep scalar stepper over the raw table
-records; the lockstep sampler must reproduce it bit for bit.
+records; the compiled sampler and its numpy fallback must each reproduce it
+bit for bit. The classes ending in ``Numpy`` rerun the sweep tests on the
+fallback; the originals run on the compiled kernel whenever it loads.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from windgame import (BinSpec, ChainConfig, DistributionError, ErgodicityError,
                       run_chain, run_ensemble, wci_95)
 from windgame.dist import JointTable
 
-from conftest import joint_from_arrays, tables_for
+from conftest import joint_from_arrays, tables_for, use_kernel_path
 
 
 def oracle_chain(config: ChainConfig, tables: SamplerTables,
@@ -71,6 +73,20 @@ def symmetric_tables(repeats=1):
     w2 = np.tile([5.0, 15.0, 5.0, 15.0], repeats)
     pd = np.full(4 * repeats, 100.0)
     return tables_for(joint_from_arrays(w1, w2, pd), wind_width=10.0, min_count=1)
+
+
+@pytest.fixture(params=["compiled", "numpy"])
+def sampler_path(request, monkeypatch):
+    """Run the test once on the compiled kernel and once on the numpy fallback."""
+    return use_kernel_path(request.param, monkeypatch)
+
+
+class OnNumpyPath:
+    """Base for reruns of a test class on the numpy fallback."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_path(self, monkeypatch):
+        use_kernel_path("numpy", monkeypatch)
 
 
 def first_states(tables, seeds, n=1):
@@ -210,6 +226,53 @@ class TestRunChain:
             ChainConfig(n=0, realisations=1, seed=0)
         with pytest.raises(DistributionError):
             ChainConfig(n=10, realisations=1, burn_in_fraction=1.0, seed=0)
+
+
+class TestInitChainNumpy(OnNumpyPath, TestInitChain):
+    pass
+
+
+class TestGibbsStepNumpy(OnNumpyPath, TestGibbsStep):
+    pass
+
+
+class TestRunChainNumpy(OnNumpyPath):
+    test_lockstep_matches_scalar_oracle = TestRunChain.test_lockstep_matches_scalar_oracle
+    test_mean_wind_bin_matches_binspec_on_rounded_winds = \
+        TestRunChain.test_mean_wind_bin_matches_binspec_on_rounded_winds
+
+
+class TestSamplerEdgeCases:
+    """Chain length, burn-in and table shapes at their limits, on both paths."""
+
+    @pytest.mark.parametrize("n, burn_in_fraction",
+                             [(1, 0.0), (2, 0.0), (2, 0.5), (6, 0.0), (6, 0.9)])
+    def test_short_chains_match_oracle(self, sampler_path, synthetic_tables, n,
+                                       burn_in_fraction):
+        config = ChainConfig(n=n, realisations=3, burn_in_fraction=burn_in_fraction, seed=21)
+        for k, real in enumerate(run_ensemble(config, synthetic_tables)):
+            assert len(real) == config.retained
+            assert states_of(real) == oracle_chain(config, synthetic_tables, k)
+
+    def test_single_record_table(self, sampler_path):
+        tables = single_cell_tables()
+        config = ChainConfig(n=9, realisations=2, burn_in_fraction=0.0, seed=3)
+        for k, real in enumerate(run_ensemble(config, tables)):
+            assert states_of(real) == oracle_chain(config, tables, k) == [(12.3, 4.5, 100.0)] * 9
+
+    def test_mean_wind_at_max_edge_falls_in_last_bin(self, sampler_path):
+        # means 4, 5, 5 and 6 m/s at width 1 span [4, 6]: a mean of 6 sits on
+        # the closing edge, one bin past the last, and must be clamped into it
+        tables = tables_for(joint_from_arrays([4.0, 4.0, 6.0, 6.0], [4.0, 6.0, 4.0, 6.0],
+                                              [100.0, 200.0, 300.0, 400.0]), min_count=1)
+        spec = tables.demand.mean_spec
+        assert (spec.max_edge, spec.n_bins) == (6.0, 2)
+        config = ChainConfig(n=400, realisations=2, burn_in_fraction=0.0, seed=11)
+        for k, real in enumerate(run_ensemble(config, tables)):
+            states = states_of(real)
+            assert states == oracle_chain(config, tables, k)
+            at_edge = [p_d for w1, w2, p_d in states if (w1 + w2) / 2 == 6.0]
+            assert at_edge and set(at_edge) <= {200.0, 300.0, 400.0}
 
 
 class TestRunEnsemble:

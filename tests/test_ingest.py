@@ -106,6 +106,33 @@ class TestLoadSeriesCsv:
         assert list(series.values) == [5.0, 6.0, 7.0]
         assert report.dropped_total == 0
 
+    def test_pre_epoch_timestamps(self, tmp_path):
+        # before 1970 the epoch offset is negative; a fraction still truncates
+        # to the start of its second, not toward the epoch
+        path = write(tmp_path, "timestamp,wind_speed_ms\n"
+                               "1969-12-31T22:00:00,4.0\n"
+                               "1969-12-31T23:00:00.5,5.0\n"
+                               "1970-01-01T00:00:00,6.0\n"
+                               "1901-06-01T12:00:00Z,3.0\n")
+        series, report = load_series_csv(path, COLMAP)
+        assert list(series.timestamps) == [np.datetime64("1901-06-01T12:00:00", "s"),
+                                           *hourly(3, "1969-12-31T22:00:00")]
+        assert series.timestamps[2] == np.datetime64(-3600, "s")
+        assert list(series.values) == [3.0, 4.0, 5.0, 6.0]
+        assert report.dropped_total == 0
+
+    def test_offset_crossing_midnight(self, tmp_path):
+        # local times past midnight east of UTC, and before midnight west of
+        # it, fall on the other UTC day (and year)
+        path = write(tmp_path, "timestamp,wind_speed_ms\n"
+                               "2016-01-01T00:30:00+02:00,5.0\n"
+                               "2015-12-31T23:30:00Z,6.0\n"
+                               "2015-12-31T21:30:00-03:00,7.0\n")
+        series, report = load_series_csv(path, COLMAP)
+        assert list(series.timestamps) == list(hourly(3, "2015-12-31T22:30:00"))
+        assert list(series.values) == [5.0, 6.0, 7.0]
+        assert report.dropped_total == 0
+
     def test_blank_cell_dropped_and_reported(self, tmp_path):
         # a row shorter than the value column is missing; a blank line is no row
         path = write(tmp_path, "timestamp,wind_speed_ms\n"

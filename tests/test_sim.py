@@ -17,8 +17,10 @@ from windgame import (ChainConfig, FitError, PowerCurve, StrategyGrid,
                       WindGameError, build_energy_tables, curtailment_timestep,
                       default_power_curve, fit_sigmoid, load_curve_points,
                       per_unit_output, per_unit_series, run_chain)
-from windgame import sim
+from windgame import _native
 from windgame.sim import PerUnitSeries
+
+from conftest import use_kernel_path
 
 
 def brute_force_energy_tables(x1, x2, p_d, grid_values):
@@ -270,12 +272,7 @@ class TestBuildEnergyTables:
 @pytest.fixture(params=["compiled", "numpy"])
 def energy_path(request, monkeypatch):
     """Run the test once on the C kernel and once on the numpy fallback."""
-    if request.param == "compiled":
-        if sim._load_kernel() is None:
-            pytest.skip("compiled energy kernel unavailable on this machine")
-    else:
-        monkeypatch.setattr(sim, "_load_kernel", lambda: None)
-    return request.param
+    return use_kernel_path(request.param, monkeypatch)
 
 
 def assert_matches_brute_force(series, grid):
@@ -323,10 +320,10 @@ class TestEnergyKernelOracle:
 
 class TestKernelBuild:
     def test_cached_binary_is_reused(self, tmp_path, monkeypatch):
-        if sim.shutil.which("cc") is None and sim.shutil.which("gcc") is None:
+        if _native.shutil.which("cc") is None and _native.shutil.which("gcc") is None:
             pytest.skip("no C compiler on this machine")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        path = sim._compile_kernel()
+        path = _native._compile_kernel()
         assert path.parent == tmp_path / "windgame"
         assert [p.name for p in path.parent.iterdir()] == [path.name]
 
@@ -334,20 +331,23 @@ class TestKernelBuild:
             raise AssertionError("compiler invoked despite a cached kernel")
 
         monkeypatch.setattr(subprocess, "run", no_compiler)
-        assert sim._compile_kernel() == path
+        assert _native._compile_kernel() == path
 
-    def test_failed_build_warns_once_and_falls_back(self, tmp_path, monkeypatch, caplog):
+    def test_failed_build_warns_once_and_falls_back(self, tmp_path, monkeypatch, caplog,
+                                                     synthetic_tables):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(sim.shutil, "which", lambda name: None)
+        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
         series = random_per_unit(20, seed=14)
         grid = StrategyGrid(step=20.0, p_n_max=100.0)
-        sim._load_kernel.cache_clear()
+        _native._load_kernels.cache_clear()
         try:
             with caplog.at_level(logging.WARNING, logger="windgame"):
                 assert_matches_brute_force(series, grid)
                 assert_matches_brute_force(series, grid)
+                # the sampler shares the library, so it warns no further
+                run_chain(ChainConfig(n=20, realisations=1, seed=1), synthetic_tables, 0)
         finally:
-            sim._load_kernel.cache_clear()
+            _native._load_kernels.cache_clear()
         warnings = [r for r in caplog.records if "using the numpy loop" in r.getMessage()]
         assert len(warnings) == 1
         assert "no C compiler" in warnings[0].getMessage()
@@ -358,7 +358,7 @@ class TestKernelBuild:
             return None
 
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(sim.shutil, "which", slow_no_compiler)
+        monkeypatch.setattr(_native.shutil, "which", slow_no_compiler)
         series = random_per_unit(20, seed=15)
         grid = StrategyGrid(step=20.0, p_n_max=100.0)
         threads = 4  # more than the cores of a small CI runner
@@ -368,7 +368,7 @@ class TestKernelBuild:
             barrier.wait(timeout=30)
             return build_energy_tables(series, None, grid)
 
-        sim._load_kernel.cache_clear()
+        _native._load_kernels.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -378,7 +378,7 @@ class TestKernelBuild:
                 tables = [future.result(timeout=60) for future in futures]
         finally:
             sys.setswitchinterval(interval)
-            sim._load_kernel.cache_clear()
+            _native._load_kernels.cache_clear()
         warnings = [r for r in caplog.records if "using the numpy loop" in r.getMessage()]
         assert len(warnings) == 1
         for other in tables[1:]:
