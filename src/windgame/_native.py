@@ -34,7 +34,6 @@ _KERNEL_SOURCE = "_kernels.c"
 # must run on every CPU of that type; energy_tables dispatches by CPU at load.
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
 # serialises _load_kernels' first call, so one thread compiles or warns
 _KERNEL_LOCK = threading.Lock()
 
@@ -82,11 +81,12 @@ def _load_kernels():
         return None
     energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[_F64] * 8]
     energy.restype = None
-    gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, _F64, ctypes.c_int64,
-                      _I64, _F64, _F64, _I64, _I64, _F64, _F64, _I64,
-                      _I64, _F64, _F64, _I64,
-                      ctypes.c_double, ctypes.c_double, ctypes.c_int64,
-                      _F64, _F64, _F64]
+    # gibbs_chain runs once per chain, so its arrays come as addresses that
+    # gibbs._sample checks once per ensemble, not as ndpointers checked per call
+    ptr = ctypes.c_void_p
+    gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ctypes.c_int64,
+                      *[ptr] * 12, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
+                      ptr, ptr, ptr]
     gibbs.restype = None
     return lib
 

@@ -14,6 +14,10 @@ the kernel cannot be built or loaded, a numpy loop advances all chains
 together, one sweep per numpy step, with the same bits. Either way each
 chain is bit-identical to the same chain run alone. Samples stay in memory:
 nothing here writes files.
+
+The confidence width's Student-t quantile is scipy's ``stdtrit``, read from
+a table of its values up to N = 256 realisations and imported only for larger
+ensembles, so the CLI never loads ``scipy.special``, its slowest import.
 """
 from __future__ import annotations
 
@@ -21,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import _native
 from .dist import (BinSpec, DemandConditional, JointTable, assert_ergodic,
@@ -188,14 +191,37 @@ def _sample(config: ChainConfig, tables: SamplerTables,
         _sweep_numpy(flat, draw_demand, rngs, j, n, burn, out)
     else:
         uniforms = np.empty(3 * (n - 1))
+        tables_at = _addresses(flat, mean_map, mean_spec.n_bins)
+        u_at, out_at = uniforms.ctypes.data, out.ctypes.data
+        var, chain = out.strides[:2]
         for c, rng in enumerate(rngs):
             rng.random(out=uniforms)
-            kernels.gibbs_chain(n, burn, uniforms, int(j[c]), *flat[0], *flat[1], *flat[2],
-                                mean_map, mean_spec.origin, mean_spec.width,
-                                mean_spec.n_bins, out[0, c], out[1, c], out[2, c])
+            at = out_at + c * chain
+            kernels.gibbs_chain(n, burn, u_at, int(j[c]), *tables_at, mean_spec.origin,
+                                mean_spec.width, mean_spec.n_bins,
+                                at, at + var, at + 2 * var)
 
     return [Realisation(w1=out[0, c], w2=out[1, c], p_d=out[2, c], chain_index=index)
             for c, index in enumerate(chain_indices)]
+
+
+def _addresses(flat, mean_map: np.ndarray, n_mean_bins: int) -> list[int]:
+    """Addresses of the CSR arrays and ``mean_map``, in ``gibbs_chain``'s
+    order, once each is checked to be a C-contiguous array of the dtype and
+    length the kernel reads: int64 starts and indices, float64 lengths and
+    values, lengths that sum to the values' length, one map entry per bin.
+    """
+    arrays = [*flat[0], *flat[1], *flat[2], mean_map]
+    for a, dtype in zip(arrays, (np.int64, np.float64, np.float64, np.int64) * 3):
+        if a.dtype != dtype or not a.flags.c_contiguous:
+            raise TypeError(f"gibbs_chain needs C-contiguous {np.dtype(dtype)}, "
+                            f"got {a.dtype} (C-contiguous: {a.flags.c_contiguous})")
+    for start, length, *values in flat:
+        if len(start) != len(length) or any(len(v) != length.sum() for v in values):
+            raise ValueError("gibbs_chain CSR arrays disagree in length")
+    if len(mean_map) != n_mean_bins:
+        raise ValueError(f"mean_map has {len(mean_map)} entries for {n_mean_bins} bins")
+    return [a.ctypes.data for a in arrays]
 
 
 def _sweep_numpy(flat, draw_demand, rngs, j, n, burn, out) -> None:
@@ -275,15 +301,92 @@ class StatsReport:
         return "\n".join(lines)
 
 
+# float(scipy.special.stdtrit(df, 0.975)) for df = 1..255, i.e. N = 2..256
+# realisations, as exact repr literals. Regenerate with
+#   python -c "from scipy.special import stdtrit; print([float(stdtrit(df, 0.975)) for df in range(1, 256)])"
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939, 1.9989715170333788, 1.998340542520741, 1.997729654317693,
+    1.9971379083920038, 1.9965644189523117, 1.996008354025296, 1.9954689314298435,
+    1.9949454151072374, 1.994437111771186, 1.9939433678456255, 1.9934635666618719,
+    1.992997125889855, 1.992543495180932, 1.9921021540022417, 1.9916726096446642,
+    1.9912543953883846, 1.9908470688116906, 1.9904502102301285, 1.990063421254446,
+    1.9896863234569029, 1.989318557136572, 1.9889597801751624, 1.9886096669757083,
+    1.9882679074772216, 1.98793420623902, 1.9876082815890708, 1.9872898648311692,
+    1.986978699506281, 1.9866745407037683, 1.9863771544186177, 1.98608631695113,
+    1.9858018143458227, 1.985523441866604, 1.9852510035054978, 1.984984311522457,
+    1.9847231860139845, 1.9844674545084815, 1.9842169515864174, 1.9839715185235518,
+    1.983731002955606, 1.9834952585628793, 1.9832641447734565, 1.9830375264837259,
+    1.9828152737950475, 1.9825972617655006, 1.9823833701756908, 1.982173483307727,
+    1.9819674897364825, 1.981765282132372, 1.9815667570749007, 1.9813718148763053,
+    1.981180359414661, 1.9809922979758567, 1.9808075411039094, 1.9806260024590894,
+    1.9804475986834025, 1.980272249272974, 1.9800998764569397, 1.9799304050824402,
+    1.9797637625053868, 1.9795998784866382, 1.9794386850933035, 1.9792801166048548,
+    1.9791241094237977, 1.9789706019906281, 1.9788195347028539, 1.978670849837835,
+    1.9785244914792577, 1.9783804054470222, 1.9782385392303798, 1.9780988419241303,
+    1.9779612641677262, 1.9778257580871244, 1.9776922772392527, 1.977560776558935,
+    1.9774312123081748, 1.9773035420276506, 1.977177724490333, 1.9770537196570985,
+    1.9769314886342528, 1.9768109936328597, 1.976692197929798, 1.9765750658304433,
+    1.9764595626329178, 1.9763456545938125, 1.976233308895327, 1.9761224936137445,
+    1.976013177689192, 1.9759053308966201, 1.9757989238179392, 1.97569392781527,
+    1.9755903150052492, 1.9754880582343404, 1.9753871310551152, 1.9752875077034489,
+    1.9751891630765912, 1.9750920727120844, 1.9749962127674756, 1.9749015600007986,
+    1.974808091751787, 1.974715785923791, 1.974624620966361, 1.9745345758584756,
+    1.9744456300923825, 1.9743577636580294, 1.9742709570280557, 1.9741851911433248,
+    1.9741004473989765, 1.9740167076309703, 1.973933954103107, 1.9738521694945061,
+    1.973771336887522, 1.9736914397560734, 1.9736124619543842, 1.9735343877061042,
+    1.9734572015938032, 1.9733808885488238, 1.9733054338414737, 1.9732308230715456,
+    1.9731570421591593, 1.973084077335903, 1.973011915136267, 1.9729405423893598,
+    1.9728699462108963, 1.9728001139954416, 1.9727310334089099, 1.9726626923813002,
+    1.9725950790996682, 1.972528182001318, 1.972461989767211, 1.9723964913155805,
+    1.9723316757957499, 1.9722675325821355, 1.9722040512684433, 1.9721412216620415,
+    1.9720790337785026, 1.9720174778363146, 1.9719565442517533, 1.9718962236339088,
+    1.971836506779859, 1.9717773846699893, 1.9717188484634527, 1.971660889493761,
+    1.971603499264511, 1.9715466694452266, 1.971490391867333, 1.971434658520241,
+    1.9713794615475437, 1.9713247932433307, 1.9712706460485947, 1.9712170125477517,
+    1.971163885465255, 1.971111257662303, 1.971059122133646, 1.9710074720044717,
+    1.9709563005273885, 1.970905601079485, 1.9708553671594717, 1.9708055923849026,
+    1.970756270489474, 1.9707073953203922, 1.9706589608358154, 1.9706109611023637,
+    1.970563390292698, 1.97051624268316, 1.9704695126514764, 1.9704231946745232,
+    1.9703772833261541, 1.9703317732750762, 1.9702866592827877, 1.9702419362015695,
+    1.9701975989725262, 1.9701536426236785, 1.9701100622681034, 1.970066853102126,
+    1.9700240104035507, 1.9699815295299445, 1.9699394059169584, 1.9698976350766917,
+    1.969856212596099, 1.969815134135437, 1.9697743954267473, 1.9697339922723787,
+    1.9696939205435462, 1.9696541761789226, 1.9696147551832692, 1.969575653626095,
+    1.9695368676403504, 1.9694983934211532, 1.9694602272245434, 1.9694223653662697,
+    1.9693848042206037, 1.9693475402191811, 1.9693105698498752,
+)
+
+
 def wci_95(sigma: float, n_realisations: int) -> float:
     """Width of the 95% confidence interval for the grand mean.
 
     ``sigma`` is the sample standard deviation of the per-realisation means;
-    the width is 2 * t(0.975, N-1) * sigma / sqrt(N).
+    the width is 2 * t(0.975, N-1) * sigma / sqrt(N). The quantile is
+    ``scipy.special.stdtrit(N - 1, 0.975)``: read from ``_T975`` up to
+    N = 256, and from scipy, imported here, beyond it.
     """
     if n_realisations < 2:
         raise DistributionError("confidence width needs at least 2 realisations")
-    quantile = float(stdtrit(n_realisations - 1, 0.975))
+    if n_realisations - 1 <= len(_T975):
+        quantile = _T975[n_realisations - 2]
+    else:
+        from scipy.special import stdtrit
+        quantile = float(stdtrit(n_realisations - 1, 0.975))
     return 2.0 * quantile * sigma / math.sqrt(n_realisations)
 
 

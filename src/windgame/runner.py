@@ -47,7 +47,7 @@ class ScenarioResult:
     sweep_fracs: list[float]
     per_realisation: np.ndarray  # (sweep, realisation, 4): p_n1, p_n2, pi1, pi2
     aggregates: np.ndarray       # (sweep, 3, 4): mean, min, max
-    stats: StatsReport
+    stats: StatsReport | None  # None for a single realisation
     metadata: dict
 
 

@@ -461,6 +461,28 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "100.0 100.0"
 
+    def test_cli_does_not_import_scipy_special(self, tmp_path):
+        write_tiny_dataset(tmp_path)
+        config = str(write_tiny_config(tmp_path, chain="n = 300\nrealisations = 2\nseed = 7"))
+        out = str(tmp_path / "out")
+        script = f"""
+import sys
+def check(step):
+    if "scipy.special" in sys.modules:
+        sys.exit(f"{{step}} imported scipy.special")
+import windgame.cli
+check("import windgame.cli")
+assert windgame.cli.main(["run", "--config", {config!r}, "--out", {out!r}]) == 0
+check("run")
+assert windgame.cli.main(["stats", "--config", {config!r}]) == 0
+check("stats")
+"""
+        # the subprocess inherits the session's kernel cache directory
+        done = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT,
+                              env=dict(os.environ, PYTHONPATH="src"),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
     def test_stats_needs_two_realisations(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)
         path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 1\nseed = 7")

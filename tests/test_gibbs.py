@@ -7,15 +7,18 @@ fallback; the originals run on the compiled kernel whenever it loads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from windgame import (BinSpec, ChainConfig, DistributionError, ErgodicityError,
                       Realisation, SamplerTables, chain_rng, convergence_stats,
                       run_chain, run_ensemble, wci_95)
 from windgame.dist import JointTable
+from windgame.gibbs import _T975
 
 from conftest import joint_from_arrays, tables_for, use_kernel_path
 
@@ -275,6 +278,37 @@ class TestSamplerEdgeCases:
             assert at_edge and set(at_edge) <= {200.0, 300.0, 400.0}
 
 
+class TestKernelArguments:
+    """The compiled path checks dtype, C-contiguity and length of its table
+    arrays once per ensemble and refuses a bad one before any chain runs."""
+
+    @pytest.fixture(autouse=True)
+    def compiled_path(self, monkeypatch):
+        use_kernel_path("compiled", monkeypatch)
+
+    @pytest.mark.parametrize("group, member, change, error", [
+        (0, 0, lambda a: a.astype(np.int32), TypeError),         # column starts
+        (1, 1, lambda a: a.astype(np.int64), TypeError),         # row lengths
+        (1, 2, lambda a: np.repeat(a, 2)[::2], TypeError),       # row w2, strided
+        (0, 1, lambda a: np.append(a, 1.0), ValueError),         # a length too many
+        (1, 3, lambda a: a[:-1], ValueError),                    # a row column short
+    ])
+    def test_bad_table_array_refused(self, synthetic_series, group, member, change, error):
+        tables = tables_for(synthetic_series)
+        flat = [list(arrays) for arrays in tables.flat]
+        flat[group][member] = change(flat[group][member])
+        object.__setattr__(tables, "flat", tuple(map(tuple, flat)))
+        with pytest.raises(error):
+            run_chain(ChainConfig(n=5, realisations=1, seed=0), tables, 0)
+
+    def test_mean_map_length_checked(self, synthetic_series):
+        tables = tables_for(synthetic_series)
+        demand = tables.demand
+        object.__setattr__(demand, "merged_map", np.append(demand.merged_map, 0))
+        with pytest.raises(ValueError, match="mean_map"):
+            run_chain(ChainConfig(n=5, realisations=1, seed=0), tables, 0)
+
+
 class TestRunEnsemble:
     def test_single_realisation_equals_chain_zero(self, synthetic_tables):
         config = ChainConfig(n=200, realisations=1, seed=17)
@@ -302,6 +336,14 @@ class TestConvergenceStats:
         assert wci_95(0.0874, 100) == pytest.approx(0.0347, abs=1e-4)
         assert wci_95(0.2709, 500) == pytest.approx(0.0476, abs=1e-4)
         assert wci_95(0.2793, 5000) == pytest.approx(0.0155, abs=1e-4)
+
+    def test_wci_quantile_is_scipys_bit_for_bit(self):
+        # N <= 256 reads _T975, N > 256 calls scipy. The width can round a
+        # 1-ulp slip of an entry away, so the entries are compared as well.
+        assert _T975 == tuple(float(stdtrit(df, 0.975)) for df in range(1, 256))
+        for n in range(2, 301):
+            expected = 2.0 * float(stdtrit(n - 1, 0.975)) * 0.2709 / math.sqrt(n)
+            assert wci_95(0.2709, n) == expected, n
 
     def test_degenerate_ensemble_zeroes(self, synthetic_series):
         mu = synthetic_series.means()
