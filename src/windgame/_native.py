@@ -5,8 +5,8 @@ The source holds two entry points: ``energy_tables`` (used by ``sim``) and
 ``load_kernels``, not at import, and cached per user under
 ``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``). When no
 compiler is found or the build or load fails, one warning is logged and
-``load_kernels`` returns None, so each caller runs its numpy loop, which
-gives the same bits.
+``load_kernels`` returns None, so each caller runs its own loop (numpy in
+``sim``, Python in ``gibbs``), which gives the same bits.
 """
 from __future__ import annotations
 
@@ -81,8 +81,8 @@ def _load_kernels():
         return None
     energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[_F64] * 8]
     energy.restype = None
-    # gibbs_chain runs once per chain, so its arrays come as addresses that
-    # gibbs._sample checks once per ensemble, not as ndpointers checked per call
+    # gibbs_chain's arrays come as addresses, which gibbs._addresses checks
+    # for dtype, contiguity and length before each call
     ptr = ctypes.c_void_p
     gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ctypes.c_int64,
                       *[ptr] * 12, ctypes.c_double, ctypes.c_double, ctypes.c_int64,

@@ -16,7 +16,7 @@ import sys
 
 from .config import apply_profile, load_config, override_seed
 from .errors import ConfigError, WindGameError
-from .runner import _sampling_stages, emit_report, run_scenario
+from .runner import emit_report, run_scenario, run_stats
 from .sim import fit_sigmoid, load_curve_points
 
 
@@ -30,7 +30,7 @@ def _positive_int(text: str) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario INI file")
     sub.add_argument("--workers", type=_positive_int, default=1,
-                     help="threads solving realisations, at least 1 (default 1)")
+                     help="threads running chains, at least 1 (default 1)")
     sub.add_argument("--profile", choices=("desk", "paper"),
                      help="override run dimensions with a named profile")
     sub.add_argument("--seed", type=int, help="override the master seed")
@@ -79,8 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             config = _load(args)
             if config.chain.realisations < 2:
                 raise ConfigError("stats needs at least 2 realisations")
-            _, _, stats = _sampling_stages(config, {})
-            print(stats.format_table())
+            print(run_stats(config, workers=args.workers).format_table())
         elif args.command == "fit-curve":
             curve = fit_sigmoid(load_curve_points(args.points))
             print(f"alpha={curve.alpha:.6f} beta={curve.beta:.6f} "

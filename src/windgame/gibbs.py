@@ -7,13 +7,12 @@ the records of each conditional into flat CSR arrays, once. Each sweep
 resamples w1 given w2's bin, then w2 given the new w1's bin, then demand
 given the binned mean of the new winds, in exactly that order. Every draw
 consumes uniforms from a per-chain generator derived from the master seed
-and the chain index, so a realisation is reproducible in isolation. The
-start states of an ensemble are drawn together; then the ``gibbs_chain``
-kernel of ``_kernels.c`` runs each chain's sweeps over the CSR arrays. When
-the kernel cannot be built or loaded, a numpy loop advances all chains
-together, one sweep per numpy step, with the same bits. Either way each
-chain is bit-identical to the same chain run alone. Samples stay in memory:
-nothing here writes files.
+and the chain index, so a realisation is reproducible in isolation.
+``run_chain`` is the one sampler: it draws a chain's start state, then its
+sweeps' uniforms in one call, and the ``gibbs_chain`` kernel of
+``_kernels.c`` runs the sweeps over the CSR arrays. When the kernel cannot
+be built or loaded, a plain-Python loop runs them with the same bits.
+Samples stay in memory: nothing here writes files.
 
 The confidence width's Student-t quantile is scipy's ``stdtrit``, read from
 a table of its values up to N = 256 realisations and imported only for larger
@@ -22,6 +21,7 @@ ensembles, so the CLI never loads ``scipy.special``, its slowest import.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,73 +144,57 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chain_index,))))
 
 
-# Sweeps of uniforms the numpy fallback draws per chain at a time. Larger
-# blocks only add memory: 2,048 gave no speed and raised the peak RSS of
-# 170 chains of 50,000 states from 213 to 234 MB.
-_BLOCK = 256
+def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> Realisation:
+    """Generate one realisation: n states, first floor(burn_in * n) discarded.
 
-
-def _sample(config: ChainConfig, tables: SamplerTables,
-            chain_indices: list[int]) -> list[Realisation]:
-    """Run the given chains: every start state at once, then each chain's
-    sweeps in the compiled kernel (or all chains in lockstep in numpy).
-
-    A chain starts from a uniformly drawn historic record (its (w1, w2)
+    The chain starts from a uniformly drawn historic record (its (w1, w2)
     pair, then demand given the pair's mean wind), and each sweep draws
-    w1 | w2-bin, then w2 | new w1-bin, then demand | mean-wind bin. Chain k
-    takes its uniforms from ``chain_rng(seed, k)``, two for the start and
-    three per sweep in that order, so its samples do not depend on which
-    chains run beside it. The first ``config.burn_in`` states are dropped.
+    w1 | w2-bin, then w2 | new w1-bin, then demand | mean-wind bin. It takes
+    its uniforms from ``chain_rng(seed, chain_index)``, two for the start and
+    three per sweep in that order, so it does not depend on which other
+    chains run. The sweeps run in the compiled kernel, or in Python when it
+    cannot load.
     """
-    flat = tables.flat
-    dem_start, dem_len, dem_vals = flat[2]
     joint = tables.joint
-    mean_spec = tables.demand.mean_spec
-    mean_map = tables.demand.merged_map
     n, burn = config.n, config.burn_in
-    rngs = [chain_rng(config.seed, k) for k in chain_indices]
-    out = np.empty((3, len(rngs), n - burn))
+    rng = chain_rng(config.seed, chain_index)
+    out = np.empty((3, n - burn))
 
-    def draw_demand(w1, w2, u):
-        # build_demand_conditional's mean_spec covers every mean of two
-        # sampled winds, so the range check can be skipped
-        row = mean_map[mean_spec.unchecked_indices((w1 + w2) * 0.5)]
-        return dem_vals[dem_start[row] + (u * dem_len[row]).astype(np.int64)]
-
-    u = np.array([rng.random(2) for rng in rngs]).T
-    record = (u[0] * len(joint.w1_values)).astype(np.int64)
-    w1 = joint.w1_values[record]
-    w2 = joint.w2_values[record]
-    p_d = draw_demand(w1, w2, u[1])
-    j = joint.merged_map_2[joint.spec2.indices(w2)]
+    u0, u1 = rng.random(2)
+    record = int(u0 * len(joint.w1_values))
+    w1, w2 = joint.w1_values[record], joint.w2_values[record]
+    j = int(joint.merged_map_2[joint.spec2.indices(w2)])
     if burn == 0:
-        out[:, :, 0] = w1, w2, p_d
+        out[:, 0] = w1, w2, _draw_demand(tables, w1, w2, u1)
 
+    uniforms = rng.random(3 * (n - 1))
     kernels = _native.load_kernels()
     if kernels is None:
-        _sweep_numpy(flat, draw_demand, rngs, j, n, burn, out)
+        _sweep_python(tables, uniforms, j, burn, out)
     else:
-        uniforms = np.empty(3 * (n - 1))
-        tables_at = _addresses(flat, mean_map, mean_spec.n_bins)
-        u_at, out_at = uniforms.ctypes.data, out.ctypes.data
-        var, chain = out.strides[:2]
-        for c, rng in enumerate(rngs):
-            rng.random(out=uniforms)
-            at = out_at + c * chain
-            kernels.gibbs_chain(n, burn, u_at, int(j[c]), *tables_at, mean_spec.origin,
-                                mean_spec.width, mean_spec.n_bins,
-                                at, at + var, at + 2 * var)
-
-    return [Realisation(w1=out[0, c], w2=out[1, c], p_d=out[2, c], chain_index=index)
-            for c, index in enumerate(chain_indices)]
+        spec = tables.demand.mean_spec
+        at, var = out.ctypes.data, out.strides[0]
+        kernels.gibbs_chain(n, burn, uniforms.ctypes.data, j, *_addresses(tables), spec.origin,
+                            spec.width, spec.n_bins, at, at + var, at + 2 * var)
+    return Realisation(w1=out[0], w2=out[1], p_d=out[2], chain_index=chain_index)
 
 
-def _addresses(flat, mean_map: np.ndarray, n_mean_bins: int) -> list[int]:
-    """Addresses of the CSR arrays and ``mean_map``, in ``gibbs_chain``'s
-    order, once each is checked to be a C-contiguous array of the dtype and
-    length the kernel reads: int64 starts and indices, float64 lengths and
-    values, lengths that sum to the values' length, one map entry per bin.
+def _draw_demand(tables: SamplerTables, w1, w2, u):
+    """Demand for winds ``w1``, ``w2`` (arrays or scalars): member ``u * size``
+    of their mean-wind row, whose bins cover every mean of two sampled winds."""
+    start, length, values = tables.flat[2]
+    row = tables.demand.merged_map[tables.demand.mean_spec.unchecked_indices((w1 + w2) * 0.5)]
+    return values[start[row] + (u * length[row]).astype(np.int64)]
+
+
+def _addresses(tables: SamplerTables) -> list[int]:
+    """Addresses of the CSR arrays and the mean-wind row map, in
+    ``gibbs_chain``'s order, once each is checked to be a C-contiguous array
+    of the dtype and length the kernel reads: int64 starts and indices,
+    float64 lengths and values, lengths that sum to the values' length, one
+    map entry per bin.
     """
+    flat, mean_map = tables.flat, tables.demand.merged_map
     arrays = [*flat[0], *flat[1], *flat[2], mean_map]
     for a, dtype in zip(arrays, (np.int64, np.float64, np.float64, np.int64) * 3):
         if a.dtype != dtype or not a.flags.c_contiguous:
@@ -219,50 +203,39 @@ def _addresses(flat, mean_map: np.ndarray, n_mean_bins: int) -> list[int]:
     for start, length, *values in flat:
         if len(start) != len(length) or any(len(v) != length.sum() for v in values):
             raise ValueError("gibbs_chain CSR arrays disagree in length")
-    if len(mean_map) != n_mean_bins:
-        raise ValueError(f"mean_map has {len(mean_map)} entries for {n_mean_bins} bins")
+    if len(mean_map) != tables.demand.mean_spec.n_bins:
+        raise ValueError(f"mean_map has {len(mean_map)} entries for "
+                         f"{tables.demand.mean_spec.n_bins} bins")
     return [a.ctypes.data for a in arrays]
 
 
-def _sweep_numpy(flat, draw_demand, rngs, j, n, burn, out) -> None:
-    """The kernel's sweeps, for all chains in lockstep: one sweep per numpy
-    step from the start columns ``j``."""
-    (col_start, col_len, col_w1, col_row), (row_start, row_len, row_w2, row_col), _ = flat
-    block = np.empty((len(rngs), 3 * _BLOCK))
-    for first in range(1, n, _BLOCK):
-        size = min(_BLOCK, n - first)
-        for c, rng in enumerate(rngs):
-            rng.random(out=block[c, :3 * size])
-        uniforms = block[:, :3 * size].reshape(-1, size, 3).transpose(1, 2, 0).copy()
-        for t, (u0, u1, u2) in enumerate(uniforms, first):
-            k = col_start[j] + (u0 * col_len[j]).astype(np.int64)
-            w1 = col_w1[k]
-            i = col_row[k]
-            k = row_start[i] + (u1 * row_len[i]).astype(np.int64)
-            w2 = row_w2[k]
-            j = row_col[k]
-            p_d = draw_demand(w1, w2, u2)
-            if t >= burn:
-                out[0, :, t - burn] = w1
-                out[1, :, t - burn] = w2
-                out[2, :, t - burn] = p_d
-
-
-def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> Realisation:
-    """Generate one realisation: n states, first floor(burn_in * n) discarded."""
-    return _sample(config, tables, [chain_index])[0]
+def _sweep_python(tables: SamplerTables, uniforms: np.ndarray, j: int, burn: int,
+                  out: np.ndarray) -> None:
+    """The kernel's sweeps from start column ``j``: the winds one sweep at a
+    time over list copies of the tables, then the kept states' demand in one
+    numpy step. Writes the states kept after burn-in to the end of ``out``."""
+    (col_start, col_len, col_w1, col_row), (row_start, row_len, row_w2, row_col) = \
+        [[a.tolist() for a in group] for group in tables.flat[:2]]
+    u = uniforms.reshape(-1, 3)
+    w1, w2 = [], []
+    for u0, u1 in u[:, :2].tolist():
+        k = col_start[j] + int(u0 * col_len[j])
+        w1.append(col_w1[k])
+        i = col_row[k]
+        k = row_start[i] + int(u1 * row_len[i])
+        w2.append(row_w2[k])
+        j = row_col[k]
+    kept = max(burn, 1) - 1  # sweep t fills list entry t - 1
+    w1, w2 = np.array(w1[kept:]), np.array(w2[kept:])
+    out[:, out.shape[1] - len(w1):] = w1, w2, _draw_demand(tables, w1, w2, u[kept:, 2])
 
 
 def run_ensemble(config: ChainConfig, tables: SamplerTables,
                  workers: int = 1) -> list[Realisation]:
-    """Run the configured number of independent realisations.
-
-    Chain k is seeded from (config.seed, k), so it is bit-identical to
-    ``run_chain(config, tables, k)``; results are ordered by chain index.
-    ``workers`` is accepted for older callers and has no effect: sampling
-    runs in this process.
-    """
-    return _sample(config, tables, list(range(config.realisations)))
+    """Run the configured number of independent realisations, ordered by
+    chain index: chain k is ``run_chain(config, tables, k)``. ``workers`` is
+    accepted for older callers and has no effect."""
+    return [run_chain(config, tables, k) for k in range(config.realisations)]
 
 
 @dataclass(frozen=True)
@@ -392,17 +365,25 @@ def wci_95(sigma: float, n_realisations: int) -> float:
 
 def convergence_stats(realisations: list[Realisation],
                       historic: JointSeries) -> StatsReport:
-    """Per-variable ensemble mean, spread, confidence width and max error.
+    """``stats_from_means`` of the realisations' means and length."""
+    return stats_from_means([r.means() for r in realisations], historic,
+                            len(realisations[0]) if realisations else 0)
+
+
+def stats_from_means(chain_means: Sequence[tuple[float, float, float]],
+                     historic: JointSeries, sample_size: int) -> StatsReport:
+    """Per-variable ensemble mean, spread, confidence width and max error
+    from each chain's (w1, w2, p_d) means, of ``sample_size`` states each.
 
     sigma is the standard deviation (ddof=1) of per-realisation means; the
     max error is the worst per-realisation mean's relative deviation from
     the historic mean, in percent.
     """
-    n = len(realisations)
+    n = len(chain_means)
     if n < 2:
         raise DistributionError(
             f"convergence statistics need >= 2 realisations, got {n}")
-    chain_means = np.array([r.means() for r in realisations])
+    chain_means = np.array(chain_means)
     stats = {}
     for name, per_chain, mu in zip(("w1", "w2", "p_d"), chain_means.T, historic.means()):
         sigma = float(per_chain.std(ddof=1))
@@ -414,4 +395,4 @@ def convergence_stats(realisations: list[Realisation],
             max_err_pct=float(np.abs(per_chain - mu).max() / mu * 100.0),
             historic_mean=mu)
     return StatsReport(w1=stats["w1"], w2=stats["w2"], p_d=stats["p_d"],
-                       n_realisations=n, sample_size=len(realisations[0]))
+                       n_realisations=n, sample_size=sample_size)

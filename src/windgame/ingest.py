@@ -170,7 +170,7 @@ def load_series_csv(path: str | Path,
                 try:
                     stamp = _parse_iso_timestamp(row[i_ts])
                     value = float(row[i_val])
-                except ValueError:
+                except (ValueError, OverflowError):  # overflow: a stamp out of range in UTC
                     dropped["unparseable"] += 1
                     continue
                 if not math.isfinite(value) or value < 0.0:

@@ -1,14 +1,15 @@
 """End-to-end scenario execution and report emission.
 
-Pipeline: ingest -> distribution tables -> chain ensemble -> per-realisation
-energy tables -> equilibrium at every sweep point -> ensemble aggregation.
-Energy tables are built once per realisation and reused across sweep points,
-since cost parameters cannot affect the physics. Realisations are solved on
-``workers`` threads (the energy kernel and numpy's k x k loops release the
-GIL); each result is a function of the realisation alone, so reports are
-byte-identical for every pool size. Failures, in a thread too, and Ctrl-C
-are re-raised tagged with their stage; after one, no realisation starts and
-those in flight finish. Reports are renamed into place once written.
+Pipeline: ingest -> distribution tables -> one job per chain -> ensemble
+aggregation. A job samples chain k, builds its energy tables once (cost
+parameters cannot affect the physics), solves the equilibrium at every sweep
+point and returns the chain's means and its (sweep, 4) block, so no
+realisation outlives its job; ``stats``' jobs return only the means. Jobs run
+on ``workers`` threads (the compiled kernels and numpy's k x k loops release
+the GIL) and each result depends on the chain index alone, so reports are
+byte-identical for every pool size. Failures, in a thread too, running out of
+memory and Ctrl-C are re-raised tagged with their stage; after one, no job
+starts and those in flight finish. Reports are renamed into place once written.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from . import __version__
 from .config import ScenarioConfig
 from .errors import StageError, WindGameError
 from .game import CostParams, equilibrium
-from .gibbs import Realisation, SamplerTables, StatsReport, convergence_stats, run_ensemble
+from .gibbs import Realisation, SamplerTables, StatsReport, run_chain, stats_from_means
 from .ingest import JointSeries, align_series, load_series_csv, normalize_demand
 from .sim import PowerCurve, StrategyGrid, build_energy_tables, default_power_curve, \
     fit_sigmoid, load_curve_points
@@ -61,6 +62,8 @@ def _stage(name: str, timing: dict):
         raise StageError(name, exc) from exc
     except KeyboardInterrupt as exc:
         raise StageError(name, WindGameError("interrupted")) from exc
+    except MemoryError as exc:
+        raise StageError(name, WindGameError(f"out of memory: {exc}")) from exc
     elapsed = time.perf_counter() - start
     timing[name] = round(elapsed, 3)
     log.info("stage %s: done in %.2fs", name, elapsed)
@@ -102,20 +105,25 @@ def _swept_costs(base: CostParams, parameter: str, frac: float) -> CostParams:
 
 
 def _sampling_stages(config: ScenarioConfig, timing: dict
-                     ) -> tuple[JointSeries, list[Realisation], StatsReport | None]:
-    """The staged pipeline prefix: ingest -> tables -> sample.
-
-    Returns the aligned series, the realisations and, for two or more, their
-    convergence diagnostics; ``timing`` receives each stage's seconds.
-    """
+                     ) -> tuple[JointSeries, SamplerTables]:
+    """The staged pipeline prefix: ingest -> tables. Returns the aligned
+    series and the sampler tables; ``timing`` receives each stage's seconds."""
     with _stage("ingest", timing):
         series = ingest_joint_series(config)
     with _stage("tables", timing):
         tables = build_tables(series, config)
-    with _stage("sample", timing):
-        realisations = run_ensemble(config.chain, tables)
-        stats = convergence_stats(realisations, series) if len(realisations) >= 2 else None
-    return series, realisations, stats
+    return series, tables
+
+
+def _map_chains(job, config: ScenarioConfig, workers: int) -> list:
+    """``job(k)`` for every chain index k, run on ``workers`` threads, in chain
+    order. After a job fails, no further job starts."""
+    n, results = config.chain.realisations, []
+    with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
+        for result in pool.map(job, range(n)):
+            results.append(result)
+            log.info("realisation %d/%d done", len(results), n)
+    return results
 
 
 def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: StrategyGrid,
@@ -132,10 +140,20 @@ def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: Strate
     return block
 
 
+def run_stats(config: ScenarioConfig, workers: int = 1) -> StatsReport:
+    """Convergence diagnostics of the configured ensemble (two or more
+    chains), sampled one chain per job on ``workers`` threads."""
+    series, tables = _sampling_stages(config, {})
+    with _stage("sample", {}):
+        means = _map_chains(lambda k: run_chain(config.chain, tables, k).means(),
+                            config, workers)
+        return stats_from_means(means, series, config.chain.retained)
+
+
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
     """Execute the full pipeline for one scenario sweep."""
     timing: dict = {}
-    series, realisations, stats = _sampling_stages(config, timing)
+    series, tables = _sampling_stages(config, timing)
     with _stage("curve", timing):
         curve = resolve_power_curve(config)
     with _stage("game", timing):
@@ -143,13 +161,13 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
         sweep_fracs = config.sweep.values()
         costs = [_swept_costs(config.costs, config.sweep.parameter, frac)
                  for frac in sweep_fracs]
-        blocks = []
-        with ThreadPoolExecutor(max_workers=min(workers, len(realisations))) as pool:
-            for block in pool.map(lambda r: _solve_realisation(r, curve, grid, costs),
-                                  realisations):
-                blocks.append(block)
-                log.info("realisation %d/%d solved across %d sweep points",
-                         len(blocks), len(realisations), len(block))
+
+        def job(k: int) -> tuple[tuple[float, float, float], np.ndarray]:
+            realisation = run_chain(config.chain, tables, k)
+            return realisation.means(), _solve_realisation(realisation, curve, grid, costs)
+
+        means, blocks = zip(*_map_chains(job, config, workers))
+        stats = stats_from_means(means, series, config.chain.retained) if len(means) > 1 else None
         per_real = np.stack(blocks, axis=1)
         aggregates = np.stack([per_real.mean(axis=1),
                                per_real.min(axis=1),

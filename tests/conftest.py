@@ -28,7 +28,7 @@ def joint_from_arrays(w1, w2, p_d) -> JointSeries:
 
 def use_kernel_path(path: str, monkeypatch) -> str:
     """Send the package to its compiled kernels ("compiled"; the test is
-    skipped when they cannot load) or to its numpy loops ("numpy")."""
+    skipped when they cannot load) or to its fallback loops ("numpy")."""
     if path == "compiled":
         if _native.load_kernels() is None:
             pytest.skip("compiled kernels unavailable on this machine")

@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 from windgame import ConfigError, StageError, WindGameError
 from windgame.cli import main
 from windgame.config import PROFILES, apply_profile, load_config, override_seed
-from windgame.runner import emit_report, ingest_joint_series, run_scenario
+from windgame.runner import emit_report, ingest_joint_series, run_scenario, run_stats
 
 from conftest import REPO_ROOT
 
@@ -276,6 +278,27 @@ class TestRunScenario:
         assert 2 <= len(started) < 20
         assert not out.exists()
 
+    def test_each_realisation_lives_only_in_its_job(self, tmp_path, monkeypatch):
+        # chains are sampled in the jobs, so at most one realisation per
+        # worker exists at a time, never the whole ensemble (keyed by id: a
+        # Realisation holds arrays, so it cannot be hashed into a WeakSet)
+        import windgame.runner as runner_mod
+        write_tiny_dataset(tmp_path)
+        path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 20\nseed = 99")
+        alive, most, lock = weakref.WeakValueDictionary(), [0], threading.Lock()
+        solve = runner_mod._solve_realisation
+
+        def tracking(realisation, curve, grid, costs):
+            with lock:
+                alive[id(realisation)] = realisation
+                most[0] = max(most[0], len(alive))
+            return solve(realisation, curve, grid, costs)
+
+        monkeypatch.setattr(runner_mod, "_solve_realisation", tracking)
+        result = run_scenario(load_config(path), workers=2)
+        assert result.per_realisation.shape == (3, 20, 4)
+        assert most[0] <= 2
+
     def test_interrupted_report_leaves_previous_files(self, tiny_config, tmp_path,
                                                       monkeypatch):
         result = run_scenario(load_config(tiny_config))
@@ -320,7 +343,7 @@ class TestRunScenario:
         assert meta["seed"] == 99
         assert meta["sweep_parameter"] == "p_t"
         assert "windgame" in meta["versions"]
-        assert set(meta["timing_s"]) == {"ingest", "tables", "sample", "curve", "game"}
+        assert set(meta["timing_s"]) == {"ingest", "tables", "curve", "game"}
 
     def test_gap_reports_logged(self, tiny_config, caplog):
         import logging
@@ -353,6 +376,41 @@ class TestCli:
         assert main(["stats", "--config", str(tiny_config)]) == 0
         out = capsys.readouterr().out
         assert "wci95" in out and "p_d" in out
+
+    def test_stats_same_bytes_for_any_worker_count(self, tiny_config, capsys):
+        printed = []
+        for workers in ("1", "2"):
+            assert main(["stats", "--config", str(tiny_config), "--workers", workers]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        config = load_config(tiny_config)
+        assert run_stats(config, workers=1) == run_stats(config, workers=2)
+
+    def test_stats_samples_chains_on_the_pool(self, tiny_config, monkeypatch):
+        import windgame.runner as runner_mod
+        threads, sample = set(), runner_mod.run_chain
+
+        def recording(config, tables, k):
+            threads.add(threading.get_ident())  # set.add is atomic
+            time.sleep(0.05)
+            return sample(config, tables, k)
+
+        monkeypatch.setattr(runner_mod, "run_chain", recording)
+        run_stats(load_config(tiny_config), workers=2)
+        assert len(threads) == 2
+
+    def test_out_of_memory_is_stage_tagged(self, tiny_config, monkeypatch, capsys):
+        import windgame.runner as runner_mod
+
+        def exhausted(realisation, curve, grid):
+            raise MemoryError("Unable to allocate 1.82 TiB for an array with shape "
+                              "(500001, 500001) and data type float64")
+
+        monkeypatch.setattr(runner_mod, "build_energy_tables", exhausted)
+        assert main(["run", "--config", str(tiny_config), "--out",
+                     str(tiny_config.parent / "out"), "--workers", "2"]) == 1
+        assert ("error: [game] out of memory: Unable to allocate 1.82 TiB"
+                in capsys.readouterr().err)
 
     def test_stats_failure_is_stage_tagged(self, tiny_config, capsys):
         (tiny_config.parent / "w1.csv").unlink()

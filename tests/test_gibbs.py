@@ -1,9 +1,10 @@
 """Chain mechanics: initialization, sweeps, determinism, ensemble statistics.
 
 ``oracle_chain`` is a literal per-sweep scalar stepper over the raw table
-records; the compiled sampler and its numpy fallback must each reproduce it
-bit for bit. The classes ending in ``Numpy`` rerun the sweep tests on the
-fallback; the originals run on the compiled kernel whenever it loads.
+records; the compiled sampler and its fallback (Python sweeps, numpy demand
+draws) must each reproduce it bit for bit. The classes ending in ``Numpy``
+rerun the sweep tests on the fallback; the originals run on the compiled
+kernel whenever it loads.
 """
 from __future__ import annotations
 
@@ -80,12 +81,12 @@ def symmetric_tables(repeats=1):
 
 @pytest.fixture(params=["compiled", "numpy"])
 def sampler_path(request, monkeypatch):
-    """Run the test once on the compiled kernel and once on the numpy fallback."""
+    """Run the test once on the compiled kernel and once on the fallback."""
     return use_kernel_path(request.param, monkeypatch)
 
 
 class OnNumpyPath:
-    """Base for reruns of a test class on the numpy fallback."""
+    """Base for reruns of a test class on the fallback."""
 
     @pytest.fixture(autouse=True)
     def numpy_path(self, monkeypatch):
@@ -170,7 +171,7 @@ class TestRunChain:
     @pytest.mark.parametrize("burn_in_fraction", [0.0, 0.2])
     def test_lockstep_matches_scalar_oracle(self, synthetic_tables, seed, realisations,
                                             burn_in_fraction):
-        # 700 states span three uniform blocks, the last one partial
+        # every chain of an ensemble equals the oracle and the chain run alone
         config = ChainConfig(n=700, realisations=realisations,
                              burn_in_fraction=burn_in_fraction, seed=seed)
         ensemble = run_ensemble(config, synthetic_tables)
@@ -280,7 +281,7 @@ class TestSamplerEdgeCases:
 
 class TestKernelArguments:
     """The compiled path checks dtype, C-contiguity and length of its table
-    arrays once per ensemble and refuses a bad one before any chain runs."""
+    arrays on every call and refuses a bad one before the kernel runs."""
 
     @pytest.fixture(autouse=True)
     def compiled_path(self, monkeypatch):

@@ -53,7 +53,7 @@ def dict_reader_oracle(path, ts_col, val_col):
                 continue
             try:
                 ts, value = _oracle_timestamp(raw_ts), float(raw_val)
-            except ValueError:
+            except (ValueError, OverflowError):
                 counts["dropped_unparseable"] += 1
                 continue
             if not np.isfinite(value) or value < 0.0:
@@ -77,7 +77,8 @@ TS_CELLS = st.one_of(
     st.builds("2015-01-01T{:02d}:00:00{}".format, st.integers(0, 4),
               st.sampled_from(["", "Z", "z", ".2", ".7", "+00:00", " "])),
     st.builds("2015-01-01T{:02d}:00:00+01:00".format, st.integers(1, 5)),
-    st.sampled_from(["", "  ", "not-a-date", "2015-13-01T00:00:00"]))
+    st.sampled_from(["", "  ", "not-a-date", "2015-13-01T00:00:00",
+                     "0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]))
 VALUE_CELLS = st.one_of(
     st.floats(0.0, 40.0).map(repr),
     st.sampled_from(["", " ", "0", "-0.5", "-999.0", "nan", "inf", "1e400", "abc", " 7.5 "]))
@@ -169,6 +170,17 @@ class TestLoadSeriesCsv:
         series, report = load_series_csv(path, COLMAP)
         assert len(series) == 1
         assert report.dropped_unparseable == 2
+
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00",
+                                       "9999-12-31T23:30:00-01:00"])
+    def test_stamp_out_of_range_in_utc_is_unparseable(self, tmp_path, stamp):
+        # valid as written, but its UTC instant is outside datetime's range
+        path = write(tmp_path, "timestamp,wind_speed_ms\n"
+                               f"{stamp},5.0\n"
+                               "2015-01-01T02:00:00,6.0\n")
+        series, report = load_series_csv(path, COLMAP)
+        assert list(series.values) == [6.0]
+        assert (report.rows_read, report.dropped_unparseable) == (2, 1)
 
     def test_negative_sentinel_dropped_as_invalid(self, tmp_path):
         path = write(tmp_path, "timestamp,wind_speed_ms\n"
