@@ -81,8 +81,8 @@ def _load_kernels():
         return None
     energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[_F64] * 8]
     energy.restype = None
-    # gibbs_chain's arrays come as addresses, which gibbs._addresses checks
-    # for dtype, contiguity and length before each call
+    # gibbs_chain's arrays come as addresses, which gibbs.SamplerTables takes
+    # once, from arrays it builds in the kernel's types and checks
     ptr = ctypes.c_void_p
     gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ctypes.c_int64,
                       *[ptr] * 12, ctypes.c_double, ctypes.c_double, ctypes.c_int64,

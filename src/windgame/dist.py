@@ -53,7 +53,7 @@ class BinSpec:
 
     def indices(self, values: np.ndarray) -> np.ndarray:
         values = np.asarray(values, dtype=np.float64)
-        bad = (values < self.origin) | (values > self.max_edge)
+        bad = ~((values >= self.origin) & (values <= self.max_edge))
         if np.any(bad):
             offender = float(values[bad][0])
             raise DistributionError(
@@ -105,7 +105,7 @@ def _merge_groups(marginals: np.ndarray, min_count: int) -> np.ndarray:
     return assignment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointTable:
     """Binned empirical joint distribution of the two wind-speed series.
 
@@ -177,7 +177,7 @@ def merge_sparse_bins(table: JointTable, min_count: int) -> JointTable:
         row_of=row_of, col_of=col_of)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DemandConditional:
     """Demand distribution conditioned on the binned mean of the two winds.
 

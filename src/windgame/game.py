@@ -49,7 +49,7 @@ class CostParams:
                    c_g2=c_g2_frac * p_g, c_t=c_t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfitSurfaces:
     """Both players' profits over every capacity pair on the grid."""
 
@@ -63,7 +63,7 @@ class ProfitSurfaces:
             raise WindGameError("profit surfaces must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BestResponse:
     """Follower's profit-maximizing column per leader row."""
 
@@ -80,7 +80,7 @@ class Equilibrium:
     pi2_star: float
     leader_index: int
     follower_index: int
-    best_response: BestResponse = field(repr=False)
+    best_response: BestResponse = field(repr=False, compare=False)
 
 
 def profit_surfaces(tables: EnergyTables, costs: CostParams) -> ProfitSurfaces:

@@ -3,7 +3,8 @@ ensemble convergence diagnostics.
 
 ``SamplerTables.from_series`` holds the table policy: it bins a series,
 merges sparse bins, checks that the joint table is connected and groups
-the records of each conditional into flat CSR arrays, once. Each sweep
+the records of each conditional into flat CSR arrays, checked and in the
+kernel's types, once: no chain checks the tables again. Each sweep
 resamples w1 given w2's bin, then w2 given the new w1's bin, then demand
 given the binned mean of the new winds, in exactly that order. Every draw
 consumes uniforms from a per-chain generator derived from the master seed
@@ -64,7 +65,7 @@ class ChainConfig:
         return self.n - self.burn_in
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Realisation:
     """One chain's post-burn-in samples."""
 
@@ -83,18 +84,18 @@ class Realisation:
 def _csr(keys: np.ndarray, n_groups: int, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Group records by key into compressed sparse rows.
 
-    Returns each group's start and length, then every ``v`` in ``values``
-    reordered so that groups lie end to end in key order, each in record
-    order. Lengths are float64 so ``u * length`` rounds exactly as it does
-    with a Python int.
+    Returns each group's int64 start and float64 length, then every ``v`` in
+    ``values`` reordered into a new C-contiguous array so that groups lie end
+    to end in key order, each in record order. Lengths are float64 so
+    ``u * length`` rounds exactly as it does with a Python int.
     """
     order = np.argsort(keys, kind="stable")
     lengths = np.bincount(keys, minlength=n_groups)
-    return (np.cumsum(lengths) - lengths, lengths.astype(np.float64),
+    return (np.cumsum(lengths, dtype=np.int64) - lengths, lengths.astype(np.float64),
             *(v[order] for v in values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SamplerTables:
     """The joint wind table and the demand conditional, checked and grouped.
 
@@ -103,24 +104,44 @@ class SamplerTables:
     their retained rows. Per retained row: the raw w2 values and retained
     columns. Per retained mean-wind row: the raw demand values. Drawing a
     member uniformly reproduces count-proportional conditional weights.
-    Construction fails if the joint table is disconnected or a mean-wind
-    row has no demand records.
+    ``_kernel_args`` holds, in ``gibbs_chain``'s order, the addresses of
+    these arrays and of the mean-wind map, all in the kernel's types, then
+    the mean-wind bins. Construction fails if the joint table is
+    disconnected, a member value is not finite, a mean-wind row has no
+    demand records, or a mean wind the chain can form has no row >= 0.
     """
 
     joint: JointTable
     demand: DemandConditional
-    flat: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False, compare=False)
+    flat: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False)
+    _mean_map: np.ndarray = field(init=False, repr=False)
+    _kernel_args: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        joint, demand = self.joint, self.demand
+        joint, demand, spec = self.joint, self.demand, self.demand.mean_spec
         assert_ergodic(joint)
-        flat = (_csr(joint.col_of, joint.n_cols, joint.w1_values, joint.row_of),
-                _csr(joint.row_of, joint.n_rows, joint.w2_values, joint.col_of),
-                _csr(demand.row_of, demand.n_rows, demand.demand_values))
+        w1, w2, p_d = (np.asarray(v, dtype=np.float64) for v in
+                       (joint.w1_values, joint.w2_values, demand.demand_values))
+        if not all(np.isfinite(v).all() for v in (w1, w2, p_d)):
+            raise DistributionError("table member values must be finite")
+        row_of, col_of = (np.asarray(v, dtype=np.int64) for v in (joint.row_of, joint.col_of))
+        flat = (_csr(col_of, joint.n_cols, w1, row_of),
+                _csr(row_of, joint.n_rows, w2, col_of),
+                _csr(demand.row_of, demand.n_rows, p_d))
         empty = np.flatnonzero(flat[2][1] == 0)
         if len(empty):
             raise DistributionError(f"mean-wind row {empty[0]} has no demand members")
+        mean_map = np.ascontiguousarray(demand.merged_map, dtype=np.int64)
+        if len(mean_map) != spec.n_bins or (mean_map < 0).any():
+            raise DistributionError(f"mean-wind map needs a row >= 0 per bin ({spec.n_bins})")
+        lowest = (float(w1.min()) + float(w2.min())) * 0.5  # bins clamp only above
+        if int((lowest - spec.origin) / spec.width) < 0:
+            raise DistributionError(f"mean wind {lowest} lies below the mean-wind bins")
         object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "_mean_map", mean_map)
+        object.__setattr__(self, "_kernel_args", (
+            *(a.ctypes.data for a in (*flat[0], *flat[1], *flat[2], mean_map)),
+            spec.origin, spec.width, spec.n_bins))
 
     @classmethod
     def from_series(cls, series: JointSeries, wind_width: float,
@@ -148,7 +169,7 @@ def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> R
     """Generate one realisation: n states, first floor(burn_in * n) discarded.
 
     The chain starts from a uniformly drawn historic record (its (w1, w2)
-    pair, then demand given the pair's mean wind), and each sweep draws
+    pair and column, then demand given the pair's mean wind); each sweep draws
     w1 | w2-bin, then w2 | new w1-bin, then demand | mean-wind bin. It takes
     its uniforms from ``chain_rng(seed, chain_index)``, two for the start and
     three per sweep in that order, so it does not depend on which other
@@ -163,19 +184,18 @@ def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> R
     u0, u1 = rng.random(2)
     record = int(u0 * len(joint.w1_values))
     w1, w2 = joint.w1_values[record], joint.w2_values[record]
-    j = int(joint.merged_map_2[joint.spec2.indices(w2)])
     if burn == 0:
         out[:, 0] = w1, w2, _draw_demand(tables, w1, w2, u1)
 
     uniforms = rng.random(3 * (n - 1))
+    j = int(joint.col_of[record])
     kernels = _native.load_kernels()
     if kernels is None:
         _sweep_python(tables, uniforms, j, burn, out)
     else:
-        spec = tables.demand.mean_spec
         at, var = out.ctypes.data, out.strides[0]
-        kernels.gibbs_chain(n, burn, uniforms.ctypes.data, j, *_addresses(tables), spec.origin,
-                            spec.width, spec.n_bins, at, at + var, at + 2 * var)
+        kernels.gibbs_chain(n, burn, uniforms.ctypes.data, j, *tables._kernel_args,
+                            at, at + var, at + 2 * var)
     return Realisation(w1=out[0], w2=out[1], p_d=out[2], chain_index=chain_index)
 
 
@@ -183,30 +203,8 @@ def _draw_demand(tables: SamplerTables, w1, w2, u):
     """Demand for winds ``w1``, ``w2`` (arrays or scalars): member ``u * size``
     of their mean-wind row, whose bins cover every mean of two sampled winds."""
     start, length, values = tables.flat[2]
-    row = tables.demand.merged_map[tables.demand.mean_spec.unchecked_indices((w1 + w2) * 0.5)]
+    row = tables._mean_map[tables.demand.mean_spec.unchecked_indices((w1 + w2) * 0.5)]
     return values[start[row] + (u * length[row]).astype(np.int64)]
-
-
-def _addresses(tables: SamplerTables) -> list[int]:
-    """Addresses of the CSR arrays and the mean-wind row map, in
-    ``gibbs_chain``'s order, once each is checked to be a C-contiguous array
-    of the dtype and length the kernel reads: int64 starts and indices,
-    float64 lengths and values, lengths that sum to the values' length, one
-    map entry per bin.
-    """
-    flat, mean_map = tables.flat, tables.demand.merged_map
-    arrays = [*flat[0], *flat[1], *flat[2], mean_map]
-    for a, dtype in zip(arrays, (np.int64, np.float64, np.float64, np.int64) * 3):
-        if a.dtype != dtype or not a.flags.c_contiguous:
-            raise TypeError(f"gibbs_chain needs C-contiguous {np.dtype(dtype)}, "
-                            f"got {a.dtype} (C-contiguous: {a.flags.c_contiguous})")
-    for start, length, *values in flat:
-        if len(start) != len(length) or any(len(v) != length.sum() for v in values):
-            raise ValueError("gibbs_chain CSR arrays disagree in length")
-    if len(mean_map) != tables.demand.mean_spec.n_bins:
-        raise ValueError(f"mean_map has {len(mean_map)} entries for "
-                         f"{tables.demand.mean_spec.n_bins} bins")
-    return [a.ctypes.data for a in arrays]
 
 
 def _sweep_python(tables: SamplerTables, uniforms: np.ndarray, j: int, burn: int,

@@ -60,7 +60,7 @@ class GapReport:
                 f"{self.dropped_duplicate} duplicate timestamps)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
     """One hourly-resolution series, strictly increasing in time.
 
@@ -98,7 +98,7 @@ class TimeSeries:
         return f"{self.timestamps[0]} .. {self.timestamps[-1]} ({len(self)} rows)"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointSeries:
     """Time-aligned triples (w1, w2, demand) over a common set of instants."""
 

@@ -40,7 +40,7 @@ log = logging.getLogger("windgame")
 STAT_ORDER = ("mean", "min", "max")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioResult:
     """Aggregated equilibria per sweep point plus diagnostics and metadata."""
 

@@ -55,7 +55,7 @@ class StrategyGrid:
 
     step: float
     p_n_max: float
-    values: np.ndarray = field(init=False, repr=False)
+    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step <= 0.0:
@@ -72,7 +72,7 @@ class StrategyGrid:
         return len(self.values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerUnitSeries:
     """Per-unit outputs of both players plus demand, per retained sample."""
 
@@ -92,7 +92,7 @@ class PerUnitSeries:
         return len(self.p_d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnergyTables:
     """Aggregate generation (1-D) and curtailment (2-D) over the grid, MWh.
 

@@ -280,17 +280,16 @@ class TestRunScenario:
 
     def test_each_realisation_lives_only_in_its_job(self, tmp_path, monkeypatch):
         # chains are sampled in the jobs, so at most one realisation per
-        # worker exists at a time, never the whole ensemble (keyed by id: a
-        # Realisation holds arrays, so it cannot be hashed into a WeakSet)
+        # worker exists at a time, never the whole ensemble
         import windgame.runner as runner_mod
         write_tiny_dataset(tmp_path)
         path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 20\nseed = 99")
-        alive, most, lock = weakref.WeakValueDictionary(), [0], threading.Lock()
+        alive, most, lock = weakref.WeakSet(), [0], threading.Lock()
         solve = runner_mod._solve_realisation
 
         def tracking(realisation, curve, grid, costs):
             with lock:
-                alive[id(realisation)] = realisation
+                alive.add(realisation)
                 most[0] = max(most[0], len(alive))
             return solve(realisation, curve, grid, costs)
 

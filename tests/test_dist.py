@@ -60,6 +60,11 @@ class TestBinSpec:
         with pytest.raises(DistributionError, match="-0.1"):
             spec.indices(np.array([5.0, -0.1]))
 
+    def test_nan_refused(self):
+        spec = BinSpec(width=1.0, origin=0.0, max_edge=10.0)
+        with pytest.raises(DistributionError, match="nan"):
+            spec.indices(np.array([5.0, np.nan]))
+
     def test_covering_spans_inputs(self):
         spec = BinSpec.covering(3.2, 27.9, 1.0)
         assert spec.origin <= 3.2 and spec.max_edge >= 27.9

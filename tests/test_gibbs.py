@@ -9,6 +9,7 @@ kernel whenever it loads.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -280,34 +281,67 @@ class TestSamplerEdgeCases:
 
 
 class TestKernelArguments:
-    """The compiled path checks dtype, C-contiguity and length of its table
-    arrays on every call and refuses a bad one before the kernel runs."""
+    """The tables are built in the kernel's types and checked once, on
+    construction, so no chain checks them and a bad table never samples."""
 
-    @pytest.fixture(autouse=True)
-    def compiled_path(self, monkeypatch):
-        use_kernel_path("compiled", monkeypatch)
+    def test_any_index_and_value_layout_samples_same_bits(self, synthetic_tables,
+                                                           monkeypatch):
+        joint, demand = synthetic_tables.joint, synthetic_tables.demand
 
-    @pytest.mark.parametrize("group, member, change, error", [
-        (0, 0, lambda a: a.astype(np.int32), TypeError),         # column starts
-        (1, 1, lambda a: a.astype(np.int64), TypeError),         # row lengths
-        (1, 2, lambda a: np.repeat(a, 2)[::2], TypeError),       # row w2, strided
-        (0, 1, lambda a: np.append(a, 1.0), ValueError),         # a length too many
-        (1, 3, lambda a: a[:-1], ValueError),                    # a row column short
-    ])
-    def test_bad_table_array_refused(self, synthetic_series, group, member, change, error):
-        tables = tables_for(synthetic_series)
-        flat = [list(arrays) for arrays in tables.flat]
-        flat[group][member] = change(flat[group][member])
-        object.__setattr__(tables, "flat", tuple(map(tuple, flat)))
-        with pytest.raises(error):
-            run_chain(ChainConfig(n=5, realisations=1, seed=0), tables, 0)
+        def strided(a):
+            return np.repeat(a, 2)[::2]
 
-    def test_mean_map_length_checked(self, synthetic_series):
-        tables = tables_for(synthetic_series)
-        demand = tables.demand
-        object.__setattr__(demand, "merged_map", np.append(demand.merged_map, 0))
-        with pytest.raises(ValueError, match="mean_map"):
-            run_chain(ChainConfig(n=5, realisations=1, seed=0), tables, 0)
+        odd = SamplerTables(
+            joint=replace(joint, row_of=joint.row_of.astype(np.int32),
+                          col_of=joint.col_of.astype(np.int32),
+                          w1_values=strided(joint.w1_values), w2_values=strided(joint.w2_values)),
+            demand=replace(demand, merged_map=demand.merged_map.astype(np.int32),
+                           row_of=demand.row_of.astype(np.int32),
+                           demand_values=strided(demand.demand_values)))
+        config = ChainConfig(n=300, realisations=3, burn_in_fraction=0.0, seed=4)
+
+        def on_both_paths(tables):
+            states = [states_of(run_chain(config, tables, k)) for k in range(3)]
+            with monkeypatch.context() as patch:
+                use_kernel_path("numpy", patch)
+                return states, [states_of(run_chain(config, tables, k)) for k in range(3)]
+
+        assert on_both_paths(odd) == on_both_paths(synthetic_tables)
+
+    def test_mean_map_length_checked(self, synthetic_tables):
+        demand = synthetic_tables.demand
+        with pytest.raises(DistributionError, match="mean-wind map"):
+            SamplerTables(joint=synthetic_tables.joint,
+                          demand=replace(demand, merged_map=demand.merged_map[:-1]))
+
+    def test_negative_mean_map_entry_refused(self, synthetic_tables):
+        demand = synthetic_tables.demand
+        merged_map = demand.merged_map.copy()
+        merged_map[0] = -1
+        with pytest.raises(DistributionError, match="row >= 0"):
+            SamplerTables(joint=synthetic_tables.joint,
+                          demand=replace(demand, merged_map=merged_map))
+
+    def test_mean_bins_above_lowest_winds_refused(self, synthetic_tables):
+        # two bins up, the lowest winds' mean truncates to bin -1
+        demand = synthetic_tables.demand
+        spec = demand.mean_spec
+        shifted = BinSpec(width=spec.width, origin=spec.origin + 2 * spec.width,
+                          max_edge=spec.max_edge + 2 * spec.width)
+        assert shifted.n_bins == spec.n_bins
+        with pytest.raises(DistributionError, match="below the mean-wind bins"):
+            SamplerTables(joint=synthetic_tables.joint,
+                          demand=replace(demand, mean_spec=shifted))
+
+    @pytest.mark.parametrize("table, name", [("joint", "w1_values"), ("joint", "w2_values"),
+                                             ("demand", "demand_values")])
+    def test_non_finite_member_value_refused(self, synthetic_tables, table, name):
+        parts = {"joint": synthetic_tables.joint, "demand": synthetic_tables.demand}
+        values = getattr(parts[table], name).copy()
+        values[3] = np.nan
+        parts[table] = replace(parts[table], **{name: values})
+        with pytest.raises(DistributionError, match="finite"):
+            SamplerTables(**parts)
 
 
 class TestRunEnsemble:
@@ -329,6 +363,12 @@ class TestRunEnsemble:
 def fake_realisation(mean, index):
     arr = np.full(10, mean)
     return Realisation(w1=arr, w2=arr, p_d=arr, chain_index=index)
+
+
+def test_realisations_compare_by_identity():
+    a, b = fake_realisation(1.0, 0), fake_realisation(1.0, 0)
+    assert a == a and a != b
+    assert len(weakref.WeakSet([a, b])) == 2
 
 
 class TestConvergenceStats:

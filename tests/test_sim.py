@@ -190,6 +190,11 @@ class TestStrategyGrid:
         with pytest.raises(WindGameError, match="multiple"):
             StrategyGrid(step=0.4, p_n_max=1.0)
 
+    def test_equal_grids_compare_and_hash_by_scalars(self):
+        a, b = StrategyGrid(step=5.0, p_n_max=100.0), StrategyGrid(step=5.0, p_n_max=100.0)
+        assert a == b and hash(a) == hash(b)
+        assert a != StrategyGrid(step=5.0, p_n_max=50.0)
+
 
 class TestBuildEnergyTables:
     def test_zero_capacity_grid_all_zero(self):
