@@ -95,6 +95,19 @@ def _csr(keys: np.ndarray, n_groups: int, *values: np.ndarray) -> tuple[np.ndarr
             *(v[order] for v in values))
 
 
+def _kernel_arguments(flat, mean_map: np.ndarray, spec: BinSpec) -> tuple:
+    """``gibbs_chain``'s table arguments: the addresses of the CSR arrays and
+    the mean-wind map, then the mean-wind bins. Taken once, where the tables
+    are built; an array that is not C-contiguous in the kernel's dtype (int64
+    starts and indices, float64 lengths and values) is refused, not passed.
+    """
+    arrays = (*flat[0], *flat[1], *flat[2], mean_map)
+    if any(a.dtype != dtype or not a.flags.c_contiguous
+           for a, dtype in zip(arrays, (np.int64, np.float64, np.float64, np.int64) * 3)):
+        raise TypeError("gibbs_chain needs C-contiguous int64 indices and float64 values")
+    return (*(a.ctypes.data for a in arrays), spec.origin, spec.width, spec.n_bins)
+
+
 @dataclass(frozen=True, eq=False)
 class SamplerTables:
     """The joint wind table and the demand conditional, checked and grouped.
@@ -104,11 +117,11 @@ class SamplerTables:
     their retained rows. Per retained row: the raw w2 values and retained
     columns. Per retained mean-wind row: the raw demand values. Drawing a
     member uniformly reproduces count-proportional conditional weights.
-    ``_kernel_args`` holds, in ``gibbs_chain``'s order, the addresses of
-    these arrays and of the mean-wind map, all in the kernel's types, then
-    the mean-wind bins. Construction fails if the joint table is
-    disconnected, a member value is not finite, a mean-wind row has no
-    demand records, or a mean wind the chain can form has no row >= 0.
+    They and the mean-wind map are built in the kernel's types, and
+    ``_kernel_args`` holds ``gibbs_chain``'s table arguments for them.
+    Construction fails if the joint table is disconnected, a member value is
+    not finite, a mean-wind row has no demand records, or a mean wind the
+    chain can form has no row >= 0.
     """
 
     joint: JointTable
@@ -139,9 +152,7 @@ class SamplerTables:
             raise DistributionError(f"mean wind {lowest} lies below the mean-wind bins")
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "_mean_map", mean_map)
-        object.__setattr__(self, "_kernel_args", (
-            *(a.ctypes.data for a in (*flat[0], *flat[1], *flat[2], mean_map)),
-            spec.origin, spec.width, spec.n_bins))
+        object.__setattr__(self, "_kernel_args", _kernel_arguments(flat, mean_map, spec))
 
     @classmethod
     def from_series(cls, series: JointSeries, wind_width: float,

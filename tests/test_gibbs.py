@@ -18,7 +18,7 @@ from scipy.special import stdtrit
 
 from windgame import (BinSpec, ChainConfig, DistributionError, ErgodicityError,
                       Realisation, SamplerTables, chain_rng, convergence_stats,
-                      run_chain, run_ensemble, wci_95)
+                      gibbs, run_chain, run_ensemble, wci_95)
 from windgame.dist import JointTable
 from windgame.gibbs import _T975
 
@@ -307,6 +307,20 @@ class TestKernelArguments:
                 return states, [states_of(run_chain(config, tables, k)) for k in range(3)]
 
         assert on_both_paths(odd) == on_both_paths(synthetic_tables)
+
+    @pytest.mark.parametrize("group, member, change, error", [
+        (0, 0, lambda a: a.astype(np.int32), TypeError),         # column starts
+        (1, 1, lambda a: a.astype(np.int64), TypeError),         # row lengths
+        (1, 2, lambda a: np.repeat(a, 2)[::2], TypeError),       # row w2, strided
+    ])
+    def test_bad_table_array_refused(self, synthetic_tables, group, member, change, error):
+        # the kernel's addresses are taken once, on construction, and only
+        # from arrays in its types
+        flat = [list(arrays) for arrays in synthetic_tables.flat]
+        flat[group][member] = change(flat[group][member])
+        with pytest.raises(error, match="C-contiguous"):
+            gibbs._kernel_arguments(flat, synthetic_tables._mean_map,
+                                    synthetic_tables.demand.mean_spec)
 
     def test_mean_map_length_checked(self, synthetic_tables):
         demand = synthetic_tables.demand
