@@ -1,10 +1,11 @@
 /* The package's two compiled kernels: the energy tables over a capacity
  * grid (energy_tables, for sim.py) and one Gibbs chain's sweeps
  * (gibbs_chain, for gibbs.py). Each performs exactly the operations of the
- * numpy fallback beside its caller, in the same order and with plain
- * double arithmetic, so both paths give the same bits as long as the
- * compiler neither contracts a*b+c into a fused multiply-add nor
- * reassociates: build with -ffp-contract=off and without -ffast-math.
+ * fallback loop beside its caller (numpy in sim.py, plain Python in
+ * gibbs.py), in the same order and with plain double arithmetic, so both
+ * paths give the same bits as long as the compiler neither contracts
+ * a*b+c into a fused multiply-add nor reassociates: build with
+ * -ffp-contract=off and without -ffast-math.
  *
  * energy_tables computes, per cell, the operations of the literal
  * per-timestep loop documented in sim.py:
@@ -21,18 +22,15 @@
  *
  * Each cell is summed over t in ascending order, so the tables are
  * bit-identical to that loop. Only the order in which cells are visited
- * changes: per row i and block of columns, t runs outside and the column
- * loop inside, which the compiler vectorises across j.
+ * changes: per row i, t runs outside and the column loop inside, which the
+ * compiler vectorises across j. The row's two accumulator rows (16 KB at
+ * k = 1,002) stay in L1 while t sweeps the series.
  *
  * Inputs x1, x2 and grid are >= 0 (sim.PerUnitSeries and StrategyGrid
  * check this). The output arrays must be zero on entry.
  */
 #include <stddef.h>
 #include <stdint.h>
-
-/* Columns per block: the block's two accumulator rows (4 KiB) stay in L1
- * while t sweeps the series. */
-#define JBLOCK 256
 
 /* One binary, dispatched at load time to the widest vector unit present.
  * target_clones needs ifunc support (GNU/Linux ELF); elsewhere the portable
@@ -58,28 +56,23 @@ void energy_tables(ptrdiff_t n, ptrdiff_t k,
         }
     }
     for (ptrdiff_t i = 0; i < k; i++) {
-        for (ptrdiff_t j0 = 0; j0 < k; j0 += JBLOCK) {
-            const ptrdiff_t m = k - j0 < JBLOCK ? k - j0 : JBLOCK;
-            const double *restrict gj = grid + j0;
-            double *restrict c1 = e_c1 + i * k + j0;
-            double *restrict c2 = e_c2 + i * k + j0;
-            for (ptrdiff_t t = 0; t < n; t++) {
-                const double g1 = x1[t] * grid[i];
-                const double u2 = x2[t], d = p_d[t];
-                for (ptrdiff_t jj = 0; jj < m; jj++) {
-                    const double total = g1 + u2 * gj[jj];
-                    double surplus = total - d;
-                    surplus = surplus < 0.0 ? 0.0 : surplus;
-                    /* share = total > 0 ? g1/total : 0, written so the
-                     * division runs in every lane and the loop vectorises
-                     * without masking: total + 0.0 == total, and where
-                     * total is 0 so is g1 (both outputs are >= 0), giving
-                     * 0/1 == 0. */
-                    const double share = g1 / (total + (total > 0.0 ? 0.0 : 1.0));
-                    const double pc1 = surplus * share;
-                    c1[jj] += pc1;
-                    c2[jj] += surplus - pc1;
-                }
+        double *restrict c1 = e_c1 + i * k;
+        double *restrict c2 = e_c2 + i * k;
+        for (ptrdiff_t t = 0; t < n; t++) {
+            const double g1 = x1[t] * grid[i];
+            const double u2 = x2[t], d = p_d[t];
+            for (ptrdiff_t j = 0; j < k; j++) {
+                const double total = g1 + u2 * grid[j];
+                double surplus = total - d;
+                surplus = surplus < 0.0 ? 0.0 : surplus;
+                /* share = total > 0 ? g1/total : 0, written so the division
+                 * runs in every lane and the loop vectorises without
+                 * masking: total + 0.0 == total, and where total is 0 so is
+                 * g1 (both outputs are >= 0), giving 0/1 == 0. */
+                const double share = g1 / (total + (total > 0.0 ? 0.0 : 1.0));
+                const double pc1 = surplus * share;
+                c1[j] += pc1;
+                c2[j] += surplus - pc1;
             }
         }
     }

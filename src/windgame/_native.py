@@ -76,7 +76,7 @@ def _load_kernels():
         energy, gibbs = lib.energy_tables, lib.gibbs_chain
     except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
-        log.warning("compiled kernels unavailable, using the numpy loops: %s%s",
+        log.warning("compiled kernels unavailable, using the fallback loops: %s%s",
                     exc, f"\n{stderr}" if stderr else "")
         return None
     energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[_F64] * 8]

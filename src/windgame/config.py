@@ -102,11 +102,14 @@ class ScenarioConfig:
 
 
 def _section(name: str, build, **values):
-    """``build(**values)``, with a validation error prefixed by its INI section."""
+    """``build(**values)``, with a validation error, or an allocation that
+    fails, prefixed by its INI section."""
     try:
         return build(**values)
     except WindGameError as exc:
         raise ConfigError(f"[{name}] {exc}") from None
+    except MemoryError as exc:
+        raise ConfigError(f"[{name}] out of memory: {exc}") from None
 
 
 def _get(parser: configparser.ConfigParser, section: str, key: str,

@@ -72,8 +72,9 @@ def _merge_groups(marginals: np.ndarray, min_count: int) -> np.ndarray:
     Each round merges the single sparsest group (ties to the lowest index)
     into its better-populated adjacent group; edge groups fold inward, and a
     neighbour tie folds toward the lower index. Empty bins are absorbed the
-    same way, so every original bin maps to a populated group. Returns the
-    original-bin -> group assignment.
+    same way, so every original bin maps to a populated group. Only adjacent
+    groups ever merge, so each group is a run of bins kept as its width.
+    Returns the original-bin -> group assignment.
     """
     total = int(marginals.sum())
     if min_count < 1:
@@ -82,27 +83,23 @@ def _merge_groups(marginals: np.ndarray, min_count: int) -> np.ndarray:
         raise DistributionError(
             f"min_count={min_count} exceeds total observation count {total}")
     sums = [int(c) for c in marginals]
-    groups: list[list[int]] = [[i] for i in range(len(sums))]
-    while len(groups) > 1:
+    widths = [1] * len(sums)
+    while len(sums) > 1:
         k = min(range(len(sums)), key=lambda i: (sums[i], i))
         if sums[k] >= min_count:
             break
         if k == 0:
             target = 1
-        elif k == len(groups) - 1:
+        elif k == len(sums) - 1:
             target = k - 1
         else:
             target = k - 1 if sums[k - 1] >= sums[k + 1] else k + 1
         lo, hi = min(k, target), max(k, target)
-        groups[lo] = groups[lo] + groups[hi]
         sums[lo] = sums[lo] + sums[hi]
-        del groups[hi]
+        widths[lo] = widths[lo] + widths[hi]
         del sums[hi]
-    assignment = np.empty(len(marginals), dtype=np.int64)
-    for g, members in enumerate(groups):
-        for m in members:
-            assignment[m] = g
-    return assignment
+        del widths[hi]
+    return np.repeat(np.arange(len(widths), dtype=np.int64), widths)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,27 +217,19 @@ def count_cell_components(table: JointTable) -> int:
     """Connected components of the bipartite graph of nonempty cells.
 
     Rows and columns are nodes; a nonempty cell is an edge. One component
-    means the chain can reach every retained state from any start.
+    means the chain can reach every retained state from any start. Each
+    component is flooded as a set of rows, grown through the columns it
+    touches until no row is new.
     """
-    n_rows, n_cols = table.counts.shape
-    visited_rows = np.zeros(n_rows, dtype=bool)
-    visited_cols = np.zeros(n_cols, dtype=bool)
+    adjacency = table.counts > 0
+    unreached = adjacency.any(axis=1)
     components = 0
-    for start in range(n_rows):
-        if visited_rows[start] or not table.counts[start].any():
-            continue
+    while unreached.any():
         components += 1
-        stack_rows = [start]
-        visited_rows[start] = True
-        while stack_rows:
-            row = stack_rows.pop()
-            for col in np.nonzero(table.counts[row])[0]:
-                if not visited_cols[col]:
-                    visited_cols[col] = True
-                    for nxt in np.nonzero(table.counts[:, col])[0]:
-                        if not visited_rows[nxt]:
-                            visited_rows[nxt] = True
-                            stack_rows.append(int(nxt))
+        rows = np.arange(len(unreached)) == np.argmax(unreached)
+        while not np.array_equal(grown := adjacency @ (rows @ adjacency), rows):
+            rows = grown
+        unreached &= ~rows
     return components
 
 

@@ -148,7 +148,7 @@ class SamplerTables:
         if len(mean_map) != spec.n_bins or (mean_map < 0).any():
             raise DistributionError(f"mean-wind map needs a row >= 0 per bin ({spec.n_bins})")
         lowest = (float(w1.min()) + float(w2.min())) * 0.5  # bins clamp only above
-        if int((lowest - spec.origin) / spec.width) < 0:
+        if spec.unchecked_indices(np.float64(lowest)) < 0:
             raise DistributionError(f"mean wind {lowest} lies below the mean-wind bins")
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "_mean_map", mean_map)

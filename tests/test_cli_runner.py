@@ -411,6 +411,22 @@ class TestCli:
         assert ("error: [game] out of memory: Unable to allocate 1.82 TiB"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_unallocatable_grid_named_by_section(self, tiny_config, command):
+        # 100,000,000,000,001 grid points ask numpy for 728 TiB, refused at once
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("step_mw = 10.0\nmax_mw = 40.0",
+                                            "step_mw = 1e-12\nmax_mw = 100.0"), encoding="utf-8")
+        args = [command, "--config", str(tiny_config)]
+        if command == "run":
+            args += ["--out", str(tiny_config.parent / "out")]
+        done = subprocess.run([sys.executable, "-m", "windgame.cli", *args], cwd=REPO_ROOT,
+                              env=dict(os.environ, PYTHONPATH="src"),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: [grid] out of memory: "), done.stderr
+        assert "Traceback" not in done.stderr
+
     def test_stats_failure_is_stage_tagged(self, tiny_config, capsys):
         (tiny_config.parent / "w1.csv").unlink()
         assert main(["stats", "--config", str(tiny_config)]) == 1

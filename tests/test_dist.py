@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from windgame import (BinSpec, DistributionError, ErgodicityError, JointTable,
                       assert_ergodic, build_demand_conditional, build_joint_wind_table,
                       count_cell_components, merge_sparse_bins)
+from windgame.dist import _merge_groups
 
 from conftest import joint_from_arrays
 
@@ -41,7 +42,61 @@ def table_from(w1, w2, spec1, spec2):
     return build_joint_wind_table(series, spec1, spec2)
 
 
+def greedy_merge(marginals, min_count):
+    """Scalar oracle for ``_merge_groups``: the literal greedy merge over
+    member lists. Each round folds the sparsest group (the lowest index on a
+    tie) into its better-populated neighbour (the lower one on a tie); an edge
+    group folds inward."""
+    groups = [[i] for i in range(len(marginals))]
+    sums = [int(c) for c in marginals]
+    while len(groups) > 1:
+        k = min(range(len(sums)), key=lambda i: (sums[i], i))
+        if sums[k] >= min_count:
+            break
+        if k == 0:
+            target = 1
+        elif k == len(groups) - 1:
+            target = k - 1
+        else:
+            target = k - 1 if sums[k - 1] >= sums[k + 1] else k + 1
+        lo, hi = sorted((k, target))
+        groups[lo] += groups.pop(hi)
+        sums[lo] += sums.pop(hi)
+    assignment = [0] * len(marginals)
+    for g, members in enumerate(groups):
+        for m in members:
+            assignment[m] = g
+    return assignment
+
+
+def union_find_components(counts):
+    """Scalar oracle for ``count_cell_components``: union-find over row nodes
+    0..R-1 and column nodes R..R+C-1, one union per nonempty cell, counting
+    the roots of the nonempty rows."""
+    n_rows, n_cols = counts.shape
+    parent = list(range(n_rows + n_cols))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i in range(n_rows):
+        for j in range(n_cols):
+            if counts[i, j] > 0:
+                parent[find(i)] = find(n_rows + j)
+    return len({find(i) for i in range(n_rows) if counts[i].any()})
+
+
 WIDE = BinSpec(width=10.0, origin=0.0, max_edge=30.0)
+
+
+def table_with_counts(counts):
+    """A joint table holding only ``counts``: what the connectivity check reads."""
+    none = np.zeros(0, dtype=np.int64)
+    return JointTable(spec1=WIDE, spec2=WIDE, counts=counts, merged_map_1=none,
+                      merged_map_2=none, w1_values=none.astype(np.float64),
+                      w2_values=none.astype(np.float64), row_of=none, col_of=none)
 
 
 class TestBinSpec:
@@ -155,10 +210,26 @@ class TestMergeSparseBins:
         w1 = np.array(values)
         w2 = np.roll(w1, 1)
         spec = BinSpec(width=3.0, origin=0.0, max_edge=30.0)
-        merged = merge_sparse_bins(table_from(w1, w2, spec, spec), min_count)
+        table = table_from(w1, w2, spec, spec)
+        merged = merge_sparse_bins(table, min_count)
         assert merged.counts.sum() == len(values)
         assert np.all(merged.counts.sum(axis=1) >= min_count)
         assert np.all(merged.counts.sum(axis=0) >= min_count)
+        assert merged.merged_map_1.tolist() == greedy_merge(table.counts.sum(axis=1), min_count)
+        assert merged.merged_map_2.tolist() == greedy_merge(table.counts.sum(axis=0), min_count)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=16)
+           .filter(lambda counts: sum(counts) > 0))
+    def test_merge_matches_greedy_oracle_at_every_min_count(self, counts):
+        # small counts give zeros and ties among groups and among neighbours
+        marginals = np.array(counts, dtype=np.int64)
+        for min_count in range(1, sum(counts) + 1):
+            assignment = _merge_groups(marginals, min_count)
+            assert assignment.dtype == np.int64
+            assert assignment.tolist() == greedy_merge(counts, min_count)
+        with pytest.raises(DistributionError, match="exceeds total"):
+            _merge_groups(marginals, sum(counts) + 1)
 
 
 class TestConditionalSlice:
@@ -256,4 +327,42 @@ class TestConnectivity:
             row_of=np.array([0] * 4 + [1] * 4), col_of=np.array([0] * 4 + [1] * 4))
         assert count_cell_components(table) == 2
         with pytest.raises(ErgodicityError, match="disconnected"):
+            assert_ergodic(table)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data())
+    def test_sparse_tables_match_union_find(self, data):
+        n_rows = data.draw(st.integers(min_value=1, max_value=12))
+        n_cols = data.draw(st.integers(min_value=1, max_value=12))
+        cells = data.draw(st.lists(st.tuples(st.integers(0, n_rows - 1),
+                                             st.integers(0, n_cols - 1)),
+                                   min_size=1, max_size=n_rows + n_cols))
+        counts = np.zeros((n_rows, n_cols), dtype=np.int64)
+        for i, j in cells:
+            counts[i, j] += 1
+        assert count_cell_components(table_with_counts(counts)) == union_find_components(counts)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.data())
+    def test_three_or_more_blocks_detected(self, data):
+        # disjoint blocks on their own rows and columns, between empty rows and
+        # columns, then shuffled: at least one component per block
+        blocks = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                    min_size=3, max_size=4))
+        n_rows = sum(r for r, _ in blocks) + data.draw(st.integers(0, 2))
+        n_cols = sum(c for _, c in blocks) + data.draw(st.integers(0, 2))
+        counts = np.zeros((n_rows, n_cols), dtype=np.int64)
+        row = col = 0
+        for rows, cols in blocks:
+            cells = data.draw(st.lists(st.booleans(), min_size=rows * cols,
+                                       max_size=rows * cols).filter(any))
+            counts[row:row + rows, col:col + cols] = np.reshape(cells, (rows, cols))
+            row, col = row + rows, col + cols
+        counts = counts[data.draw(st.permutations(range(n_rows)))]
+        counts = counts[:, data.draw(st.permutations(range(n_cols)))]
+        expected = union_find_components(counts)
+        assert expected >= 3
+        table = table_with_counts(counts)
+        assert count_cell_components(table) == expected
+        with pytest.raises(ErgodicityError, match=f"splits into {expected} disconnected"):
             assert_ergodic(table)

@@ -296,7 +296,8 @@ class TestEnergyKernelOracle:
                                    StrategyGrid(step=1.0, p_n_max=0.0))
 
     def test_grid_not_a_multiple_of_the_column_block(self, energy_path):
-        # 259 columns: one full 256-column block plus a 3-column tail
+        # 259 columns, a count no vector width divides: the column loop ends
+        # in a scalar tail
         assert_matches_brute_force(random_per_unit(3, seed=11),
                                    StrategyGrid(step=0.5, p_n_max=129.0))
 
@@ -353,7 +354,7 @@ class TestKernelBuild:
                 run_chain(ChainConfig(n=20, realisations=1, seed=1), synthetic_tables, 0)
         finally:
             _native._load_kernels.cache_clear()
-        warnings = [r for r in caplog.records if "using the numpy loop" in r.getMessage()]
+        warnings = [r for r in caplog.records if "using the fallback loops" in r.getMessage()]
         assert len(warnings) == 1
         assert "no C compiler" in warnings[0].getMessage()
 
@@ -384,7 +385,7 @@ class TestKernelBuild:
         finally:
             sys.setswitchinterval(interval)
             _native._load_kernels.cache_clear()
-        warnings = [r for r in caplog.records if "using the numpy loop" in r.getMessage()]
+        warnings = [r for r in caplog.records if "using the fallback loops" in r.getMessage()]
         assert len(warnings) == 1
         for other in tables[1:]:
             for name in ("e_g1", "e_g2", "e_c1", "e_c2"):
