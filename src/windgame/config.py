@@ -90,8 +90,6 @@ class ScenarioConfig:
             raise ConfigError("bin widths must be positive")
         if self.min_count < 1:
             raise ConfigError("min_count must be >= 1")
-        if not self.sweep.values():
-            raise ConfigError("sweep range is empty")
         if (self.curve_alpha is None) != (self.curve_beta is None):
             raise ConfigError("power curve needs both alpha and beta, or neither")
         if self.curve_alpha is not None and self.curve_points is not None:
@@ -102,14 +100,11 @@ class ScenarioConfig:
 
 
 def _section(name: str, build, **values):
-    """``build(**values)``, with a validation error, or an allocation that
-    fails, prefixed by its INI section."""
+    """``build(**values)``, with a validation error prefixed by its INI section."""
     try:
         return build(**values)
     except WindGameError as exc:
         raise ConfigError(f"[{name}] {exc}") from None
-    except MemoryError as exc:
-        raise ConfigError(f"[{name}] out of memory: {exc}") from None
 
 
 def _get(parser: configparser.ConfigParser, section: str, key: str,

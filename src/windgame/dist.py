@@ -20,12 +20,21 @@ from .errors import DistributionError, ErgodicityError
 from .ingest import JointSeries
 
 
+def _check_bin_count(count: float, width: float) -> None:
+    """Refuse a bin count that is not finite, or whose n x n int64 joint table
+    numpy cannot shape."""
+    if not math.isfinite(count) or math.ceil(count) ** 2 * 8 > np.iinfo(np.intp).max:
+        raise DistributionError(f"bin width {width} gives {count:.4g} bins, too many for "
+                                f"an n x n joint table")
+
+
 @dataclass(frozen=True)
 class BinSpec:
     """Uniform binning of one variable: [origin, max_edge) in steps of width.
 
     The closing edge is inclusive: a value exactly at ``max_edge`` falls into
-    the last bin.
+    the last bin. A width giving more bins than an n x n joint table can hold
+    is refused.
     """
 
     width: float
@@ -37,6 +46,7 @@ class BinSpec:
             raise DistributionError(f"bin width must be positive, got {self.width}")
         if self.max_edge <= self.origin:
             raise DistributionError(f"max_edge {self.max_edge} must exceed origin {self.origin}")
+        _check_bin_count((self.max_edge - self.origin) / self.width, self.width)
 
     @property
     def n_bins(self) -> int:
@@ -45,6 +55,8 @@ class BinSpec:
     @classmethod
     def covering(cls, lo: float, hi: float, width: float) -> "BinSpec":
         """Smallest spec with the given width whose bins cover [lo, hi]."""
+        # floor() below needs lo / width finite as well as the count
+        _check_bin_count((hi - lo) / width if math.isfinite(lo / width) else math.inf, width)
         origin = math.floor(lo / width) * width
         n = max(1, int(math.ceil((hi - origin) / width)))
         while origin + n * width < hi:

@@ -83,19 +83,26 @@ class Equilibrium:
     best_response: BestResponse = field(repr=False, compare=False)
 
 
-def profit_surfaces(tables: EnergyTables, costs: CostParams) -> ProfitSurfaces:
-    """Evaluate both profit functions at every grid cell.
+def _leader_profit(e_g1, e_c1, e_g2, e_c2, costs: CostParams) -> np.ndarray:
+    """pi1 = delivered_1 * p_g - e_g1 * c_g1 + delivered_2 * p_t - c_t, where
+    delivered_i = e_gi - e_ci, cell by cell over broadcastable energies."""
+    return ((e_g1 - e_c1) * costs.p_g - e_g1 * costs.c_g1
+            + (e_g2 - e_c2) * costs.p_t - costs.c_t)
 
-    pi1 = delivered_1 * p_g - e_g1 * c_g1 + delivered_2 * p_t - c_t
-    pi2 = delivered_2 * (p_g - p_t) - e_g2 * c_g2
-    where delivered_i = e_gi - e_ci.
-    """
-    delivered1 = tables.e_g1[:, None] - tables.e_c1
-    delivered2 = tables.e_g2[None, :] - tables.e_c2
-    pi1 = (delivered1 * costs.p_g - tables.e_g1[:, None] * costs.c_g1
-           + delivered2 * costs.p_t - costs.c_t)
-    pi2 = delivered2 * (costs.p_g - costs.p_t) - tables.e_g2[None, :] * costs.c_g2
-    return ProfitSurfaces(pi1=pi1, pi2=pi2)
+
+def _follower_profit(e_g2, e_c2, costs: CostParams, out=None) -> np.ndarray:
+    """pi2 = delivered_2 * (p_g - p_t) - e_g2 * c_g2, written into ``out`` if given."""
+    pi2 = np.subtract(e_g2, e_c2, out=out)
+    pi2 *= costs.p_g - costs.p_t
+    pi2 -= e_g2 * costs.c_g2
+    return pi2
+
+
+def profit_surfaces(tables: EnergyTables, costs: CostParams) -> ProfitSurfaces:
+    """Evaluate both profit functions at every grid cell (i, j)."""
+    e_g1, e_g2 = tables.e_g1[:, None], tables.e_g2[None, :]
+    return ProfitSurfaces(pi1=_leader_profit(e_g1, tables.e_c1, e_g2, tables.e_c2, costs),
+                          pi2=_follower_profit(e_g2, tables.e_c2, costs))
 
 
 def _backward_induction(pi2: np.ndarray, grid: StrategyGrid, leader_profits) -> Equilibrium:
@@ -105,11 +112,12 @@ def _backward_induction(pi2: np.ndarray, grid: StrategyGrid, leader_profits) -> 
         raise WindGameError(f"surface shape {pi2.shape} does not match grid of {len(grid)}")
     cols = np.argmax(pi2, axis=1)
     pi1 = leader_profits(np.arange(len(grid)), cols)
-    if not np.all(np.isfinite(pi1)):
+    if not (np.all(np.isfinite(pi2)) and np.all(np.isfinite(pi1))):
         raise WindGameError("profit surfaces must be finite")
     i = int(np.argmax(pi1))
     j = int(cols[i])
-    return Equilibrium(p_n1_star=float(grid.values[i]), p_n2_star=float(grid.values[j]),
+    values = grid.values
+    return Equilibrium(p_n1_star=float(values[i]), p_n2_star=float(values[j]),
                        pi1_star=float(pi1[i]), pi2_star=float(pi2[i, j]), leader_index=i,
                        follower_index=j, best_response=BestResponse(indices=cols))
 
@@ -126,18 +134,10 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
 
 def equilibrium(tables: EnergyTables, costs: CostParams, out=None) -> Equilibrium:
     """``stackelberg(profit_surfaces(tables, costs), tables.grid)`` bit for bit, from
-    one k x k buffer: pi1 is evaluated only along the follower's best response.
+    one k x k buffer: the same profits, pi1 only along the follower's best response.
     Pass the same float64 ``out`` for every sweep point to reuse that buffer."""
-    pi2 = np.subtract(tables.e_g2[None, :], tables.e_c2, out=out)
-    pi2 *= costs.p_g - costs.p_t
-    pi2 -= tables.e_g2[None, :] * costs.c_g2
-    if not np.all(np.isfinite(pi2)):
-        raise WindGameError("profit surfaces must be finite")
-
-    def leader_profits(rows, cols):
-        delivered1 = tables.e_g1[rows] - tables.e_c1[rows, cols]
-        delivered2 = tables.e_g2[cols] - tables.e_c2[rows, cols]
-        return (delivered1 * costs.p_g - tables.e_g1[rows] * costs.c_g1
-                + delivered2 * costs.p_t - costs.c_t)
-
-    return _backward_induction(pi2, tables.grid, leader_profits)
+    e_c1, e_c2 = tables.e_c1, tables.e_c2
+    return _backward_induction(
+        _follower_profit(tables.e_g2[None, :], e_c2, costs, out=out), tables.grid,
+        lambda rows, cols: _leader_profit(tables.e_g1[rows], e_c1[rows, cols],
+                                          tables.e_g2[cols], e_c2[rows, cols], costs))

@@ -46,6 +46,9 @@ class ChainConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DistributionError(f"chain length n must be >= 1, got {self.n}")
+        if 3 * self.n * 8 > np.iinfo(np.intp).max:  # its 3 x n float64 states and uniforms
+            raise DistributionError(f"chain length n={self.n} is too long for numpy "
+                                    f"to address its 3 x n samples")
         if self.realisations < 1:
             raise DistributionError(f"realisations must be >= 1, got {self.realisations}")
         if not 0.0 <= self.burn_in_fraction < 1.0:

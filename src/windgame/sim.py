@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -51,25 +51,30 @@ class PowerCurve:
 
 @dataclass(frozen=True)
 class StrategyGrid:
-    """Discrete capacity choices 0, step, 2*step, ..., p_n_max (MW)."""
+    """Discrete capacity choices 0, step, 2*step, ..., p_n_max (MW), built on read as
+    ``values``; a grid whose k x k float64 tables numpy cannot shape is refused."""
 
     step: float
     p_n_max: float
-    values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.step <= 0.0:
             raise WindGameError(f"grid step must be positive, got {self.step}")
         if self.p_n_max < 0.0:
             raise WindGameError(f"p_n_max must be nonnegative, got {self.p_n_max}")
-        n = round(self.p_n_max / self.step)
-        if abs(n * self.step - self.p_n_max) > 1e-9 * max(1.0, self.p_n_max):
+        ratio = self.p_n_max / self.step  # may overflow to inf, which round() refuses
+        if not np.isfinite(ratio) or (round(ratio) + 1) ** 2 * 8 > np.iinfo(np.intp).max:
+            raise WindGameError(f"{ratio + 1:.4g} grid points are too many for k x k tables")
+        if abs(round(ratio) * self.step - self.p_n_max) > 1e-9 * max(1.0, self.p_n_max):
             raise WindGameError(
                 f"p_n_max {self.p_n_max} is not an integer multiple of step {self.step}")
-        object.__setattr__(self, "values", np.arange(n + 1, dtype=np.float64) * self.step)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return round(self.p_n_max / self.step) + 1
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.arange(len(self), dtype=np.float64) * self.step
 
 
 @dataclass(frozen=True, eq=False)

@@ -85,6 +85,17 @@ c_t = 1.0e5
     return path
 
 
+def run_cli_process(command, config):
+    """``windgame <command> --config <config>`` in a fresh interpreter, where an
+    escaping exception prints a traceback."""
+    args = [command, "--config", str(config)]
+    if command == "run":
+        args += ["--out", str(config.parent / "out")]
+    return subprocess.run([sys.executable, "-m", "windgame.cli", *args], cwd=REPO_ROOT,
+                          env=dict(os.environ, PYTHONPATH="src"),
+                          capture_output=True, text=True, timeout=60)
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     write_tiny_dataset(tmp_path)
@@ -171,7 +182,20 @@ class TestLoadConfig:
          r"\[power_curve\] power curve parameters must be positive"),
         ("[grid]", "[power_curve]\npoints = curve.csv\nalpha = 0.9\nbeta = 7.5\n\n[grid]",
          r"\[power_curve\] give either points or alpha and beta, not both"),
-    ], ids=["grid-max-off-step", "zero-alpha", "negative-beta", "points-and-alpha-beta"])
+        ("step_mw = 10.0", "step_mw = 1e-300",
+         r"\[grid\] 4e\+301 grid points are too many for k x k tables"),
+        ("step_mw = 10.0", "step_mw = 5e-324",
+         r"\[grid\] inf grid points are too many for k x k tables"),
+        ("[grid]", "[power_curve]\nalpha = 0.9\n\n[grid]",
+         r"power curve needs both alpha and beta, or neither"),
+        ("demand_target_mean_mw = 108.1830", "demand_target_mean_mw = 0",
+         r"demand target mean must be positive"),
+        ("wind_width_ms = 4.0", "wind_width_ms = 0", r"bin widths must be positive"),
+        ("demand_width_mw = 20.0", "demand_width_mw = -5", r"bin widths must be positive"),
+        ("min_count = 4", "min_count = 0", r"min_count must be >= 1"),
+    ], ids=["grid-max-off-step", "zero-alpha", "negative-beta", "points-and-alpha-beta",
+            "grid-step-1e-300", "grid-step-5e-324", "alpha-without-beta",
+            "demand-target-mean", "wind-width", "demand-width", "min-count"])
     def test_bad_grid_or_curve_refused_at_load(self, tiny_config, old, new, message):
         text = tiny_config.read_text(encoding="utf-8")
         assert old in text
@@ -344,6 +368,14 @@ class TestRunScenario:
         assert "windgame" in meta["versions"]
         assert set(meta["timing_s"]) == {"ingest", "tables", "curve", "game"}
 
+    def test_explicit_power_curve_used(self, tiny_config, tmp_path):
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("[grid]", "[power_curve]\nalpha = 0.75\n"
+                                            "beta = 9.25\n\n[grid]"), encoding="utf-8")
+        emit_report(run_scenario(load_config(tiny_config)), tmp_path / "curve")
+        meta = json.loads((tmp_path / "curve" / "run.json").read_text())
+        assert meta["power_curve"] == {"alpha": 0.75, "beta": 9.25}
+
     def test_gap_reports_logged(self, tiny_config, caplog):
         import logging
         with caplog.at_level(logging.INFO, logger="windgame"):
@@ -413,19 +445,31 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["run", "stats"])
     def test_unallocatable_grid_named_by_section(self, tiny_config, command):
-        # 100,000,000,000,001 grid points ask numpy for 728 TiB, refused at once
+        # 1e14 points need k x k tables of 8e28 bytes, past np.intp, and at
+        # 5e-324 the point count overflows to inf; nothing is allocated for either
         text = tiny_config.read_text(encoding="utf-8")
-        tiny_config.write_text(text.replace("step_mw = 10.0\nmax_mw = 40.0",
-                                            "step_mw = 1e-12\nmax_mw = 100.0"), encoding="utf-8")
-        args = [command, "--config", str(tiny_config)]
-        if command == "run":
-            args += ["--out", str(tiny_config.parent / "out")]
-        done = subprocess.run([sys.executable, "-m", "windgame.cli", *args], cwd=REPO_ROOT,
-                              env=dict(os.environ, PYTHONPATH="src"),
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 1
-        assert done.stderr.startswith("error: [grid] out of memory: "), done.stderr
-        assert "Traceback" not in done.stderr
+        for step, points in (("1e-12", "1e+14"), ("1e-300", "1e+302"), ("5e-324", "inf")):
+            tiny_config.write_text(text.replace("step_mw = 10.0\nmax_mw = 40.0",
+                                                f"step_mw = {step}\nmax_mw = 100.0"),
+                                   encoding="utf-8")
+            done = run_cli_process(command, tiny_config)
+            assert done.returncode == 1
+            assert done.stderr == (f"error: [grid] {points} grid points are too many "
+                                   f"for k x k tables\n"), done.stderr
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_unshapeable_bins_named_by_stage(self, tiny_config, command):
+        # ~2e10 bins already make an n x n joint table numpy cannot shape, and at
+        # 5e-324 the bin count overflows to inf
+        text = tiny_config.read_text(encoding="utf-8")
+        for width in ("1e-9", "1e-300", "5e-324"):
+            tiny_config.write_text(text.replace("wind_width_ms = 4.0",
+                                                f"wind_width_ms = {width}"), encoding="utf-8")
+            done = run_cli_process(command, tiny_config)
+            assert done.returncode == 1
+            assert "Traceback" not in done.stderr
+            assert done.stderr.splitlines()[-1].startswith(
+                f"error: [tables] bin width {float(width)} gives "), done.stderr
 
     def test_stats_failure_is_stage_tagged(self, tiny_config, capsys):
         (tiny_config.parent / "w1.csv").unlink()
@@ -456,7 +500,11 @@ class TestCli:
          "[chain] burn_in_fraction must be in [0, 1), got 1.5"),
         ("seed = 99", "seed = -1", "[chain] seed must be >= 0, got -1"),
         ("p_g = 74.3", "p_g = 0", "[costs] generation tariff must be positive, got 0.0"),
-    ], ids=["n", "burn_in_fraction", "seed", "p_g"])
+        ("n = 300", "n = 10000000000000000000",
+         "[chain] chain length n=10000000000000000000 is too long for numpy to address "
+         "its 3 x n samples"),
+        ("realisations = 3", "realisations = 0", "[chain] realisations must be >= 1, got 0"),
+    ], ids=["n", "burn_in_fraction", "seed", "p_g", "n-unaddressable", "realisations"])
     def test_bad_chain_or_costs_named_by_section(self, tiny_config, capsys, old, new, message):
         text = tiny_config.read_text(encoding="utf-8")
         assert old in text
@@ -524,7 +572,8 @@ class TestCli:
                 in capsys.readouterr().err)
 
     def test_readme_library_use(self):
-        readme = open(f"{REPO_ROOT}/README.md", encoding="utf-8").read()
+        with open(f"{REPO_ROOT}/README.md", encoding="utf-8") as handle:
+            readme = handle.read()
         block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1]
         block = block.split("```", 1)[0]
         # the subprocess inherits the session's kernel cache directory

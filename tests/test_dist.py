@@ -132,6 +132,18 @@ class TestBinSpec:
         with pytest.raises(DistributionError):
             BinSpec(width=1.0, origin=2.0, max_edge=1.0)
 
+    def test_bins_refused_where_numpy_cannot_shape_the_joint_table(self):
+        # 2**30 bins make an n x n int64 table of 2**63 bytes, one past np.intp
+        assert BinSpec(width=1.0, origin=0.0, max_edge=2.0**30 - 1).n_bins == 2**30 - 1
+        with pytest.raises(DistributionError, match=r"gives 1.074e\+09 bins"):
+            BinSpec(width=1.0, origin=0.0, max_edge=2.0**30)
+        with pytest.raises(ValueError):
+            np.zeros((2**30, 2**30), dtype=np.int64)
+        # lo / width overflows even where the range spans no bins
+        for lo, hi in ((0.1, 28.0), (5.0, 5.0)):
+            with pytest.raises(DistributionError, match="gives inf bins"):
+                BinSpec.covering(lo, hi, 5e-324)
+
 
 class TestBuildJointTable:
     def test_degenerate_single_cell(self):

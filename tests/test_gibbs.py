@@ -231,6 +231,11 @@ class TestRunChain:
             ChainConfig(n=0, realisations=1, seed=0)
         with pytest.raises(DistributionError):
             ChainConfig(n=10, realisations=1, burn_in_fraction=1.0, seed=0)
+        # the last n whose 3 x n float64 samples numpy can shape, and the first past it
+        longest = np.iinfo(np.intp).max // 24
+        assert ChainConfig(n=longest, realisations=1).n == longest
+        with pytest.raises(DistributionError, match="too long for numpy"):
+            ChainConfig(n=longest + 1, realisations=1)
 
 
 class TestInitChainNumpy(OnNumpyPath, TestInitChain):

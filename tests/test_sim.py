@@ -1,6 +1,7 @@
 """Power curve, curtailment sharing, and energy-tensor aggregation."""
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import subprocess
@@ -194,6 +195,15 @@ class TestStrategyGrid:
         a, b = StrategyGrid(step=5.0, p_n_max=100.0), StrategyGrid(step=5.0, p_n_max=100.0)
         assert a == b and hash(a) == hash(b)
         assert a != StrategyGrid(step=5.0, p_n_max=50.0)
+        assert [f.name for f in dataclasses.fields(StrategyGrid)] == ["step", "p_n_max"]
+
+    def test_grid_refused_where_numpy_cannot_shape_its_tables(self):
+        # 2**30 points make k x k float64 tables of 2**63 bytes, one past np.intp
+        assert len(StrategyGrid(step=1.0, p_n_max=2.0**30 - 2)) == 2**30 - 1
+        with pytest.raises(WindGameError, match=r"1.074e\+09 grid points are too many"):
+            StrategyGrid(step=1.0, p_n_max=2.0**30 - 1)
+        with pytest.raises(ValueError):
+            np.zeros((2**30, 2**30))
 
 
 class TestBuildEnergyTables:
