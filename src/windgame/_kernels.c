@@ -1,7 +1,8 @@
-/* The package's two compiled kernels: the energy tables over a capacity
- * grid (energy_tables, for sim.py) and one Gibbs chain's sweeps
- * (gibbs_chain, for gibbs.py). Each performs exactly the operations of the
- * fallback loop beside its caller (numpy in sim.py, plain Python in
+/* The package's three compiled kernels: the energy tables over a capacity
+ * grid (energy_tables, for sim.py), one Gibbs chain's sweeps (gibbs_chain,
+ * for gibbs.py) and the follower's best response to every leader capacity
+ * (follower_best, for game.py). Each performs exactly the operations of the
+ * fallback beside its caller (numpy in sim.py and game.py, plain Python in
  * gibbs.py), in the same order and with plain double arithmetic, so both
  * paths give the same bits as long as the compiler neither contracts
  * a*b+c into a fused multiply-add nor reassociates: build with
@@ -31,17 +32,18 @@
  */
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* One binary, dispatched at load time to the widest vector unit present.
  * target_clones needs ifunc support (GNU/Linux ELF); elsewhere the portable
  * version is built. */
 #if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__)
-#define ENERGY_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
-#define ENERGY_CLONES
+#define VECTOR_CLONES
 #endif
 
-ENERGY_CLONES
+VECTOR_CLONES
 void energy_tables(ptrdiff_t n, ptrdiff_t k,
                    const double *restrict x1, const double *restrict x2,
                    const double *restrict p_d, const double *restrict grid,
@@ -122,4 +124,70 @@ void gibbs_chain(ptrdiff_t n, ptrdiff_t burn, const double *restrict u, int64_t 
             out_pd[t - burn] = p_d;
         }
     }
+}
+
+/* A key per double's bits b that orders as the doubles do (-0.0 just below
+ * +0.0, NaNs outside the infinities): b itself when the sign is clear, b
+ * with every other bit flipped when it is set. The map is its own inverse.
+ */
+static inline int64_t order_key(int64_t b)
+{
+    return b ^ (int64_t)((uint64_t)(b >> 63) >> 1);
+}
+
+/* The follower's best response for game.equilibrium, one leader row at a
+ * time. Cell j of row i is the follower's profit, computed with exactly the
+ * operations of its twin game._follower_profit, given margin = p_g - p_t:
+ *
+ *   pi2[i,j] = (e_g2[j] - e_c2[i,j]) * margin - e_g2[j] * c_g2
+ *
+ * cols[i] is the first column of the row's maximum, as np.argmax picks it,
+ * so -0.0 and +0.0 tie and the first zero of either sign wins; best[i] is
+ * that cell's own value, sign bit included. row is k doubles of workspace;
+ * no k x k surface is stored. Returns 1 as soon as a row holds a non-finite
+ * cell, with the outputs partly written, and 0 otherwise.
+ *
+ * GCC vectorises no double max-reduction without -ffast-math, so the row's
+ * maximum is taken over order_key of its cells' bits, and its non-finite
+ * test over their magnitude bits; a blocked scan then finds the first cell
+ * equal to the maximum.
+ */
+VECTOR_CLONES
+int follower_best(ptrdiff_t k, const double *restrict e_g2, const double *restrict e_c2,
+                  double margin, double c_g2, int64_t *restrict cols,
+                  double *restrict best, double *restrict row)
+{
+    const int64_t magnitude = INT64_MAX, infinity = INT64_C(0x7ff0000000000000);
+    for (ptrdiff_t i = 0; i < k; i++) {
+        const double *restrict c2 = e_c2 + i * k;
+        int64_t top = INT64_MIN, widest = 0;
+        for (ptrdiff_t j = 0; j < k; j++) {
+            const double v = (e_g2[j] - c2[j]) * margin - e_g2[j] * c_g2;
+            int64_t b;
+            memcpy(&b, &v, sizeof b);
+            row[j] = v;
+            const int64_t key = order_key(b), size = b & magnitude;
+            top = key > top ? key : top;
+            widest = size > widest ? size : widest;
+        }
+        if (widest >= infinity)
+            return 1;
+        const int64_t top_bits = order_key(top);
+        double m;
+        memcpy(&m, &top_bits, sizeof m);
+        /* every cell is finite, so some cell equals m */
+        ptrdiff_t j = 0;
+        for (; j + 8 <= k; j += 8) {
+            int hit = 0;
+            for (int l = 0; l < 8; l++)
+                hit |= row[j + l] == m;
+            if (hit)
+                break;
+        }
+        while (row[j] != m)
+            j++;
+        cols[i] = j;
+        best[i] = row[j];
+    }
+    return 0;
 }

@@ -1,12 +1,13 @@
 """Build and load the compiled kernels in ``_kernels.c``.
 
-The source holds two entry points: ``energy_tables`` (used by ``sim``) and
-``gibbs_chain`` (used by ``gibbs``). It is compiled on the first call to
-``load_kernels``, not at import, and cached per user under
-``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``). When no
-compiler is found or the build or load fails, one warning is logged and
-``load_kernels`` returns None, so each caller runs its own loop (numpy in
-``sim``, Python in ``gibbs``), which gives the same bits.
+The source holds three entry points: ``energy_tables`` (used by ``sim``),
+``gibbs_chain`` (used by ``gibbs``) and ``follower_best`` (used by
+``game``). It is compiled on the first call to ``load_kernels``, not at
+import, and cached per user under ``$XDG_CACHE_HOME/windgame`` (default
+``~/.cache/windgame``). When no compiler is found, the build or load
+fails or the library lacks an entry point, one warning is logged and
+``load_kernels`` returns None, so each caller runs its own fallback (numpy
+in ``sim`` and ``game``, Python in ``gibbs``), which gives the same bits.
 """
 from __future__ import annotations
 
@@ -73,7 +74,7 @@ def _compile_kernel() -> Path:
 def _load_kernels():
     try:
         lib = ctypes.CDLL(str(_compile_kernel()))
-        energy, gibbs = lib.energy_tables, lib.gibbs_chain
+        energy, gibbs, follower = lib.energy_tables, lib.gibbs_chain, lib.follower_best
     except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
         log.warning("compiled kernels unavailable, using the fallback loops: %s%s",
@@ -81,18 +82,21 @@ def _load_kernels():
         return None
     energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[_F64] * 8]
     energy.restype = None
-    # gibbs_chain's arrays come as addresses, which gibbs.SamplerTables takes
-    # once, from arrays it builds in the kernel's types and checks
+    # gibbs_chain's and follower_best's arrays come as addresses, from
+    # arrays their callers checked or built in the kernel's types
     ptr = ctypes.c_void_p
     gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ctypes.c_int64,
                       *[ptr] * 12, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
                       ptr, ptr, ptr]
     gibbs.restype = None
+    follower.argtypes = [ctypes.c_ssize_t, ptr, ptr, ctypes.c_double, ctypes.c_double,
+                         ptr, ptr, ptr]
+    follower.restype = ctypes.c_int
     return lib
 
 
 def load_kernels():
-    """The compiled library (``energy_tables``, ``gibbs_chain``), or None once
-    it failed to build or load."""
+    """The compiled library (``energy_tables``, ``gibbs_chain``,
+    ``follower_best``), or None once it failed to build or load."""
     with _KERNEL_LOCK:
         return _load_kernels()

@@ -7,8 +7,12 @@ the tariff net of the transmission fee on its delivered energy and pays its
 generation cost. The equilibrium is found by backward induction on the
 capacity grid: the follower's best response per leader capacity, then the
 leader's best choice against that response curve. Ties break toward the
-smaller capacity. ``equilibrium`` builds only the follower's surface;
-``stackelberg`` over ``profit_surfaces`` is the full-surface reference.
+smaller capacity. ``stackelberg`` over ``profit_surfaces`` is the
+full-surface reference. ``equilibrium`` gives its bits without a k x k
+surface: the ``follower_best`` kernel of ``_kernels.c`` finds each row's
+best response one row at a time, and the leader's profit is evaluated along
+that curve alone. When no kernel loads, a numpy fallback builds the
+follower's surface and takes its argmax per row.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _native
 from .errors import WindGameError
 from .sim import EnergyTables, StrategyGrid
 
@@ -105,20 +110,39 @@ def profit_surfaces(tables: EnergyTables, costs: CostParams) -> ProfitSurfaces:
                           pi2=_follower_profit(e_g2, tables.e_c2, costs))
 
 
-def _backward_induction(pi2: np.ndarray, grid: StrategyGrid, leader_profits) -> Equilibrium:
-    """The follower's argmax per row of ``pi2``, then the leader's argmax of
-    ``leader_profits(rows, cols)``; np.argmax's first maximum breaks ties low."""
-    if pi2.shape != (len(grid), len(grid)):
-        raise WindGameError(f"surface shape {pi2.shape} does not match grid of {len(grid)}")
+def _best_response(pi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``pi2``: np.argmax's first maximum, and that cell's value."""
     cols = np.argmax(pi2, axis=1)
+    return cols, pi2[np.arange(len(cols)), cols]
+
+
+def _follower_best(kernels, tables: EnergyTables,
+                   costs: CostParams) -> tuple[np.ndarray, np.ndarray]:
+    """``_best_response`` of ``_follower_profit`` over the tables, row by row in
+    the ``follower_best`` kernel: O(k) memory, no k x k surface."""
+    k = len(tables.grid)
+    cols = np.empty(k, dtype=np.int64)
+    work = np.empty((2, k))  # each row's best pi2, then the row in hand
+    at = work.ctypes.data
+    e_g2, e_c2 = np.ascontiguousarray(tables.e_g2), np.ascontiguousarray(tables.e_c2)
+    if kernels.follower_best(k, e_g2.ctypes.data, e_c2.ctypes.data, costs.p_g - costs.p_t,
+                             costs.c_g2, cols.ctypes.data, at, at + work.strides[0]):
+        raise WindGameError("profit surfaces must be finite")
+    return cols, work[0]
+
+
+def _leader_choice(cols: np.ndarray, pi2_best: np.ndarray, grid: StrategyGrid,
+                   leader_profits) -> Equilibrium:
+    """The leader's argmax of ``leader_profits(rows, cols)`` along the follower's
+    response ``cols`` (whose cells' pi2 is ``pi2_best``); ties break low."""
     pi1 = leader_profits(np.arange(len(grid)), cols)
-    if not (np.all(np.isfinite(pi2)) and np.all(np.isfinite(pi1))):
+    if not np.all(np.isfinite(pi1)):
         raise WindGameError("profit surfaces must be finite")
     i = int(np.argmax(pi1))
     j = int(cols[i])
     values = grid.values
     return Equilibrium(p_n1_star=float(values[i]), p_n2_star=float(values[j]),
-                       pi1_star=float(pi1[i]), pi2_star=float(pi2[i, j]), leader_index=i,
+                       pi1_star=float(pi1[i]), pi2_star=float(pi2_best[i]), leader_index=i,
                        follower_index=j, best_response=BestResponse(indices=cols))
 
 
@@ -129,15 +153,29 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
     curve; the returned pair satisfies both argmax conditions, with ties
     broken toward the smaller capacity at each level.
     """
-    return _backward_induction(surfaces.pi2, grid, lambda rows, cols: surfaces.pi1[rows, cols])
+    if surfaces.pi2.shape != (len(grid), len(grid)):
+        raise WindGameError(f"surface shape {surfaces.pi2.shape} does not match grid "
+                            f"of {len(grid)}")
+    return _leader_choice(*_best_response(surfaces.pi2), grid,
+                          lambda rows, cols: surfaces.pi1[rows, cols])
 
 
 def equilibrium(tables: EnergyTables, costs: CostParams, out=None) -> Equilibrium:
-    """``stackelberg(profit_surfaces(tables, costs), tables.grid)`` bit for bit, from
-    one k x k buffer: the same profits, pi1 only along the follower's best response.
-    Pass the same float64 ``out`` for every sweep point to reuse that buffer."""
+    """``stackelberg(profit_surfaces(tables, costs), tables.grid)`` bit for bit:
+    the same profits, pi1 only along the follower's best response. No surface
+    is built; ``out`` only serves the fallback, which writes the follower's
+    k x k surface into it when no kernel loads. Pass the same float64 ``out``
+    for every sweep point to reuse that buffer."""
+    kernels = _native.load_kernels()
+    if kernels is not None:
+        cols, pi2_best = _follower_best(kernels, tables, costs)
+    else:
+        pi2 = _follower_profit(tables.e_g2[None, :], tables.e_c2, costs, out=out)
+        if not np.all(np.isfinite(pi2)):
+            raise WindGameError("profit surfaces must be finite")
+        cols, pi2_best = _best_response(pi2)
     e_c1, e_c2 = tables.e_c1, tables.e_c2
-    return _backward_induction(
-        _follower_profit(tables.e_g2[None, :], e_c2, costs, out=out), tables.grid,
+    return _leader_choice(
+        cols, pi2_best, tables.grid,
         lambda rows, cols: _leader_profit(tables.e_g1[rows], e_c1[rows, cols],
                                           tables.e_g2[cols], e_c2[rows, cols], costs))

@@ -104,7 +104,8 @@ class EnergyTables:
     e_g1[i] is player 1's total generation at capacity grid[i]; e_c1[i, j]
     the energy player 1 loses to curtailment when the capacity pair is
     (grid[i], grid[j]). Generation is linear in own capacity; curtailment
-    couples both players.
+    couples both players. Each table is a finite float64 array of its grid's
+    shape, checked here, so the game's kernel may read it by address.
     """
 
     e_g1: np.ndarray
@@ -112,6 +113,16 @@ class EnergyTables:
     e_c1: np.ndarray
     e_c2: np.ndarray
     grid: StrategyGrid
+
+    def __post_init__(self):
+        k = len(self.grid)
+        for name, shape in (("e_g1", (k,)), ("e_g2", (k,)), ("e_c1", (k, k)), ("e_c2", (k, k))):
+            table = getattr(self, name)
+            if not isinstance(table, np.ndarray) or table.dtype != np.float64 \
+                    or table.shape != shape:
+                raise WindGameError(f"{name} must be a float64 array of shape {shape}")
+            if not np.all(np.isfinite(table)):
+                raise WindGameError(f"energy table {name} must be finite")
 
 
 def per_unit_output(w, curve: PowerCurve):

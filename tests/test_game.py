@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from windgame import (CostParams, EnergyTables, ProfitSurfaces, StrategyGrid,
-                      WindGameError, equilibrium, profit_surfaces, stackelberg)
+from windgame import (ChainConfig, CostParams, EnergyTables, Equilibrium, ProfitSurfaces,
+                      StrategyGrid, WindGameError, _native, build_energy_tables,
+                      default_power_curve, equilibrium, profit_surfaces, run_chain, stackelberg)
+
+from conftest import use_kernel_path
 
 
 def tables_2x2():
@@ -172,8 +176,28 @@ class TestStackelberg:
                             tables.e_c1.tobytes(), tables.e_c2.tobytes())
 
 
+def assert_same_equilibrium(eq, ref):
+    """Field by field, the profits by their bits (so -0.0 is not 0.0, as in the
+    reports), and the best-response curve."""
+    names = [f.name for f in dataclasses.fields(Equilibrium) if f.compare]
+    got, want = (np.array([getattr(e, name) for name in names], dtype=np.float64)
+                 for e in (eq, ref))
+    assert got.tobytes() == want.tobytes(), (eq, ref)
+    assert np.array_equal(eq.best_response.indices, ref.best_response.indices)
+
+
+def on_each_path(check):
+    """Run ``check()`` on the compiled kernels, when they load here, and then on
+    the numpy fallback."""
+    paths = ("compiled", "numpy") if _native.load_kernels() is not None else ("numpy",)
+    for path in paths:
+        with pytest.MonkeyPatch.context() as patch:
+            use_kernel_path(path, patch)
+            check()
+
+
 class TestEquilibrium:
-    """The runner's solve against the full-surface reference."""
+    """The runner's solve against the full-surface reference, on both paths."""
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
@@ -193,19 +217,101 @@ class TestEquilibrium:
         costs = CostParams(p_g=1.0 + draw(3, None), p_t=draw(3, None), c_g1=draw(3, None),
                            c_g2=draw(3, None), c_t=draw(9, None))
         ref = stackelberg(profit_surfaces(tables, costs), grid)
-        # a reused buffer arrives holding the previous point's values
-        for eq in (equilibrium(tables, costs),
-                   equilibrium(tables, costs, out=np.full((k, k), np.nan))):
-            assert eq == ref  # by the scalars: best_response is not compared
-            assert np.array_equal(eq.best_response.indices, ref.best_response.indices)
 
-    @pytest.mark.parametrize("name, cell", [("e_c2", (1, 1)), ("e_g1", 1)],
-                             ids=["follower-surface", "leader-curve"])
+        def check():
+            # a reused buffer arrives holding the previous point's values
+            for eq in (equilibrium(tables, costs),
+                       equilibrium(tables, costs, out=np.full((k, k), np.nan))):
+                assert_same_equilibrium(eq, ref)
+
+        on_each_path(check)
+
+    @pytest.mark.parametrize("tables, costs", [
+        (tables_2x2()[0], dataclasses.replace(COSTS, p_t=60.0)),
+        # column 0 gives -0.0 and column 1 +0.0 (curtailment above generation):
+        # the first zero wins and keeps its sign
+        (EnergyTables(e_g1=np.array([0.0, 1.0]), e_g2=np.array([0.0, 1.0]),
+                      e_c1=np.zeros((2, 2)), e_c2=np.array([[0.0, 2.0], [0.0, 2.0]]),
+                      grid=StrategyGrid(step=1.0, p_n_max=1.0)),
+         CostParams(p_g=1.0, p_t=2.0, c_g1=0.0, c_g2=1.0, c_t=0.0)),
+    ], ids=["loss-per-mwh", "signed-zero-tie"])
+    def test_fee_above_tariff(self, tables, costs):
+        # p_t > p_g: every unit the follower delivers loses money, so it
+        # builds nothing and its profit is -0.0, which the reports print
+        ref = stackelberg(profit_surfaces(tables, costs), tables.grid)
+        assert ref.follower_index == 0 and np.signbit(ref.pi2_star)
+        on_each_path(lambda: assert_same_equilibrium(equilibrium(tables, costs), ref))
+
+    # the follower answers leader row 0 with column 1, so e_c1[0, 0] is a cell
+    # that no solve reads, yet the reference refuses its surface
+    @pytest.mark.parametrize("name, cell", [("e_c2", (1, 1)), ("e_g1", 1), ("e_c1", (0, 0))],
+                             ids=["follower-surface", "leader-curve", "leader-off-curve"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_energy_rejected(self, name, cell, bad):
         tables, grid = tables_2x2()
         table = getattr(tables, name).copy()
         table[cell] = bad
+
+        def check():
+            with pytest.raises(WindGameError, match="must be finite"):
+                equilibrium(dataclasses.replace(tables, **{name: table}), COSTS)
+
+        on_each_path(check)
+
+    @pytest.mark.parametrize("costs", [dataclasses.replace(COSTS, p_g=1e308),
+                                       dataclasses.replace(COSTS, c_g2=1e308)],
+                             ids=["tariff", "follower-cost"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_costs_overflowing_profit_rejected(self, costs):
+        # finite tables, yet pi2 overflows; with the follower's cost only pi2
+        # does, and the best response avoids the infinite cell
+        tables, grid = tables_2x2()
         with pytest.raises(WindGameError, match="must be finite"):
-            equilibrium(dataclasses.replace(tables, **{name: table}), COSTS)
+            profit_surfaces(tables, costs)
+
+        def check():
+            with pytest.raises(WindGameError, match="must be finite"):
+                equilibrium(tables, costs)
+
+        on_each_path(check)
+
+    @pytest.mark.parametrize("name, value", [
+        ("e_g1", np.zeros(3)), ("e_c2", np.zeros((2, 3))), ("e_c1", np.zeros((2, 2), np.float32)),
+        ("e_g2", [0.0, 0.0])])
+    def test_tables_of_wrong_shape_or_type_refused(self, name, value):
+        tables, grid = tables_2x2()
+        with pytest.raises(WindGameError, match="float64 array of shape"):
+            dataclasses.replace(tables, **{name: value})
+
+
+@pytest.fixture(scope="module")
+def fine_grid_tables(synthetic_tables):
+    """Energy tables of a short chain on the paper's 1,002-point grid."""
+    realisation = run_chain(ChainConfig(n=125, realisations=1, seed=55), synthetic_tables, 0)
+    return build_energy_tables(realisation, default_power_curve(),
+                               StrategyGrid(step=0.5, p_n_max=500.5))
+
+
+class TestEquilibriumOnFineGrid:
+    """The paper's grid: the fee sweep plus a fee above the tariff."""
+
+    P_T_FRACS = [i / 50 for i in range(41)] + [1.2]
+
+    def test_fee_sweep_matches_full_surface_reference(self, fine_grid_tables):
+        for frac in self.P_T_FRACS:
+            costs = CostParams.from_fractions(74.3, frac, 0.26, 0.20, 9.0e6)
+            ref = stackelberg(profit_surfaces(fine_grid_tables, costs), fine_grid_tables.grid)
+            on_each_path(lambda: assert_same_equilibrium(equilibrium(fine_grid_tables, costs),
+                                                         ref))
+
+    def test_compiled_solve_builds_no_surface(self, fine_grid_tables, monkeypatch):
+        use_kernel_path("compiled", monkeypatch)
+        costs = CostParams.from_fractions(74.3, 0.26, 0.26, 0.20, 9.0e6)
+        tracemalloc.start()
+        try:
+            equilibrium(fine_grid_tables, costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one k x k float64 surface is 7.7 MiB
