@@ -2,12 +2,15 @@
 
 The source holds three entry points: ``energy_tables`` (used by ``sim``),
 ``gibbs_chain`` (used by ``gibbs``) and ``follower_best`` (used by
-``game``). It is compiled on the first call to ``load_kernels``, not at
-import, and cached per user under ``$XDG_CACHE_HOME/windgame`` (default
-``~/.cache/windgame``). When no compiler is found, the build or load
-fails or the library lacks an entry point, one warning is logged and
-``load_kernels`` returns None, so each caller runs its own fallback (numpy
-in ``sim`` and ``game``, Python in ``gibbs``), which gives the same bits.
+``game``). Each takes every array as a ``c_void_p`` address, so ctypes
+checks only the scalars; the caller passes arrays it built or checked in
+the kernel's types. The source is compiled on the first call to
+``load_kernels``, not at import, and cached per user under
+``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``). When no
+compiler is found, the build or load fails or the library lacks an entry
+point, one warning is logged and ``load_kernels`` returns None, so each
+caller runs its own fallback (numpy in ``sim`` and ``game``, Python in
+``gibbs``), which gives the same bits.
 """
 from __future__ import annotations
 
@@ -25,8 +28,6 @@ import threading
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 log = logging.getLogger("windgame")
 
 _KERNEL_SOURCE = "_kernels.c"
@@ -34,7 +35,6 @@ _KERNEL_SOURCE = "_kernels.c"
 # -march=native: the cache key names only the machine type, so the binary
 # must run on every CPU of that type; energy_tables dispatches by CPU at load.
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-_F64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
 # serialises _load_kernels' first call, so one thread compiles or warns
 _KERNEL_LOCK = threading.Lock()
 
@@ -80,11 +80,10 @@ def _load_kernels():
         log.warning("compiled kernels unavailable, using the fallback loops: %s%s",
                     exc, f"\n{stderr}" if stderr else "")
         return None
-    energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[_F64] * 8]
-    energy.restype = None
-    # gibbs_chain's and follower_best's arrays come as addresses, from
-    # arrays their callers checked or built in the kernel's types
+    # one convention: arrays are addresses, scalars keep their C types
     ptr = ctypes.c_void_p
+    energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[ptr] * 8]
+    energy.restype = None
     gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ctypes.c_int64,
                       *[ptr] * 12, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
                       ptr, ptr, ptr]

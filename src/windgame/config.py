@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError, WindGameError
 from .game import CostParams
 from .gibbs import ChainConfig
@@ -95,6 +97,15 @@ class ScenarioConfig:
         if self.curve_alpha is not None and self.curve_points is not None:
             raise ConfigError("[power_curve] give either points or alpha and beta, not both")
         _section("grid", StrategyGrid, step=self.grid_step, p_n_max=self.grid_max)
+        # a (points, realisations, 4) float64 report numpy cannot shape is refused
+        # here, before the game stage lists the points one by one
+        sweep = self.sweep
+        points = (sweep.stop_frac - sweep.start_frac) / sweep.step_frac + 1
+        if not math.isfinite(points) \
+                or points * self.chain.realisations * 4 * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"[sweep] step_frac {sweep.step_frac} gives {points:.4g} points: "
+                              f"too many sweep points for {self.chain.realisations} "
+                              f"realisations")
         if self.curve_alpha is not None:
             _section("power_curve", PowerCurve, alpha=self.curve_alpha, beta=self.curve_beta)
 

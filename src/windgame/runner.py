@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from . import __version__, _native
+from . import __version__
 from .config import ScenarioConfig
 from .errors import StageError, WindGameError
 from .game import CostParams, equilibrium
@@ -129,14 +129,11 @@ def _map_chains(job, config: ScenarioConfig, workers: int) -> list:
 def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: StrategyGrid,
                        costs: list[CostParams]) -> np.ndarray:
     """Equilibria of one realisation at every sweep point: a (sweep, 4) block
-    of p_n1, p_n2, pi1, pi2. The compiled solve needs no k x k buffer; the
-    numpy fallback reuses one for every point, as one per point can fragment
-    a thread's heap and leave two resident."""
+    of p_n1, p_n2, pi1, pi2, from energy tables built once for all points."""
     energies = build_energy_tables(realisation, curve, grid)
     block = np.empty((len(costs), 4))
-    pi2 = np.empty((len(grid), len(grid))) if _native.load_kernels() is None else None
     for s_idx, point in enumerate(costs):
-        eq = equilibrium(energies, point, out=pi2)
+        eq = equilibrium(energies, point)
         block[s_idx] = (eq.p_n1_star, eq.p_n2_star, eq.pi1_star, eq.pi2_star)
     return block
 

@@ -269,5 +269,6 @@ def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCu
     if kernels is None:
         _accumulate_numpy(x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)
     else:
-        kernels.energy_tables(len(p_d), k, x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)
+        kernels.energy_tables(len(p_d), k, *(a.ctypes.data for a in (
+            x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)))
     return EnergyTables(e_g1=e_g1, e_g2=e_g2, e_c1=e_c1, e_c2=e_c2, grid=grid)

@@ -186,6 +186,10 @@ class TestLoadConfig:
          r"\[grid\] 4e\+301 grid points are too many for k x k tables"),
         ("step_mw = 10.0", "step_mw = 5e-324",
          r"\[grid\] inf grid points are too many for k x k tables"),
+        ("step_frac = 0.1", "step_frac = 1e-300",
+         r"\[sweep\] step_frac 1e-300 gives 2e\+299 points: too many sweep points for 3 "),
+        ("step_frac = 0.1", "step_frac = 5e-324",
+         r"\[sweep\] step_frac 5e-324 gives inf points: too many sweep points for 3 "),
         ("[grid]", "[power_curve]\nalpha = 0.9\n\n[grid]",
          r"power curve needs both alpha and beta, or neither"),
         ("demand_target_mean_mw = 108.1830", "demand_target_mean_mw = 0",
@@ -194,7 +198,8 @@ class TestLoadConfig:
         ("demand_width_mw = 20.0", "demand_width_mw = -5", r"bin widths must be positive"),
         ("min_count = 4", "min_count = 0", r"min_count must be >= 1"),
     ], ids=["grid-max-off-step", "zero-alpha", "negative-beta", "points-and-alpha-beta",
-            "grid-step-1e-300", "grid-step-5e-324", "alpha-without-beta",
+            "grid-step-1e-300", "grid-step-5e-324", "sweep-step-1e-300", "sweep-step-5e-324",
+            "alpha-without-beta",
             "demand-target-mean", "wind-width", "demand-width", "min-count"])
     def test_bad_grid_or_curve_refused_at_load(self, tiny_config, old, new, message):
         text = tiny_config.read_text(encoding="utf-8")
@@ -456,6 +461,19 @@ class TestCli:
             assert done.returncode == 1
             assert done.stderr == (f"error: [grid] {points} grid points are too many "
                                    f"for k x k tables\n"), done.stderr
+
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_unshapeable_sweep_named_by_section(self, tiny_config, command):
+        # 2e299 points make a report numpy cannot shape, and at 5e-324 the point
+        # count overflows to inf; neither run lists a point
+        text = tiny_config.read_text(encoding="utf-8")
+        for step, points in (("1e-300", "2e+299"), ("5e-324", "inf")):
+            tiny_config.write_text(text.replace("step_frac = 0.1", f"step_frac = {step}"),
+                                   encoding="utf-8")
+            done = run_cli_process(command, tiny_config)
+            assert done.returncode == 1
+            assert done.stderr == (f"error: [sweep] step_frac {step} gives {points} points: "
+                                   f"too many sweep points for 3 realisations\n"), done.stderr
 
     @pytest.mark.parametrize("command", ["run", "stats"])
     def test_unshapeable_bins_named_by_stage(self, tiny_config, command):

@@ -13,7 +13,7 @@ import pytest
 from windgame.config import load_config
 from windgame.runner import emit_report, run_scenario
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, use_kernel_path
 
 CONVERGENCE = "2e2d2bde73974dcdd0df66bb6afda87c6e59ae13c2abd030968f84b6e9735302"
 
@@ -30,10 +30,15 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("scenario, workers",
-                         [pytest.param(s, 1, id=str(s)) for s in sorted(GOLDEN)]
-                         + [pytest.param(s, 3, id=f"{s}-workers3") for s in sorted(GOLDEN)])
-def test_reports_match_golden_digests(scenario, workers, tmp_path):
+@pytest.mark.parametrize("scenario, workers, fallback",
+                         [pytest.param(s, w, fallback, id=f"{s}{tag}{suffix}")
+                          for fallback, tag in ((False, ""), (True, "-fallback"))
+                          for w, suffix in ((1, ""), (3, "-workers3")) for s in sorted(GOLDEN)])
+def test_reports_match_golden_digests(scenario, workers, fallback, tmp_path, monkeypatch):
+    # the plain cases run whichever path loads here, the fallback cases the
+    # loops that run when no kernel loads
+    if fallback:
+        use_kernel_path("numpy", monkeypatch)
     config = load_config(f"{REPO_ROOT}/configs/scenario{scenario}.ini")
     emit_report(run_scenario(config, workers=workers), tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

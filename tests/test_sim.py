@@ -1,14 +1,17 @@
 """Power curve, curtailment sharing, and energy-tensor aggregation."""
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import logging
 import math
+import re
 import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -335,6 +338,23 @@ class TestEnergyKernelOracle:
 
 
 class TestKernelBuild:
+    def test_bindings_match_c_prototypes(self):
+        # every array goes in as a bare address, so ctypes checks no dtype and
+        # these prototypes are the only contract between caller and kernel
+        lib = _native.load_kernels()
+        if lib is None:
+            pytest.skip("compiled kernels unavailable on this machine")
+        source = resources.files("windgame").joinpath(_native._KERNEL_SOURCE).read_text()
+        scalars = {"ptrdiff_t": ctypes.c_ssize_t, "int64_t": ctypes.c_int64,
+                   "double": ctypes.c_double}
+        results = {"void": None, "int": ctypes.c_int}
+        for name in ("energy_tables", "gibbs_chain", "follower_best"):
+            result, params = re.search(rf"^(\w+) {name}\(([^)]*)\)", source, re.M).groups()
+            argtypes = [ctypes.c_void_p if "*" in param else scalars[param.split()[0]]
+                        for param in params.split(",")]
+            entry = getattr(lib, name)
+            assert (list(entry.argtypes), entry.restype) == (argtypes, results[result]), name
+
     def test_cached_binary_is_reused(self, tmp_path, monkeypatch):
         if _native.shutil.which("cc") is None and _native.shutil.which("gcc") is None:
             pytest.skip("no C compiler on this machine")
