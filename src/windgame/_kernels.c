@@ -36,8 +36,11 @@
 
 /* One binary, dispatched at load time to the widest vector unit present.
  * target_clones needs ifunc support (GNU/Linux ELF); elsewhere the portable
- * version is built. */
-#if defined(__x86_64__) && defined(__linux__) && defined(__GNUC__)
+ * version is built. Defining VECTOR_CLONES on the command line (empty, with
+ * -mavx512f, -mavx2 or no -m flag) builds one clone alone, so each can be
+ * run and checked on any CPU that has its vector unit. */
+#ifdef VECTOR_CLONES
+#elif defined(__x86_64__) && defined(__linux__) && defined(__GNUC__)
 #define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
 #define VECTOR_CLONES

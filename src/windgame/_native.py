@@ -70,17 +70,11 @@ def _compile_kernel() -> Path:
     return target
 
 
-@functools.cache
-def _load_kernels():
-    try:
-        lib = ctypes.CDLL(str(_compile_kernel()))
-        energy, gibbs, follower = lib.energy_tables, lib.gibbs_chain, lib.follower_best
-    except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
-        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
-        log.warning("compiled kernels unavailable, using the fallback loops: %s%s",
-                    exc, f"\n{stderr}" if stderr else "")
-        return None
-    # one convention: arrays are addresses, scalars keep their C types
+def _bind(path) -> ctypes.CDLL:
+    """The library at ``path``, its three entry points declared: arrays are
+    addresses, scalars keep their C types."""
+    lib = ctypes.CDLL(str(path))
+    energy, gibbs, follower = lib.energy_tables, lib.gibbs_chain, lib.follower_best
     ptr = ctypes.c_void_p
     energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[ptr] * 8]
     energy.restype = None
@@ -92,6 +86,17 @@ def _load_kernels():
                          ptr, ptr, ptr]
     follower.restype = ctypes.c_int
     return lib
+
+
+@functools.cache
+def _load_kernels():
+    try:
+        return _bind(_compile_kernel())
+    except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+        log.warning("compiled kernels unavailable, using the fallback loops: %s%s",
+                    exc, f"\n{stderr}" if stderr else "")
+        return None
 
 
 def load_kernels():

@@ -53,16 +53,20 @@ class SweepSpec:
             raise ConfigError(f"sweep stop {self.stop_frac} below start {self.start_frac}")
 
     def values(self) -> list[float]:
-        """Sweep points, inclusive of the stop within half a step."""
-        out = []
-        k = 0
-        while True:
-            v = self.start_frac + k * self.step_frac
-            if v > self.stop_frac + 1e-9 * max(1.0, abs(self.stop_frac)):
-                break
-            out.append(v)
-            k += 1
-        return out
+        """Sweep points ``start + k * step`` for k = 0, 1, ... while they do not
+        pass the stop by more than a relative 1e-9, computed as one array from
+        their count (so a count no machine can list fails at once, out of
+        memory)."""
+        start, step = self.start_frac, self.step_frac
+        limit = self.stop_frac + 1e-9 * max(1.0, abs(self.stop_frac))
+        # the points increase with k, so the first k past the limit is the count:
+        # estimate it, then settle the estimate's rounding with that same test
+        count = math.floor((limit - start) / step) + 1
+        while count > 1 and start + (count - 1) * step > limit:
+            count -= 1
+        while start + count * step <= limit:
+            count += 1
+        return (start + np.arange(count, dtype=np.float64) * step).tolist()
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ follower's k x k surface afresh on each call and takes its argmax per row.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,6 +167,14 @@ def equilibrium(tables: EnergyTables, costs: CostParams) -> Equilibrium:
     the same profits, pi1 only along the follower's best response. The kernel
     builds no surface; when no kernel loads, the fallback builds the
     follower's."""
+    # |e_g1 - e_c1| <= 2 * peak1, so no intermediate of pi1 exceeds twice this
+    # bound, and rounding cannot double it again: while four times the bound is
+    # finite, no cell of pi1 overflows. Past it, the reference's whole-surface
+    # check decides, so both refuse the same costs.
+    peak1, peak2 = tables.peaks
+    if not math.isfinite(4 * (peak1 * (costs.p_g + costs.c_g1) + peak2 * costs.p_t
+                              + costs.c_t)):
+        profit_surfaces(tables, costs)
     kernels = _native.load_kernels()
     if kernels is not None:
         cols, pi2_best = _follower_best(kernels, tables, costs)

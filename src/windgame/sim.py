@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -106,6 +107,8 @@ class EnergyTables:
     (grid[i], grid[j]). Generation is linear in own capacity; curtailment
     couples both players. Each table is a finite float64 array of its grid's
     shape, checked here, so the game's kernel may read it by address.
+    ``peaks`` holds the largest magnitude of any cell of player 1's tables
+    (e_g1, e_c1) and of player 2's (e_g2, e_c2), found by the same pass.
     """
 
     e_g1: np.ndarray
@@ -113,16 +116,22 @@ class EnergyTables:
     e_c1: np.ndarray
     e_c2: np.ndarray
     grid: StrategyGrid
+    peaks: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         k = len(self.grid)
+        peak = {}
         for name, shape in (("e_g1", (k,)), ("e_g2", (k,)), ("e_c1", (k, k)), ("e_c2", (k, k))):
             table = getattr(self, name)
             if not isinstance(table, np.ndarray) or table.dtype != np.float64 \
                     or table.shape != shape:
                 raise WindGameError(f"{name} must be a float64 array of shape {shape}")
-            if not np.all(np.isfinite(table)):
+            low, high = float(table.min()), float(table.max())  # NaN if any cell is
+            if not (math.isfinite(low) and math.isfinite(high)):
                 raise WindGameError(f"energy table {name} must be finite")
+            peak[name] = max(-low, high)
+        object.__setattr__(self, "peaks", (max(peak["e_g1"], peak["e_c1"]),
+                                           max(peak["e_g2"], peak["e_c2"])))
 
 
 def per_unit_output(w, curve: PowerCurve):

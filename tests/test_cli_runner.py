@@ -14,10 +14,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from windgame import ConfigError, StageError, WindGameError
 from windgame.cli import main
-from windgame.config import PROFILES, apply_profile, load_config, override_seed
+from windgame.config import PROFILES, SweepSpec, apply_profile, load_config, override_seed
 from windgame.runner import emit_report, ingest_joint_series, run_scenario, run_stats
 
 from conftest import REPO_ROOT
@@ -85,14 +86,16 @@ c_t = 1.0e5
     return path
 
 
-def run_cli_process(command, config):
+def run_cli_process(command, config, address_space_kb=None):
     """``windgame <command> --config <config>`` in a fresh interpreter, where an
-    escaping exception prints a traceback."""
-    args = [command, "--config", str(config)]
+    escaping exception prints a traceback; ``address_space_kb`` caps its
+    virtual memory (``ulimit -v``), so an allocation too large fails at once."""
+    args = [sys.executable, "-m", "windgame.cli", command, "--config", str(config)]
     if command == "run":
         args += ["--out", str(config.parent / "out")]
-    return subprocess.run([sys.executable, "-m", "windgame.cli", *args], cwd=REPO_ROOT,
-                          env=dict(os.environ, PYTHONPATH="src"),
+    if address_space_kb is not None:
+        args = ["sh", "-c", f'ulimit -v {address_space_kb} && exec "$0" "$@"', *args]
+    return subprocess.run(args, cwd=REPO_ROOT, env=dict(os.environ, PYTHONPATH="src"),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -217,6 +220,22 @@ class TestRunScenario:
     def test_sweep_values_inclusive(self, tiny_config):
         config = load_config(tiny_config)
         assert config.sweep.values() == pytest.approx([0.1, 0.2, 0.3])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-2.0, 2.0), st.sampled_from([0.01, 0.02, 0.1, 1 / 3, 0.05, 1e-3]),
+           st.integers(0, 200),
+           st.sampled_from([1.0, 1 + 1e-16, 1 - 1e-16, 1 + 5e-10, 1 - 5e-10, 1 + 2e-9]))
+    def test_sweep_values_match_listing_one_by_one(self, start, step, steps, stretch):
+        # stops on, just inside and just past the 1e-9 tolerance of a point
+        stop = max(start, start + steps * step * stretch)
+        sweep = SweepSpec("p_t", start, stop, step)
+        listed, k = [], 0
+        while start + k * step <= stop + 1e-9 * max(1.0, abs(stop)):
+            listed.append(start + k * step)
+            k += 1
+        points = sweep.values()
+        assert all(type(v) is float for v in points)
+        assert [v.hex() for v in points] == [v.hex() for v in listed]
 
     def test_singleton_run_min_equals_mean_equals_max(self, tmp_path):
         write_tiny_dataset(tmp_path)
@@ -474,6 +493,18 @@ class TestCli:
             assert done.returncode == 1
             assert done.stderr == (f"error: [sweep] step_frac {step} gives {points} points: "
                                    f"too many sweep points for 3 realisations\n"), done.stderr
+
+    def test_unlistable_sweep_is_out_of_memory(self, tiny_config):
+        # 2e16 points pass the load check, since numpy can shape their report,
+        # but no machine can list them: the game stage fails at once, where
+        # listing them one float at a time would grind for years
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("step_frac = 0.1", "step_frac = 1e-17"),
+                               encoding="utf-8")
+        done = run_cli_process("run", tiny_config, address_space_kb=2_000_000)
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1].startswith(
+            "error: [game] out of memory: Unable to allocate "), done.stderr
 
     @pytest.mark.parametrize("command", ["run", "stats"])
     def test_unshapeable_bins_named_by_stage(self, tiny_config, command):

@@ -270,6 +270,58 @@ class TestEquilibrium:
 
         on_each_path(check)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_pi1_overflowing_off_the_curve_rejected(self):
+        # the follower answers every row with column 0, where pi1 is finite, but
+        # the reference's surface overflows in column 1
+        tables = EnergyTables(e_g1=np.zeros(2), e_g2=np.array([0.0, 800.0]),
+                              e_c1=np.zeros((2, 2)), e_c2=np.array([[0.0, 0.0], [0.0, 80.0]]),
+                              grid=StrategyGrid(step=10.0, p_n_max=10.0))
+        costs = dataclasses.replace(COSTS, p_g=1.7e308, p_t=1.7e308)
+        with pytest.raises(WindGameError, match="must be finite"):
+            profit_surfaces(tables, costs)
+
+        def check():
+            with pytest.raises(WindGameError, match="must be finite"):
+                equilibrium(tables, costs)
+
+        on_each_path(check)
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from([0.0, 1.0, 1e3, 1e300, 1e304, 4.4e304, 1e305, 1e306,
+                                     4.4e306, 1e307, 4.4e307, 1.7e308]) | st.floats(0.0, 1.79e308),
+                    min_size=5, max_size=5))
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_costs_near_overflow_match_reference(self, k, seed, magnitudes):
+        # costs whose profits overflow in some cells, on or off the curve, or in
+        # none: the solve raises exactly when the reference does, else agrees.
+        # As on a real grid, capacity 0 generates and curtails nothing.
+        rng = np.random.default_rng(seed)
+        grid = StrategyGrid(step=1.0, p_n_max=float(k - 1))
+        e_g1, e_g2 = (np.append(0.0, rng.choice([1.0, 500.0, 1e3], k - 1)) for _ in range(2))
+        e_c1, e_c2 = (rng.choice([0.0, 1.0, 80.0, 100.0], (k, k)) for _ in range(2))
+        for table in (e_c1, e_c2):
+            table[0, :] = table[:, 0] = 0.0
+        tables = EnergyTables(e_g1=e_g1, e_g2=e_g2, e_c1=e_c1, e_c2=e_c2, grid=grid)
+        p_g, p_t, c_g1, c_g2, c_t = magnitudes
+        costs = CostParams(p_g=max(p_g, 1.0), p_t=p_t, c_g1=c_g1, c_g2=c_g2, c_t=c_t)
+        try:
+            ref = stackelberg(profit_surfaces(tables, costs), grid)
+        except WindGameError as exc:
+            assert str(exc) == "profit surfaces must be finite"
+            ref = None
+
+        def check():
+            if ref is None:
+                with pytest.raises(WindGameError, match="must be finite"):
+                    equilibrium(tables, costs)
+            else:
+                assert_same_equilibrium(equilibrium(tables, costs), ref)
+
+        on_each_path(check)
+
     @pytest.mark.parametrize("name, value", [
         ("e_g1", np.zeros(3)), ("e_c2", np.zeros((2, 3))), ("e_c1", np.zeros((2, 2), np.float32)),
         ("e_g2", [0.0, 0.0])])

@@ -7,10 +7,12 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from windgame import (GapReport, IngestError, TimeSeries, align_series, load_series_csv,
                       normalize_demand)
+from windgame import ingest
+from windgame.ingest import _epoch_seconds, _parse_iso_timestamp
 
 COLMAP = {"timestamp": "timestamp", "value": "wind_speed_ms"}
 
@@ -71,14 +73,36 @@ def dict_reader_oracle(path, ts_col, val_col):
 HEADERS = [("timestamp", "wind_speed_ms"), ("wind_speed_ms", "timestamp"),
            ("timestamp", "wind_speed_ms", "wind_speed_ms"),
            ("other", "timestamp", "wind_speed_ms")]
-# few distinct hours, so that duplicates are common; offsets and sub-second
-# variants name the same instants, and a cell may be missing or unparseable
+# few distinct hours, so that duplicates are common; offsets, sub-second and
+# separator variants name the same instants, and a cell may be missing or
+# unparseable. Canonical-shaped cells (YYYY-MM-DDTHH:MM:SS) that fromisoformat
+# rejects or reads differently probe the loader's vectorised path: dates and
+# times out of range, leap days, non-ASCII digits and NULs past the 19th
+# character, which a numpy string array drops.
 TS_CELLS = st.one_of(
-    st.builds("2015-01-01T{:02d}:00:00{}".format, st.integers(0, 4),
-              st.sampled_from(["", "Z", "z", ".2", ".7", "+00:00", " "])),
+    st.builds("2015-01-01{}{:02d}:00:00{}".format, st.sampled_from(["T", "T", "t", " "]),
+              st.integers(0, 4),
+              st.sampled_from(["", "Z", "z", ".2", ".7", "+00:00", " ", "\x00", "\x00\x00"])),
     st.builds("2015-01-01T{:02d}:00:00+01:00".format, st.integers(1, 5)),
-    st.sampled_from(["", "  ", "not-a-date", "2015-13-01T00:00:00",
-                     "0001-01-01T00:30:00+01:00", "9999-12-31T23:30:00-01:00"]))
+    st.builds("{}-{}-{}T{}:00:{}".format, st.sampled_from(["0000", "0001", "1900", "2000",
+                                                          "2015", "9999", "２０１５"]),
+              st.sampled_from(["00", "01", "02", "12", "13"]),
+              st.sampled_from(["00", "01", "28", "29", "31", "32"]),
+              st.sampled_from(["00", "23", "24", "0٣"]), st.sampled_from(["00", "60"])),
+    st.sampled_from(["", "  ", "not-a-date", "2015-13-01T00:00:00", "2015-00-01T00:00:00",
+                     "2015-01-00T00:00:00", "2015-02-29T00:00:00", "1900-02-29T00:00:00",
+                     "2000-02-29T00:00:00", "2015-01-01T24:00:00", "2015-01-01T00:00:60",
+                     "0000-01-01T00:00:00", "0001-01-01T00:30:00+01:00",
+                     "9999-12-31T23:30:00-01:00"]))
+# 19 characters laid out as YYYY-MM-DDTHH:MM:SS, with fields past their ranges
+# and separators that fromisoformat may or may not accept
+CANONICAL_SHAPED = st.tuples(
+    st.integers(0, 9999).map("{:04d}".format), st.sampled_from("-/"),
+    st.integers(0, 13).map("{:02d}".format), st.sampled_from("-."),
+    st.integers(0, 32).map("{:02d}".format), st.sampled_from("T t"),
+    st.integers(0, 25).map("{:02d}".format), st.sampled_from(":."),
+    st.integers(0, 61).map("{:02d}".format), st.sampled_from(":-"),
+    st.integers(0, 61).map("{:02d}".format)).map("".join)
 VALUE_CELLS = st.one_of(
     st.floats(0.0, 40.0).map(repr),
     st.sampled_from(["", " ", "0", "-0.5", "-999.0", "nan", "inf", "1e400", "abc", " 7.5 "]))
@@ -182,6 +206,31 @@ class TestLoadSeriesCsv:
         assert list(series.values) == [6.0]
         assert (report.rows_read, report.dropped_unparseable) == (2, 1)
 
+    def test_nul_past_a_canonical_stamp_is_unparseable(self, tmp_path):
+        # numpy drops a string's trailing NULs, so this cell looks canonical to
+        # an array; fromisoformat rejects it, and the loader follows it
+        path = write(tmp_path, "timestamp,wind_speed_ms\n"
+                               "2015-01-01T00:00:00\x00\x00,5.0\n"
+                               "2015-01-01T01:00:00,6.0\n")
+        series, report = load_series_csv(path, COLMAP)
+        assert list(series.timestamps) == [np.datetime64("2015-01-01T01:00:00", "s")]
+        assert (report.rows_read, report.dropped_unparseable) == (2, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CANONICAL_SHAPED, max_size=20))
+    @example(["2015-01-01T00:00-05", "9999-12-31T23:59-01"])  # 19 characters with an offset
+    def test_canonical_stamps_match_fromisoformat(self, cells):
+        # the vectorised path against the per-cell parser, cell by cell: the same
+        # seconds, or both reject
+        stamps, rejected = _epoch_seconds(cells)
+        for i, cell in enumerate(cells):
+            try:
+                expected = _parse_iso_timestamp(cell)
+            except (ValueError, OverflowError):
+                assert i in rejected, cell
+            else:
+                assert i not in rejected and stamps[i] == expected, cell
+
     def test_negative_sentinel_dropped_as_invalid(self, tmp_path):
         path = write(tmp_path, "timestamp,wind_speed_ms\n"
                                "2015-01-01T00:00:00,-999.0\n"
@@ -215,11 +264,13 @@ class TestLoadSeriesCsv:
         assert list(series.values) == [5.0, 6.0]
         assert (report.dropped_invalid, report.dropped_duplicate) == (1, 0)
 
-    @settings(max_examples=150, deadline=None,
+    @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(HEADERS), st.lists(st.tuples(TS_CELLS, VALUE_CELLS, ROW_SHAPES),
-                                             max_size=30))
-    def test_matches_dict_reader_oracle(self, tmp_path, header, rows):
+                                             max_size=30),
+           st.sampled_from([1, 2, 7, ingest._BLOCK_ROWS]))
+    def test_matches_dict_reader_oracle(self, tmp_path, header, rows, block_rows):
+        # small blocks carry duplicates and drop counts across block boundaries
         lines = [",".join(header)]
         for ts, value, shape in rows:
             if shape == "blank":
@@ -232,12 +283,14 @@ class TestLoadSeriesCsv:
                                   cells + ["x"] if shape == "long" else cells))
         path = write(tmp_path, "\n".join(lines) + "\n")
         expected = dict_reader_oracle(path, "timestamp", "wind_speed_ms")
-        if expected is None:
-            with pytest.raises(IngestError, match="no valid rows"):
-                load_series_csv(path, COLMAP, label="x")
-            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+            if expected is None:
+                with pytest.raises(IngestError, match="no valid rows"):
+                    load_series_csv(path, COLMAP, label="x")
+                return
+            series, report = load_series_csv(path, COLMAP, label="x")
         stamps, values, counts = expected
-        series, report = load_series_csv(path, COLMAP, label="x")
         assert np.array_equal(series.timestamps, stamps)
         assert np.array_equal(series.values, values)
         assert report == GapReport(label="x", rows_kept=len(values), **counts)

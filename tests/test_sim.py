@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from windgame import (ChainConfig, FitError, PowerCurve, StrategyGrid,
+from windgame import (ChainConfig, CostParams, FitError, PowerCurve, StrategyGrid,
                       WindGameError, build_energy_tables, curtailment_timestep,
                       default_power_curve, fit_sigmoid, load_curve_points,
                       per_unit_output, per_unit_series, run_chain)
-from windgame import _native
+from windgame import _native, game
 from windgame.sim import PerUnitSeries
 
 from conftest import use_kernel_path
@@ -65,6 +65,15 @@ def brute_force_energy_tables(x1, x2, p_d, grid_values):
             e_c1[a, b] = c1
             e_c2[a, b] = c2
     return e_g1, e_g2, e_c1, e_c2
+
+
+def cpu_has(isa):
+    """Whether this CPU lists ``isa`` among its flags (Linux only; False elsewhere)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            return any(line.startswith("flags") and isa in line.split() for line in handle)
+    except OSError:
+        return False
 
 
 def random_per_unit(n, seed=0):
@@ -354,6 +363,39 @@ class TestKernelBuild:
                         for param in params.split(",")]
             entry = getattr(lib, name)
             assert (list(entry.argtypes), entry.restype) == (argtypes, results[result]), name
+
+    @pytest.mark.parametrize("isa", ["avx512f", "avx2", None], ids=["avx512f", "avx2", "default"])
+    def test_every_vector_clone_matches_the_fallbacks(self, isa, tmp_path, monkeypatch):
+        # the loaded library runs only the widest clone this CPU has; built
+        # alone, every clone this CPU can run must give the fallbacks' bits
+        compiler = _native.shutil.which("cc")
+        if compiler is None:
+            pytest.skip("no C compiler on this machine")
+        if isa is not None and not cpu_has(isa):
+            pytest.skip(f"this CPU has no {isa}")
+        path = tmp_path / "kernels.so"
+        subprocess.run([compiler, *_native._KERNEL_FLAGS, "-DVECTOR_CLONES=",
+                        *([f"-m{isa}"] if isa else []), "-o", str(path), "-x", "c", "-"],
+                       input=resources.files("windgame").joinpath(
+                           _native._KERNEL_SOURCE).read_bytes(),
+                       capture_output=True, check=True, timeout=300)
+        clone = _native._bind(path)
+        series = random_per_unit(50, seed=16)
+        series.x1[::3] = 0.0  # lanes where total = 0
+        grid = StrategyGrid(step=0.5, p_n_max=129.0)  # 259 columns: a scalar tail
+        monkeypatch.setattr(_native, "load_kernels", lambda: clone)
+        tables = build_energy_tables(series, None, grid)
+        monkeypatch.setattr(_native, "load_kernels", lambda: None)
+        expected = build_energy_tables(series, None, grid)
+        for name in ("e_g1", "e_g2", "e_c1", "e_c2"):
+            assert getattr(tables, name).tobytes() == getattr(expected, name).tobytes(), name
+        for p_t_frac in (0.0, 0.26, 0.8, 1.2):  # 1.2: a fee above the tariff
+            costs = CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 9.0e6)
+            cols, best = game._follower_best(clone, tables, costs)
+            want_cols, want_best = game._best_response(
+                game._follower_profit(tables.e_g2[None, :], tables.e_c2, costs))
+            assert np.array_equal(cols, want_cols)
+            assert best.tobytes() == want_best.tobytes()
 
     def test_cached_binary_is_reused(self, tmp_path, monkeypatch):
         if _native.shutil.which("cc") is None and _native.shutil.which("gcc") is None:
