@@ -9,8 +9,8 @@ the kernel's types. The source is compiled on the first call to
 ``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``). When no
 compiler is found, the build or load fails or the library lacks an entry
 point, one warning is logged and ``load_kernels`` returns None, so each
-caller runs its own fallback (numpy in ``sim`` and ``game``, Python in
-``gibbs``), which gives the same bits.
+caller runs its own fallback (numpy in ``sim``, the full-surface reference
+in ``game``, Python in ``gibbs``), which gives the same bits.
 """
 from __future__ import annotations
 

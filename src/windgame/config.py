@@ -47,6 +47,9 @@ class SweepSpec:
         if self.parameter not in SWEEPABLE:
             raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, "
                               f"got '{self.parameter}'")
+        for name in ("start_frac", "stop_frac", "step_frac"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"sweep {name} must be finite, got {getattr(self, name)}")
         if self.step_frac <= 0.0:
             raise ConfigError(f"sweep step must be positive, got {self.step_frac}")
         if self.stop_frac < self.start_frac:

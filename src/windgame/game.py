@@ -8,11 +8,11 @@ generation cost. The equilibrium is found by backward induction on the
 capacity grid: the follower's best response per leader capacity, then the
 leader's best choice against that response curve. Ties break toward the
 smaller capacity. ``stackelberg`` over ``profit_surfaces`` is the
-full-surface reference. ``equilibrium`` gives its bits without a k x k
-surface: the ``follower_best`` kernel of ``_kernels.c`` finds each row's
-best response one row at a time, and the leader's profit is evaluated along
-that curve alone. When no kernel loads, a numpy fallback builds the
-follower's k x k surface afresh on each call and takes its argmax per row.
+full-surface reference. ``equilibrium`` gives its bits on one of two paths:
+the ``follower_best`` kernel of ``_kernels.c`` finds each row's best
+response without a k x k surface, and the leader's profit is evaluated along
+that curve alone; when no kernel loads, or the costs are large enough that
+a profit off the curve could overflow, it returns the reference itself.
 """
 from __future__ import annotations
 
@@ -43,9 +43,12 @@ class CostParams:
     def __post_init__(self):
         if self.p_g <= 0.0:
             raise WindGameError(f"generation tariff must be positive, got {self.p_g}")
-        for name in ("p_t", "c_g1", "c_g2", "c_t"):
-            if getattr(self, name) < 0.0:
-                raise WindGameError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        for name in ("p_g", "p_t", "c_g1", "c_g2", "c_t"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise WindGameError(f"{name} must be finite, got {value}")
+            if value < 0.0:
+                raise WindGameError(f"{name} must be nonnegative, got {value}")
 
     @classmethod
     def from_fractions(cls, p_g: float, p_t_frac: float, c_g1_frac: float,
@@ -98,7 +101,7 @@ def _leader_profit(e_g1, e_c1, e_g2, e_c2, costs: CostParams) -> np.ndarray:
 
 def _follower_profit(e_g2, e_c2, costs: CostParams) -> np.ndarray:
     """pi2 = delivered_2 * (p_g - p_t) - e_g2 * c_g2, in place in one new array:
-    a new array per operation made the k=1,002 fallback solve ~1.3x slower."""
+    a new array per operation made the k=1,002 reference solve ~1.3x slower."""
     pi2 = e_g2 - e_c2
     pi2 *= costs.p_g - costs.p_t
     pi2 -= e_g2 * costs.c_g2
@@ -133,11 +136,10 @@ def _follower_best(kernels, tables: EnergyTables,
     return cols, work[0]
 
 
-def _leader_choice(cols: np.ndarray, pi2_best: np.ndarray, grid: StrategyGrid,
-                   leader_profits) -> Equilibrium:
-    """The leader's argmax of ``leader_profits(rows, cols)`` along the follower's
-    response ``cols`` (whose cells' pi2 is ``pi2_best``); ties break low."""
-    pi1 = leader_profits(np.arange(len(grid)), cols)
+def _leader_choice(cols: np.ndarray, pi2_best: np.ndarray, pi1: np.ndarray,
+                   grid: StrategyGrid) -> Equilibrium:
+    """The leader's argmax of ``pi1``, its profit along the follower's response
+    ``cols`` (whose cells' pi2 is ``pi2_best``); ties break low."""
     if not np.all(np.isfinite(pi1)):
         raise WindGameError("profit surfaces must be finite")
     i = int(np.argmax(pi1))
@@ -158,33 +160,26 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
     if surfaces.pi2.shape != (len(grid), len(grid)):
         raise WindGameError(f"surface shape {surfaces.pi2.shape} does not match grid "
                             f"of {len(grid)}")
-    return _leader_choice(*_best_response(surfaces.pi2), grid,
-                          lambda rows, cols: surfaces.pi1[rows, cols])
+    cols, pi2_best = _best_response(surfaces.pi2)
+    return _leader_choice(cols, pi2_best, surfaces.pi1[np.arange(len(grid)), cols], grid)
 
 
 def equilibrium(tables: EnergyTables, costs: CostParams) -> Equilibrium:
-    """``stackelberg(profit_surfaces(tables, costs), tables.grid)`` bit for bit:
-    the same profits, pi1 only along the follower's best response. The kernel
-    builds no surface; when no kernel loads, the fallback builds the
-    follower's."""
+    """``stackelberg(profit_surfaces(tables, costs), tables.grid)`` bit for bit.
+    With the kernels loaded and the costs under the overflow bound, the kernel
+    solves with the same profits, pi1 only along the follower's best response,
+    and builds no surface; otherwise this returns that reference itself."""
     # |e_g1 - e_c1| <= 2 * peak1, so no intermediate of pi1 exceeds twice this
     # bound, and rounding cannot double it again: while four times the bound is
     # finite, no cell of pi1 overflows. Past it, the reference's whole-surface
-    # check decides, so both refuse the same costs.
-    peak1, peak2 = tables.peaks
-    if not math.isfinite(4 * (peak1 * (costs.p_g + costs.c_g1) + peak2 * costs.p_t
-                              + costs.c_t)):
-        profit_surfaces(tables, costs)
+    # check decides, so both paths refuse the same costs.
     kernels = _native.load_kernels()
-    if kernels is not None:
-        cols, pi2_best = _follower_best(kernels, tables, costs)
-    else:
-        pi2 = _follower_profit(tables.e_g2[None, :], tables.e_c2, costs)
-        if not np.all(np.isfinite(pi2)):
-            raise WindGameError("profit surfaces must be finite")
-        cols, pi2_best = _best_response(pi2)
-    e_c1, e_c2 = tables.e_c1, tables.e_c2
-    return _leader_choice(
-        cols, pi2_best, tables.grid,
-        lambda rows, cols: _leader_profit(tables.e_g1[rows], e_c1[rows, cols],
-                                          tables.e_g2[cols], e_c2[rows, cols], costs))
+    peak1, peak2 = tables.peaks
+    if kernels is None or not math.isfinite(
+            4 * (peak1 * (costs.p_g + costs.c_g1) + peak2 * costs.p_t + costs.c_t)):
+        return stackelberg(profit_surfaces(tables, costs), tables.grid)
+    cols, pi2_best = _follower_best(kernels, tables, costs)
+    rows = np.arange(len(cols))
+    pi1 = _leader_profit(tables.e_g1, tables.e_c1[rows, cols], tables.e_g2[cols],
+                         tables.e_c2[rows, cols], costs)
+    return _leader_choice(cols, pi2_best, pi1, tables.grid)

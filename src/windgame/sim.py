@@ -44,9 +44,9 @@ class PowerCurve:
     fit_residual: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0.0 or self.beta <= 0.0:
+        if not (0.0 < self.alpha < math.inf and 0.0 < self.beta < math.inf):
             raise WindGameError(
-                f"power curve parameters must be positive, got "
+                f"power curve parameters must be positive and finite, got "
                 f"alpha={self.alpha}, beta={self.beta}")
 
 
@@ -91,7 +91,7 @@ class PerUnitSeries:
             raise WindGameError("per-unit series must have equal lengths")
         for name in ("x1", "x2"):
             arr = getattr(self, name)
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            if not np.all((arr >= 0.0) & (arr <= 1.0)):  # negated, so NaN fails too
                 raise WindGameError(f"{name} must lie in [0, 1]")
 
     def __len__(self) -> int:
@@ -155,6 +155,8 @@ def fit_sigmoid(points: list[tuple[float, float]]) -> PowerCurve:
         raise FitError(f"need at least 3 points to fit, got {len(points)}")
     winds = np.array([p[0] for p in points], dtype=np.float64)
     outputs = np.array([p[1] for p in points], dtype=np.float64)
+    if not (np.all(np.isfinite(winds)) and np.all(np.isfinite(outputs))):
+        raise FitError("power-curve points must be finite")
     if np.any(outputs < 0.0) or np.any(outputs > 1.0):
         raise FitError("per-unit outputs must lie in [0, 1]")
     if np.ptp(outputs) == 0.0:

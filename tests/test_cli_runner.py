@@ -3,14 +3,18 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from windgame.cli import main
 from windgame.config import PROFILES, SweepSpec, apply_profile, load_config, override_seed
 from windgame.runner import emit_report, ingest_joint_series, run_scenario, run_stats
 
-from conftest import REPO_ROOT
+from conftest import REPO_ROOT, use_kernel_path
 
 CONFIGS_DIR = f"{REPO_ROOT}/configs"
 
@@ -50,6 +54,10 @@ def write_series(tmp_path, w1, w2, demand):
 def write_tiny_config(tmp_path, *, sweep="parameter = p_t\nstart_frac = 0.1\n"
                                     "stop_frac = 0.3\nstep_frac = 0.1",
                       chain="n = 300\nrealisations = 3\nseed = 99",
+                      bins="wind_width_ms = 4.0\nmin_count = 4",
+                      grid="step_mw = 10.0\nmax_mw = 40.0",
+                      costs="p_g = 74.3\nc_g1_frac = 0.30\nc_g2_frac = 0.25\np_t_frac = 0.20\n"
+                            "c_t = 1.0e5",
                       extra_costs=""):
     text = f"""
 [data]
@@ -59,23 +67,17 @@ demand = demand.csv
 demand_target_mean_mw = 108.1830
 
 [bins]
-wind_width_ms = 4.0
+{bins}
 demand_width_mw = 20.0
-min_count = 4
 
 [chain]
 {chain}
 
 [grid]
-step_mw = 10.0
-max_mw = 40.0
+{grid}
 
 [costs]
-p_g = 74.3
-c_g1_frac = 0.30
-c_g2_frac = 0.25
-p_t_frac = 0.20
-c_t = 1.0e5
+{costs}
 {extra_costs}
 
 [sweep]
@@ -89,14 +91,20 @@ c_t = 1.0e5
 def run_cli_process(command, config, address_space_kb=None):
     """``windgame <command> --config <config>`` in a fresh interpreter, where an
     escaping exception prints a traceback; ``address_space_kb`` caps its
-    virtual memory (``ulimit -v``), so an allocation too large fails at once."""
+    address space (``RLIMIT_AS``, set in the child before it starts the
+    interpreter, so no shell is needed), and an allocation too large fails at
+    once."""
     args = [sys.executable, "-m", "windgame.cli", command, "--config", str(config)]
     if command == "run":
         args += ["--out", str(config.parent / "out")]
-    if address_space_kb is not None:
-        args = ["sh", "-c", f'ulimit -v {address_space_kb} && exec "$0" "$@"', *args]
+
+    def cap_address_space():
+        limit = address_space_kb * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     return subprocess.run(args, cwd=REPO_ROOT, env=dict(os.environ, PYTHONPATH="src"),
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60,
+                          preexec_fn=None if address_space_kb is None else cap_address_space)
 
 
 @pytest.fixture
@@ -236,6 +244,66 @@ class TestRunScenario:
         points = sweep.values()
         assert all(type(v) is float for v in points)
         assert [v.hex() for v in points] == [v.hex() for v in listed]
+
+    @pytest.mark.parametrize("name", ["start_frac", "stop_frac", "step_frac"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sweep_refused(self, name, bad):
+        # nan <= 0.0 is false, so the step's sign test alone lets NaN through,
+        # and values() would then fail on its count
+        fields = {"start_frac": 0.0, "stop_frac": 1.0, "step_frac": 0.1, name: bad}
+        with pytest.raises(ConfigError, match=f"sweep {name} must be finite, got {bad}"):
+            SweepSpec("p_t", **fields)
+
+    @settings(deadline=None, max_examples=60)
+    @given(dataset_seed=st.integers(0, 50),
+           bins=st.tuples(st.sampled_from([2.0, 3.0, 4.0, 6.0]), st.integers(1, 8)),
+           grid=st.tuples(st.sampled_from([5.0, 10.0, 20.0]), st.integers(0, 6)),
+           chain=st.tuples(st.integers(2, 400), st.integers(2, 4), st.integers(0, 2**31)),
+           sweep=st.tuples(st.sampled_from(["p_t", "c_g1", "c_g2"]), st.integers(0, 12),
+                           st.sampled_from([0.05, 0.1, 0.25, 0.5]), st.integers(1, 4)),
+           costs=st.tuples(st.sampled_from([1.0, 74.3, 500.0, 1e305]),
+                           *[st.floats(0.0, 1.5)] * 3, st.sampled_from([0.0, 1e3, 1e5])))
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_compiled_and_fallback_paths_write_the_same_reports(
+            self, dataset_seed, bins, grid, chain, sweep, costs):
+        # every stage that has a kernel (sampler, energy tables, game) against
+        # its fallback, end to end; fee fractions above 1 charge more than the
+        # tariff, and a 1e305 tariff overflows the profits. Reports must match
+        # byte for byte, run.json apart from its timings, or both runs must
+        # fail with the same stage-tagged error.
+        width, min_count = bins
+        step, points = grid
+        parameter, start, sweep_step, count = sweep
+        p_g, p_t_frac, c_g1_frac, c_g2_frac, c_t = costs
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            write_tiny_dataset(tmp, seed=dataset_seed)
+            config = load_config(write_tiny_config(
+                tmp, bins=f"wind_width_ms = {width!r}\nmin_count = {min_count}",
+                grid=f"step_mw = {step!r}\nmax_mw = {step * points!r}",
+                chain="n = {}\nrealisations = {}\nseed = {}".format(*chain),
+                sweep=f"parameter = {parameter}\nstart_frac = {start / 10!r}\n"
+                      f"stop_frac = {start / 10 + sweep_step * (count - 1)!r}\n"
+                      f"step_frac = {sweep_step!r}",
+                costs=f"p_g = {p_g!r}\np_t_frac = {p_t_frac!r}\nc_g1_frac = {c_g1_frac!r}\n"
+                      f"c_g2_frac = {c_g2_frac!r}\nc_t = {c_t!r}"))
+            outcomes = []
+            for path in ("compiled", "numpy"):
+                with pytest.MonkeyPatch.context() as patch:
+                    use_kernel_path(path, patch)
+                    try:
+                        emit_report(run_scenario(config), tmp / path)
+                    except StageError as exc:
+                        outcomes.append(str(exc))
+                        continue
+                reports = {name: (tmp / path / name).read_bytes()
+                           for name in ("equilibria.csv", "per_realisation.csv",
+                                        "convergence.csv")}
+                metadata = json.loads((tmp / path / "run.json").read_text(encoding="utf-8"))
+                del metadata["timing_s"]
+                outcomes.append((reports, metadata))
+        assert outcomes[0] == outcomes[1]
 
     def test_singleton_run_min_equals_mean_equals_max(self, tmp_path):
         write_tiny_dataset(tmp_path)
@@ -407,6 +475,22 @@ class TestRunScenario:
         text = caplog.text
         assert "read 240 rows" in text
         assert "aligned joint series: 240 records" in text
+
+
+def curve_points_command(config, command, bad_row):
+    """Write curve.csv beside ``config`` with ``bad_row`` as its line 3; return
+    its path, the arguments of ``command`` reading it (``run`` through
+    ``[power_curve] points``) and the prefix of its error."""
+    points = (config.parent / "curve.csv").resolve()
+    points.write_text(f"wind_ms,output_pu\n3.0,0.01\n{bad_row}\n15.0,0.99\n",
+                      encoding="utf-8")
+    if command == "fit-curve":
+        return points, ["fit-curve", "--points", str(points)], "error: "
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text.replace("[grid]", "[power_curve]\npoints = curve.csv\n\n[grid]"),
+                      encoding="utf-8")
+    return points, ["run", "--config", str(config), "--out", str(config.parent / "o")], \
+        "error: [curve] "
 
 
 class TestCli:
@@ -676,21 +760,19 @@ check("stats")
     @pytest.mark.parametrize("bad_row, shown", [("9.0,abc", "'abc'"), ("9.0", "None")],
                              ids=["non-numeric-cell", "short-row"])
     def test_malformed_curve_points(self, tiny_config, capsys, command, bad_row, shown):
-        points = (tiny_config.parent / "curve.csv").resolve()
-        points.write_text(f"wind_ms,output_pu\n3.0,0.01\n{bad_row}\n15.0,0.99\n",
-                          encoding="utf-8")
-        if command == "fit-curve":
-            args, prefix = ["fit-curve", "--points", str(points)], "error: "
-        else:
-            text = tiny_config.read_text(encoding="utf-8")
-            tiny_config.write_text(text.replace("[grid]", "[power_curve]\npoints = curve.csv"
-                                                "\n\n[grid]"), encoding="utf-8")
-            args = ["run", "--config", str(tiny_config), "--out", str(tiny_config.parent / "o")]
-            prefix = "error: [curve] "
+        points, args, prefix = curve_points_command(tiny_config, command, bad_row)
         assert main(args) == 1
         err = capsys.readouterr().err
         assert f"{prefix}{points} line 3: wind_ms and output_pu must be numbers" in err
         assert shown in err
+
+    @pytest.mark.parametrize("command", ["fit-curve", "run"])
+    @pytest.mark.parametrize("bad_row", ["nan,0.5", "inf,0.5", "9.0,nan"])
+    def test_non_finite_curve_points(self, tiny_config, capsys, command, bad_row):
+        # float() reads these cells, so the fit refuses them, in the curve stage
+        _, args, prefix = curve_points_command(tiny_config, command, bad_row)
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"{prefix}power-curve points must be finite\n"
 
     def test_fit_curve_subcommand(self, capsys):
         code = main(["fit-curve", "--points",

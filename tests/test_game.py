@@ -46,6 +46,17 @@ def exhaustive_equilibrium(pi1, pi2, values):
     return best_i, br[best_i], br
 
 
+class TestCostParams:
+    @pytest.mark.parametrize("name", ["p_g", "p_t", "c_g1", "c_g2", "c_t"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cost_refused(self, name, bad):
+        # nan <= 0.0 is false, so an order test alone would let NaN through
+        message = ("generation tariff must be positive" if (name, bad) == ("p_g", -np.inf)
+                   else f"{name} must be finite, got {bad}")
+        with pytest.raises(WindGameError, match=message):
+            dataclasses.replace(COSTS, **{name: bad})
+
+
 class TestProfitSurfaces:
     def test_zero_capacity_cell(self):
         tables, grid = tables_2x2()
@@ -187,8 +198,8 @@ def assert_same_equilibrium(eq, ref):
 
 
 def on_each_path(check):
-    """Run ``check()`` on the compiled kernels, when they load here, and then on
-    the numpy fallback."""
+    """Run ``check()`` on the compiled kernels, when they load here, and then
+    where none loads, which solves the game on the full-surface reference."""
     paths = ("compiled", "numpy") if _native.load_kernels() is not None else ("numpy",)
     for path in paths:
         with pytest.MonkeyPatch.context() as patch:

@@ -100,6 +100,21 @@ class TestPerUnitOutput:
         assert np.all(np.diff(outputs) > 0.0)
         assert np.all((outputs > 0.0) & (outputs < 1.0))
 
+    @pytest.mark.parametrize("alpha, beta", [(math.nan, 7.0), (math.inf, 7.0),
+                                             (0.9, math.nan), (0.9, math.inf)])
+    def test_non_finite_curve_refused(self, alpha, beta):
+        with pytest.raises(WindGameError, match="must be positive and finite"):
+            PowerCurve(alpha=alpha, beta=beta)
+
+    @pytest.mark.parametrize("name", ["x1", "x2"])
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+    def test_per_unit_outside_unit_interval_refused(self, name, bad):
+        # the energy kernel reads these by address and relies on this check
+        values = dict(x1=np.full(3, 0.5), x2=np.full(3, 0.5), p_d=np.full(3, 100.0))
+        values[name][1] = bad
+        with pytest.raises(WindGameError, match=rf"{name} must lie in \[0, 1\]"):
+            PerUnitSeries(**values)
+
     def test_default_curve_tracks_fixture_points(self):
         from importlib import resources
         curve = default_power_curve()
@@ -156,6 +171,12 @@ class TestFitSigmoid:
             fit_sigmoid([(1.0, 0.1), (2.0, 0.9)])
         with pytest.raises(FitError, match=r"\[0, 1\]"):
             fit_sigmoid([(1.0, 0.1), (2.0, 0.5), (3.0, 1.5)])
+
+    @pytest.mark.parametrize("point", [(math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5),
+                                       (2.0, math.nan)])
+    def test_non_finite_points_rejected(self, point):
+        with pytest.raises(FitError, match="must be finite"):
+            fit_sigmoid([(1.0, 0.1), point, (3.0, 0.9)])
 
 
 class TestCurtailmentTimestep:
