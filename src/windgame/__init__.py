@@ -17,7 +17,8 @@ from .errors import (ConfigError, DistributionError, ErgodicityError, FitError,
 from .game import (BestResponse, CostParams, Equilibrium, ProfitSurfaces,
                    equilibrium, profit_surfaces, stackelberg)
 from .gibbs import (ChainConfig, Realisation, SamplerTables, StatsReport, VariableStats,
-                    chain_rng, convergence_stats, run_chain, run_ensemble, wci_95)
+                    chain_rng, convergence_stats, run_chain, run_chains, run_ensemble,
+                    wci_95)
 from .ingest import (GapReport, JointSeries, TimeSeries, align_series,
                      load_series_csv, normalize_demand)
 from .sim import (EnergyTables, PerUnitSeries, PowerCurve, StrategyGrid,

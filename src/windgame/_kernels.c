@@ -1,12 +1,18 @@
 /* The package's three compiled kernels: the energy tables over a capacity
- * grid (energy_tables, for sim.py), one Gibbs chain's sweeps (gibbs_chain,
- * for gibbs.py) and the follower's best response to every leader capacity
- * (follower_best, for game.py). Each performs exactly the operations of the
- * fallback beside its caller (numpy in sim.py and game.py, plain Python in
- * gibbs.py), in the same order and with plain double arithmetic, so both
- * paths give the same bits as long as the compiler neither contracts
- * a*b+c into a fused multiply-add nor reassociates: build with
- * -ffp-contract=off and without -ffast-math.
+ * grid (energy_tables, for sim.py), the sweeps of one Gibbs chain or of two
+ * in lockstep (gibbs_chain, for gibbs.py) and the follower's best response
+ * to every leader capacity (follower_best, for game.py). Each performs
+ * exactly the operations of the fallback beside its caller (numpy in sim.py
+ * and game.py, plain Python in gibbs.py), in the same order and with plain
+ * double arithmetic, so both paths give the same bits as long as the
+ * compiler neither contracts a*b+c into a fused multiply-add nor
+ * reassociates: build with -ffp-contract=off and without -ffast-math.
+ * gibbs_chain also draws its uniforms itself, from each chain's numpy
+ * PCG64 stream, where the fallback draws them with numpy.
+ *
+ * gibbs_chain needs unsigned __int128 (GCC and Clang have it on 64-bit
+ * targets). A compiler without it fails the build, and the package runs
+ * every fallback, with one warning.
  *
  * energy_tables computes, per cell, the operations of the literal
  * per-timestep loop documented in sim.py:
@@ -83,49 +89,115 @@ void energy_tables(ptrdiff_t n, ptrdiff_t k,
     }
 }
 
-/* One chain's sweeps after its start state, over the CSR conditionals of
- * gibbs.SamplerTables.flat. Sweep t (1 <= t < n) reads the uniforms
- * u[3(t-1)], u[3(t-1)+1], u[3(t-1)+2] and draws
+#ifndef __SIZEOF_INT128__
+#error "gibbs_chain needs unsigned __int128 for numpy's PCG64 generator"
+#endif
+typedef unsigned __int128 uint128;
+
+/* numpy's PCG64 as Generator.random() uses it: a 128-bit LCG step, then the
+ * XSL-RR output of the new state (the xor of its two halves, rotated right
+ * by its top six bits), whose top 53 bits make a double in [0, 1). */
+struct pcg64 {
+    uint128 state, inc;
+};
+
+static inline double pcg64_random(struct pcg64 *g)
+{
+    const uint128 mult = (uint128)UINT64_C(0x2360ED051FC65DA4) << 64
+                         | UINT64_C(0x4385DF649FCCF645);
+    g->state = g->state * mult + g->inc;
+    const uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    const unsigned rot = (unsigned)(g->state >> 122);
+    return (double)(((x >> rot) | (x << (-rot & 63u))) >> 11) * 0x1.0p-53;
+}
+
+/* The CSR conditionals of gibbs.SamplerTables.flat, the mean-wind map and
+ * bins: _native.GibbsTables, built once per table in SamplerTables. */
+struct gibbs_tables {
+    const int64_t *col_start;
+    const double *col_len, *col_w1;
+    const int64_t *col_row, *row_start;
+    const double *row_len, *row_w2;
+    const int64_t *row_col, *dem_start;
+    const double *dem_len, *dem_vals;
+    const int64_t *mean_map;
+    double mean_origin, mean_width;
+    int64_t n_mean_bins;
+};
+
+/* One chain in flight: its generator, its current column and its
+ * (3, kept) output, rows w1, w2 and p_d. */
+struct gibbs_state {
+    struct pcg64 g;
+    int64_t j;
+    double *out;
+};
+
+/* A chain's state from its five start words (see gibbs_chain). */
+static inline struct gibbs_state gibbs_start(const uint64_t *w, double *out)
+{
+    const struct gibbs_state c = {{(uint128)w[0] << 64 | w[1], (uint128)w[2] << 64 | w[3]},
+                                  (int64_t)w[4], out};
+    return c;
+}
+
+/* One sweep of chain c. It always draws its three uniforms; it looks up
+ * demand and writes the state only when the state is kept, at index at. */
+static inline void gibbs_sweep(struct gibbs_state *c, const struct gibbs_tables *tb,
+                               ptrdiff_t at, ptrdiff_t kept)
+{
+    const double u0 = pcg64_random(&c->g), u1 = pcg64_random(&c->g),
+                 u2 = pcg64_random(&c->g);
+    int64_t k = tb->col_start[c->j] + (int64_t)(u0 * tb->col_len[c->j]);
+    const double w1 = tb->col_w1[k];
+    const int64_t i = tb->col_row[k];
+    k = tb->row_start[i] + (int64_t)(u1 * tb->row_len[i]);
+    const double w2 = tb->row_w2[k];
+    c->j = tb->row_col[k];
+    if (at < 0)
+        return;
+    int64_t bin = (int64_t)(((w1 + w2) * 0.5 - tb->mean_origin) / tb->mean_width);
+    bin = bin < tb->n_mean_bins - 1 ? bin : tb->n_mean_bins - 1;
+    const int64_t r = tb->mean_map[bin];
+    c->out[at] = w1;
+    c->out[kept + at] = w2;
+    c->out[2 * kept + at] = tb->dem_vals[tb->dem_start[r] + (int64_t)(u2 * tb->dem_len[r])];
+}
+
+/* The sweeps of one chain (out_b NULL) or of two in lockstep, after their
+ * start states, over the tables. Sweep t (1 <= t < n) draws the chain's
+ * next three uniforms u0, u1, u2 from its PCG64 stream and then
  *
  *   w1  = col_w1[k],  k = col_start[j] + (int64)(u0 * col_len[j]);  i = col_row[k]
  *   w2  = row_w2[k],  k = row_start[i] + (int64)(u1 * row_len[i]);  j = row_col[k]
  *   bin = min((int64)(((w1 + w2) * 0.5 - mean_origin) / mean_width), n_mean_bins - 1)
  *   p_d = dem_vals[k], k = dem_start[r] + (int64)(u2 * dem_len[r]),  r = mean_map[bin]
  *
- * starting from column j = j0, and writes the state of sweep t >= burn at
- * index t - burn of out_w1, out_w2 and out_pd. Lengths are doubles so that
- * u * length rounds as in numpy; casts truncate toward zero like astype.
- * The tables are checked on construction, so every index is in range.
+ * and writes the state of sweep t >= burn at column t - burn of its
+ * (3, n - burn) output. start holds five words per chain: the generator's
+ * state and increment, each as (high, low) 64-bit halves as numpy's PCG64
+ * reports them after the start state's two draws, then the start column.
+ * Lengths are doubles so that u * length rounds as in numpy; casts truncate
+ * toward zero like astype. The tables are checked on construction, so every
+ * index is in range. The chains share no state: the second one's table
+ * loads only fill the first one's load latency.
  */
-void gibbs_chain(ptrdiff_t n, ptrdiff_t burn, const double *restrict u, int64_t j0,
-                 const int64_t *restrict col_start, const double *restrict col_len,
-                 const double *restrict col_w1, const int64_t *restrict col_row,
-                 const int64_t *restrict row_start, const double *restrict row_len,
-                 const double *restrict row_w2, const int64_t *restrict row_col,
-                 const int64_t *restrict dem_start, const double *restrict dem_len,
-                 const double *restrict dem_vals, const int64_t *restrict mean_map,
-                 double mean_origin, double mean_width, int64_t n_mean_bins,
-                 double *restrict out_w1, double *restrict out_w2,
-                 double *restrict out_pd)
+void gibbs_chain(ptrdiff_t n, ptrdiff_t burn, const uint64_t *restrict start,
+                 const struct gibbs_tables *restrict tables, double *restrict out_a,
+                 double *restrict out_b)
 {
-    int64_t j = j0;
+    const struct gibbs_tables tb = *tables;
+    const ptrdiff_t kept = n - burn;
+    struct gibbs_state a = gibbs_start(start, out_a);
+    if (out_b == NULL) {
+        for (ptrdiff_t t = 1; t < n; t++)
+            gibbs_sweep(&a, &tb, t - burn, kept);
+        return;
+    }
+    struct gibbs_state b = gibbs_start(start + 5, out_b);
     for (ptrdiff_t t = 1; t < n; t++) {
-        const double *v = u + 3 * (t - 1);
-        int64_t k = col_start[j] + (int64_t)(v[0] * col_len[j]);
-        const double w1 = col_w1[k];
-        const int64_t i = col_row[k];
-        k = row_start[i] + (int64_t)(v[1] * row_len[i]);
-        const double w2 = row_w2[k];
-        j = row_col[k];
-        int64_t bin = (int64_t)(((w1 + w2) * 0.5 - mean_origin) / mean_width);
-        bin = bin < n_mean_bins - 1 ? bin : n_mean_bins - 1;
-        const int64_t r = mean_map[bin];
-        const double p_d = dem_vals[dem_start[r] + (int64_t)(v[2] * dem_len[r])];
-        if (t >= burn) {
-            out_w1[t - burn] = w1;
-            out_w2[t - burn] = w2;
-            out_pd[t - burn] = p_d;
-        }
+        gibbs_sweep(&a, &tb, t - burn, kept);
+        gibbs_sweep(&b, &tb, t - burn, kept);
     }
 }
 

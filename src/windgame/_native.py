@@ -2,15 +2,16 @@
 
 The source holds three entry points: ``energy_tables`` (used by ``sim``),
 ``gibbs_chain`` (used by ``gibbs``) and ``follower_best`` (used by
-``game``). Each takes every array as a ``c_void_p`` address, so ctypes
-checks only the scalars; the caller passes arrays it built or checked in
-the kernel's types. The source is compiled on the first call to
-``load_kernels``, not at import, and cached per user under
-``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``). When no
-compiler is found, the build or load fails or the library lacks an entry
-point, one warning is logged and ``load_kernels`` returns None, so each
-caller runs its own fallback (numpy in ``sim``, the full-surface reference
-in ``game``, Python in ``gibbs``), which gives the same bits.
+``game``). Each takes every array, and ``gibbs_chain`` its ``GibbsTables``,
+as a ``c_void_p`` address, so ctypes checks only the scalars; the caller
+passes arrays it built or checked in the kernel's types. The source is
+compiled on the first call to ``load_kernels``, not at import, and cached
+per user under ``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``).
+When no compiler is found, the build or load fails (``gibbs_chain`` needs
+the compiler's ``unsigned __int128``) or the library lacks an entry point,
+one warning is logged and ``load_kernels`` returns None, so each caller
+runs its own fallback (numpy in ``sim``, the full-surface reference in
+``game``, Python in ``gibbs``), which gives the same bits.
 """
 from __future__ import annotations
 
@@ -70,6 +71,17 @@ def _compile_kernel() -> Path:
     return target
 
 
+class GibbsTables(ctypes.Structure):
+    """``gibbs_chain``'s ``struct gibbs_tables``: the addresses of the CSR
+    arrays and the mean-wind map, then the mean-wind bins."""
+
+    _fields_ = [*((name, ctypes.c_void_p) for name in (
+                    "col_start", "col_len", "col_w1", "col_row", "row_start", "row_len",
+                    "row_w2", "row_col", "dem_start", "dem_len", "dem_vals", "mean_map")),
+                ("mean_origin", ctypes.c_double), ("mean_width", ctypes.c_double),
+                ("n_mean_bins", ctypes.c_int64)]
+
+
 def _bind(path) -> ctypes.CDLL:
     """The library at ``path``, its three entry points declared: arrays are
     addresses, scalars keep their C types."""
@@ -78,9 +90,7 @@ def _bind(path) -> ctypes.CDLL:
     ptr = ctypes.c_void_p
     energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[ptr] * 8]
     energy.restype = None
-    gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ctypes.c_int64,
-                      *[ptr] * 12, ctypes.c_double, ctypes.c_double, ctypes.c_int64,
-                      ptr, ptr, ptr]
+    gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ptr, ptr, ptr]
     gibbs.restype = None
     follower.argtypes = [ctypes.c_ssize_t, ptr, ptr, ctypes.c_double, ctypes.c_double,
                          ptr, ptr, ptr]

@@ -109,10 +109,13 @@ def _follower_profit(e_g2, e_c2, costs: CostParams) -> np.ndarray:
 
 
 def profit_surfaces(tables: EnergyTables, costs: CostParams) -> ProfitSurfaces:
-    """Evaluate both profit functions at every grid cell (i, j)."""
+    """Evaluate both profit functions at every grid cell (i, j). A cell that
+    overflows raises no numpy warning: ``ProfitSurfaces`` refuses it."""
     e_g1, e_g2 = tables.e_g1[:, None], tables.e_g2[None, :]
-    return ProfitSurfaces(pi1=_leader_profit(e_g1, tables.e_c1, e_g2, tables.e_c2, costs),
-                          pi2=_follower_profit(e_g2, tables.e_c2, costs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi1 = _leader_profit(e_g1, tables.e_c1, e_g2, tables.e_c2, costs)
+        pi2 = _follower_profit(e_g2, tables.e_c2, costs)
+    return ProfitSurfaces(pi1=pi1, pi2=pi2)
 
 
 def _best_response(pi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

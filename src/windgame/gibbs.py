@@ -9,11 +9,13 @@ resamples w1 given w2's bin, then w2 given the new w1's bin, then demand
 given the binned mean of the new winds, in exactly that order. Every draw
 consumes uniforms from a per-chain generator derived from the master seed
 and the chain index, so a realisation is reproducible in isolation.
-``run_chain`` is the one sampler: it draws a chain's start state, then its
-sweeps' uniforms in one call, and the ``gibbs_chain`` kernel of
-``_kernels.c`` runs the sweeps over the CSR arrays. When the kernel cannot
-be built or loaded, a plain-Python loop runs them with the same bits.
-Samples stay in memory: nothing here writes files.
+``run_chains`` is the one sampler (``run_chain`` is its one-chain case): it
+draws each chain's start state, then the ``gibbs_chain`` kernel of
+``_kernels.c`` runs the sweeps over the CSR arrays, two chains at a time,
+drawing each chain's uniforms from its own numpy PCG64 stream, so no array
+of uniforms is built. When the kernel cannot be built or loaded, a
+plain-Python loop runs each chain from one numpy draw of its uniforms, with
+the same bits. Samples stay in memory: nothing here writes files.
 
 The confidence width's Student-t quantile is scipy's ``stdtrit``, read from
 a table of its values up to N = 256 realisations and imported only for larger
@@ -21,6 +23,7 @@ ensembles, so the CLI never loads ``scipy.special``, its slowest import.
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -46,7 +49,7 @@ class ChainConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DistributionError(f"chain length n must be >= 1, got {self.n}")
-        if 3 * self.n * 8 > np.iinfo(np.intp).max:  # its 3 x n float64 states and uniforms
+        if 3 * self.n * 8 > np.iinfo(np.intp).max:  # its 3 x n float64 states (or uniforms)
             raise DistributionError(f"chain length n={self.n} is too long for numpy "
                                     f"to address its 3 x n samples")
         if self.realisations < 1:
@@ -98,17 +101,18 @@ def _csr(keys: np.ndarray, n_groups: int, *values: np.ndarray) -> tuple[np.ndarr
             *(v[order] for v in values))
 
 
-def _kernel_arguments(flat, mean_map: np.ndarray, spec: BinSpec) -> tuple:
-    """``gibbs_chain``'s table arguments: the addresses of the CSR arrays and
-    the mean-wind map, then the mean-wind bins. Taken once, where the tables
-    are built; an array that is not C-contiguous in the kernel's dtype (int64
+def _kernel_arguments(flat, mean_map: np.ndarray, spec: BinSpec) -> _native.GibbsTables:
+    """``gibbs_chain``'s tables: the addresses of the CSR arrays and the
+    mean-wind map, then the mean-wind bins. Taken once, where the tables are
+    built; an array that is not C-contiguous in the kernel's dtype (int64
     starts and indices, float64 lengths and values) is refused, not passed.
     """
     arrays = (*flat[0], *flat[1], *flat[2], mean_map)
     if any(a.dtype != dtype or not a.flags.c_contiguous
            for a, dtype in zip(arrays, (np.int64, np.float64, np.float64, np.int64) * 3)):
         raise TypeError("gibbs_chain needs C-contiguous int64 indices and float64 values")
-    return (*(a.ctypes.data for a in arrays), spec.origin, spec.width, spec.n_bins)
+    return _native.GibbsTables(*(a.ctypes.data for a in arrays), spec.origin, spec.width,
+                               spec.n_bins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,7 +125,7 @@ class SamplerTables:
     columns. Per retained mean-wind row: the raw demand values. Drawing a
     member uniformly reproduces count-proportional conditional weights.
     They and the mean-wind map are built in the kernel's types, and
-    ``_kernel_args`` holds ``gibbs_chain``'s table arguments for them.
+    ``_kernel_tables`` holds ``gibbs_chain``'s struct of them.
     Construction fails if the joint table is disconnected, a member value is
     not finite, a mean-wind row has no demand records, or a mean wind the
     chain can form has no row >= 0.
@@ -131,7 +135,7 @@ class SamplerTables:
     demand: DemandConditional
     flat: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False)
     _mean_map: np.ndarray = field(init=False, repr=False)
-    _kernel_args: tuple = field(init=False, repr=False)
+    _kernel_tables: _native.GibbsTables = field(init=False, repr=False)
 
     def __post_init__(self):
         joint, demand, spec = self.joint, self.demand, self.demand.mean_spec
@@ -155,7 +159,7 @@ class SamplerTables:
             raise DistributionError(f"mean wind {lowest} lies below the mean-wind bins")
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "_mean_map", mean_map)
-        object.__setattr__(self, "_kernel_args", _kernel_arguments(flat, mean_map, spec))
+        object.__setattr__(self, "_kernel_tables", _kernel_arguments(flat, mean_map, spec))
 
     @classmethod
     def from_series(cls, series: JointSeries, wind_width: float,
@@ -179,38 +183,64 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chain_index,))))
 
 
-def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> Realisation:
-    """Generate one realisation: n states, first floor(burn_in * n) discarded.
-
-    The chain starts from a uniformly drawn historic record (its (w1, w2)
-    pair and column, then demand given the pair's mean wind); each sweep draws
-    w1 | w2-bin, then w2 | new w1-bin, then demand | mean-wind bin. It takes
-    its uniforms from ``chain_rng(seed, chain_index)``, two for the start and
-    three per sweep in that order, so it does not depend on which other
-    chains run. The sweeps run in the compiled kernel, or in Python when it
-    cannot load.
-    """
+def _start(config: ChainConfig, tables: SamplerTables, chain_index: int
+           ) -> tuple[np.random.Generator, int, np.ndarray]:
+    """Chain ``chain_index``'s generator after its two start draws, its start
+    column and its (3, retained) output, holding the start state if kept."""
     joint = tables.joint
-    n, burn = config.n, config.burn_in
     rng = chain_rng(config.seed, chain_index)
-    out = np.empty((3, n - burn))
-
+    out = np.empty((3, config.retained))
     u0, u1 = rng.random(2)
     record = int(u0 * len(joint.w1_values))
     w1, w2 = joint.w1_values[record], joint.w2_values[record]
-    if burn == 0:
+    if config.burn_in == 0:
         out[:, 0] = w1, w2, _draw_demand(tables, w1, w2, u1)
+    return rng, int(joint.col_of[record]), out
 
-    uniforms = rng.random(3 * (n - 1))
-    j = int(joint.col_of[record])
+
+def _start_words(rng: np.random.Generator, j: int) -> tuple[int, ...]:
+    """``gibbs_chain``'s five start words for a chain: its PCG64 state and
+    increment as (high, low) 64-bit halves, then its start column."""
+    pcg = rng.bit_generator.state["state"]
+    return (*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64), j)
+
+
+def run_chains(config: ChainConfig, tables: SamplerTables,
+               indices: Sequence[int]) -> list[Realisation]:
+    """Realisations ``indices``, in that order: n states each, the first
+    floor(burn_in * n) discarded.
+
+    A chain starts from a uniformly drawn historic record (its (w1, w2) pair
+    and column, then demand given the pair's mean wind); each sweep draws
+    w1 | w2-bin, then w2 | new w1-bin, then demand | mean-wind bin. Chain k
+    takes its uniforms from ``chain_rng(seed, k)``, two for the start and
+    three per sweep in that order, so it does not depend on which other
+    chains run. The compiled kernel draws the sweeps' uniforms from that
+    stream itself and advances consecutive chains two at a time; when it
+    cannot load, Python runs each chain's sweeps from one draw of them all.
+    """
     kernels = _native.load_kernels()
-    if kernels is None:
-        _sweep_python(tables, uniforms, j, burn, out)
-    else:
-        at, var = out.ctypes.data, out.strides[0]
-        kernels.gibbs_chain(n, burn, uniforms.ctypes.data, j, *tables._kernel_args,
-                            at, at + var, at + 2 * var)
-    return Realisation(w1=out[0], w2=out[1], p_d=out[2], chain_index=chain_index)
+    realisations = []
+    for at in range(0, len(indices), 2):
+        pair = indices[at:at + 2]
+        chains = [_start(config, tables, k) for k in pair]
+        if kernels is None:
+            for rng, j, out in chains:
+                _sweep_python(tables, rng.random(3 * (config.n - 1)), j, config.burn_in, out)
+        else:
+            words = np.array([w for rng, j, _ in chains for w in _start_words(rng, j)],
+                             dtype=np.uint64)
+            outs = [out.ctypes.data for _, _, out in chains] + [None]  # None: no second chain
+            kernels.gibbs_chain(config.n, config.burn_in, words.ctypes.data,
+                                ctypes.addressof(tables._kernel_tables), *outs[:2])
+        realisations += [Realisation(w1=out[0], w2=out[1], p_d=out[2], chain_index=k)
+                         for k, (_, _, out) in zip(pair, chains)]
+    return realisations
+
+
+def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> Realisation:
+    """Realisation ``chain_index`` alone: ``run_chains`` of that one index."""
+    return run_chains(config, tables, (chain_index,))[0]
 
 
 def _draw_demand(tables: SamplerTables, w1, w2, u):
@@ -245,9 +275,10 @@ def _sweep_python(tables: SamplerTables, uniforms: np.ndarray, j: int, burn: int
 def run_ensemble(config: ChainConfig, tables: SamplerTables,
                  workers: int = 1) -> list[Realisation]:
     """Run the configured number of independent realisations, ordered by
-    chain index: chain k is ``run_chain(config, tables, k)``. ``workers`` is
-    accepted for older callers and has no effect."""
-    return [run_chain(config, tables, k) for k in range(config.realisations)]
+    chain index and sampled two at a time: chain k is
+    ``run_chain(config, tables, k)``. ``workers`` is accepted for older
+    callers and has no effect."""
+    return run_chains(config, tables, range(config.realisations))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,13 @@
 """End-to-end scenario execution and report emission.
 
-Pipeline: ingest -> distribution tables -> one job per chain -> ensemble
-aggregation. A job samples chain k, builds its energy tables once (cost
-parameters cannot affect the physics), solves the equilibrium at every sweep
-point and returns the chain's means and its (sweep, 4) block, so no
-realisation outlives its job; ``stats``' jobs return only the means. Jobs run
-on ``workers`` threads (the compiled kernels and numpy's k x k loops release
-the GIL) and each result depends on the chain index alone, so reports are
+Pipeline: ingest -> distribution tables -> chain jobs on a thread pool ->
+ensemble aggregation. A ``run`` job samples chain k, builds its energy
+tables once (cost parameters cannot affect the physics), solves the
+equilibrium at every sweep point and returns the chain's means and its
+(sweep, 4) block, so no realisation outlives its job; a ``stats`` job samples
+two consecutive chains together and returns only their means. Jobs run on
+``workers`` threads (the compiled kernels and numpy's k x k loops release the
+GIL) and each result depends on the chain index alone, so reports are
 byte-identical for every pool size. Failures, in a thread too, running out of
 memory and Ctrl-C are re-raised tagged with their stage; after one, no job
 starts and those in flight finish. Reports are renamed into place once written.
@@ -30,7 +31,7 @@ from . import __version__
 from .config import ScenarioConfig
 from .errors import StageError, WindGameError
 from .game import CostParams, equilibrium
-from .gibbs import Realisation, SamplerTables, StatsReport, run_chain, stats_from_means
+from .gibbs import Realisation, SamplerTables, StatsReport, run_chains, stats_from_means
 from .ingest import JointSeries, align_series, load_series_csv, normalize_demand
 from .sim import PowerCurve, StrategyGrid, build_energy_tables, default_power_curve, \
     fit_sigmoid, load_curve_points
@@ -115,13 +116,16 @@ def _sampling_stages(config: ScenarioConfig, timing: dict
     return series, tables
 
 
-def _map_chains(job, config: ScenarioConfig, workers: int) -> list:
-    """``job(k)`` for every chain index k, run on ``workers`` threads, in chain
-    order. After a job fails, no further job starts."""
+def _map_chains(job, config: ScenarioConfig, workers: int, per_job: int) -> list:
+    """``job(indices)`` for consecutive runs of ``per_job`` chain indices (the
+    last may be shorter), run on ``workers`` threads; each job returns one
+    result per index, and the results come back in chain order. After a job
+    fails, no further job starts."""
     n, results = config.chain.realisations, []
-    with ThreadPoolExecutor(max_workers=min(workers, n)) as pool:
-        for result in pool.map(job, range(n)):
-            results.append(result)
+    batches = [range(k, min(k + per_job, n)) for k in range(0, n, per_job)]
+    with ThreadPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+        for batch in pool.map(job, batches):
+            results += batch
             log.info("realisation %d/%d done", len(results), n)
     return results
 
@@ -140,11 +144,12 @@ def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: Strate
 
 def run_stats(config: ScenarioConfig, workers: int = 1) -> StatsReport:
     """Convergence diagnostics of the configured ensemble (two or more
-    chains), sampled one chain per job on ``workers`` threads."""
+    chains), sampled two consecutive chains per job on ``workers`` threads."""
     series, tables = _sampling_stages(config, {})
     with _stage("sample", {}):
-        means = _map_chains(lambda k: run_chain(config.chain, tables, k).means(),
-                            config, workers)
+        means = _map_chains(lambda indices: [r.means() for r in
+                                             run_chains(config.chain, tables, indices)],
+                            config, workers, 2)
         return stats_from_means(means, series, config.chain.retained)
 
 
@@ -160,11 +165,11 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
         costs = [_swept_costs(config.costs, config.sweep.parameter, frac)
                  for frac in sweep_fracs]
 
-        def job(k: int) -> tuple[tuple[float, float, float], np.ndarray]:
-            realisation = run_chain(config.chain, tables, k)
-            return realisation.means(), _solve_realisation(realisation, curve, grid, costs)
+        def job(indices: range) -> list[tuple[tuple[float, float, float], np.ndarray]]:
+            return [(r.means(), _solve_realisation(r, curve, grid, costs))
+                    for r in run_chains(config.chain, tables, indices)]
 
-        means, blocks = zip(*_map_chains(job, config, workers))
+        means, blocks = zip(*_map_chains(job, config, workers, 1))
         stats = stats_from_means(means, series, config.chain.retained) if len(means) > 1 else None
         per_real = np.stack(blocks, axis=1)
         aggregates = np.stack([per_real.mean(axis=1),

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from windgame import ConfigError, StageError, WindGameError
 from windgame.cli import main
@@ -88,13 +88,14 @@ demand_width_mw = 20.0
     return path
 
 
-def run_cli_process(command, config, address_space_kb=None):
+def run_cli_process(command, config, address_space_kb=None, python_flags=()):
     """``windgame <command> --config <config>`` in a fresh interpreter, where an
     escaping exception prints a traceback; ``address_space_kb`` caps its
     address space (``RLIMIT_AS``, set in the child before it starts the
     interpreter, so no shell is needed), and an allocation too large fails at
-    once."""
-    args = [sys.executable, "-m", "windgame.cli", command, "--config", str(config)]
+    once. ``python_flags`` go to the interpreter, before ``-m``."""
+    args = [sys.executable, *python_flags, "-m", "windgame.cli", command,
+            "--config", str(config)]
     if command == "run":
         args += ["--out", str(config.parent / "out")]
 
@@ -254,7 +255,10 @@ class TestRunScenario:
         with pytest.raises(ConfigError, match=f"sweep {name} must be finite, got {bad}"):
             SweepSpec("p_t", **fields)
 
-    @settings(deadline=None, max_examples=60)
+    # no shrinking: each failing example reruns the whole pipeline twice, and
+    # shrinking one took minutes; the failure reports its unshrunk example
+    @settings(deadline=None, max_examples=60,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate])
     @given(dataset_seed=st.integers(0, 50),
            bins=st.tuples(st.sampled_from([2.0, 3.0, 4.0, 6.0]), st.integers(1, 8)),
            grid=st.tuples(st.sampled_from([5.0, 10.0, 20.0]), st.integers(0, 6)),
@@ -263,8 +267,6 @@ class TestRunScenario:
                            st.sampled_from([0.05, 0.1, 0.25, 0.5]), st.integers(1, 4)),
            costs=st.tuples(st.sampled_from([1.0, 74.3, 500.0, 1e305]),
                            *[st.floats(0.0, 1.5)] * 3, st.sampled_from([0.0, 1e3, 1e5])))
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_compiled_and_fallback_paths_write_the_same_reports(
             self, dataset_seed, bins, grid, chain, sweep, costs):
         # every stage that has a kernel (sampler, energy tables, game) against
@@ -517,26 +519,44 @@ class TestCli:
         assert "wci95" in out and "p_d" in out
 
     def test_stats_same_bytes_for_any_worker_count(self, tiny_config, capsys):
-        printed = []
-        for workers in ("1", "2"):
-            assert main(["stats", "--config", str(tiny_config), "--workers", workers]) == 0
-            printed.append(capsys.readouterr().out)
-        assert printed[0] == printed[1]
-        config = load_config(tiny_config)
-        assert run_stats(config, workers=1) == run_stats(config, workers=2)
+        # stats jobs sample two chains each, so an odd N leaves one chain alone
+        text = tiny_config.read_text(encoding="utf-8")
+        for realisations in (3, 4):
+            tiny_config.write_text(text.replace("realisations = 3",
+                                                f"realisations = {realisations}"),
+                                   encoding="utf-8")
+            printed = []
+            for workers in ("1", "2", "3"):
+                assert main(["stats", "--config", str(tiny_config), "--workers", workers]) == 0
+                printed.append(capsys.readouterr().out)
+            assert printed[0] == printed[1] == printed[2]
+            assert f"realisations={realisations} " in printed[0]
+            config = load_config(tiny_config)
+            assert run_stats(config, workers=1) == run_stats(config, workers=2)
 
     def test_stats_samples_chains_on_the_pool(self, tiny_config, monkeypatch):
         import windgame.runner as runner_mod
-        threads, sample = set(), runner_mod.run_chain
+        threads, jobs, sample = set(), [], runner_mod.run_chains
 
-        def recording(config, tables, k):
+        def recording(config, tables, indices):
             threads.add(threading.get_ident())  # set.add is atomic
+            jobs.append(tuple(indices))  # list.append is atomic
             time.sleep(0.05)
-            return sample(config, tables, k)
+            return sample(config, tables, indices)
 
-        monkeypatch.setattr(runner_mod, "run_chain", recording)
+        monkeypatch.setattr(runner_mod, "run_chains", recording)
         run_stats(load_config(tiny_config), workers=2)
         assert len(threads) == 2
+        assert sorted(jobs) == [(0, 1), (2,)]
+
+    def test_overflowing_costs_fail_without_a_warning(self, tiny_config):
+        # under -W error a numpy overflow warning would end in a traceback
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("p_g = 74.3", "p_g = 1e305"), encoding="utf-8")
+        done = run_cli_process("run", tiny_config, python_flags=("-W", "error"))
+        assert done.returncode == 1
+        assert "Warning:" not in done.stderr and "Traceback" not in done.stderr, done.stderr
+        assert done.stderr.splitlines()[-1] == "error: [game] profit surfaces must be finite"
 
     def test_out_of_memory_is_stage_tagged(self, tiny_config, monkeypatch, capsys):
         import windgame.runner as runner_mod

@@ -252,7 +252,6 @@ class TestEquilibrium:
     @pytest.mark.parametrize("name, cell", [("e_c2", (1, 1)), ("e_g1", 1), ("e_c1", (0, 0))],
                              ids=["follower-surface", "leader-curve", "leader-off-curve"])
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_non_finite_energy_rejected(self, name, cell, bad):
         tables, grid = tables_2x2()
         table = getattr(tables, name).copy()
@@ -267,7 +266,6 @@ class TestEquilibrium:
     @pytest.mark.parametrize("costs", [dataclasses.replace(COSTS, p_g=1e308),
                                        dataclasses.replace(COSTS, c_g2=1e308)],
                              ids=["tariff", "follower-cost"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_costs_overflowing_profit_rejected(self, costs):
         # finite tables, yet pi2 overflows; with the follower's cost only pi2
         # does, and the best response avoids the infinite cell
@@ -281,7 +279,6 @@ class TestEquilibrium:
 
         on_each_path(check)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_pi1_overflowing_off_the_curve_rejected(self):
         # the follower answers every row with column 0, where pi1 is finite, but
         # the reference's surface overflows in column 1
@@ -303,8 +300,6 @@ class TestEquilibrium:
            st.lists(st.sampled_from([0.0, 1.0, 1e3, 1e300, 1e304, 4.4e304, 1e305, 1e306,
                                      4.4e306, 1e307, 4.4e307, 1.7e308]) | st.floats(0.0, 1.79e308),
                     min_size=5, max_size=5))
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_costs_near_overflow_match_reference(self, k, seed, magnitudes):
         # costs whose profits overflow in some cells, on or off the curve, or in
         # none: the solve raises exactly when the reference does, else agrees.

@@ -14,11 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import stdtrit
 
 from windgame import (BinSpec, ChainConfig, DistributionError, ErgodicityError,
                       Realisation, SamplerTables, chain_rng, convergence_stats,
-                      gibbs, run_chain, run_ensemble, wci_95)
+                      gibbs, run_chain, run_chains, run_ensemble, wci_95)
 from windgame.dist import JointTable
 from windgame.gibbs import _T975
 
@@ -361,6 +362,35 @@ class TestKernelArguments:
         parts[table] = replace(parts[table], **{name: values})
         with pytest.raises(DistributionError, match="finite"):
             SamplerTables(**parts)
+
+
+def bits(real: Realisation) -> bytes:
+    return real.w1.tobytes() + real.w2.tobytes() + real.p_d.tobytes()
+
+
+class TestRunChains:
+    """The kernel samples two chains at a time and draws their uniforms
+    itself; every chain must keep the bits it has when run alone, and those
+    of the fallback, which draws the uniforms with numpy."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**63), a=st.integers(0, 2**20), b=st.integers(0, 2**20),
+           n=st.sampled_from([1, 2, 3, 17, 400]),
+           burn_in_fraction=st.sampled_from([0.0, 0.2, 0.5]))
+    def test_pair_matches_each_chain_alone_and_the_fallback(self, synthetic_tables, seed, a,
+                                                            b, n, burn_in_fraction):
+        config = ChainConfig(n=n, realisations=1, burn_in_fraction=burn_in_fraction, seed=seed)
+        pair = run_chains(config, synthetic_tables, (a, b))
+        alone = [run_chain(config, synthetic_tables, k) for k in (a, b)]
+        with pytest.MonkeyPatch.context() as patch:
+            use_kernel_path("numpy", patch)
+            fallback = run_chains(config, synthetic_tables, (a, b))
+        assert [r.chain_index for r in pair] == [a, b]
+        assert [bits(r) for r in pair] == [bits(r) for r in alone] == \
+            [bits(r) for r in fallback]
+        # each realisation keeps its own (3, retained) array
+        assert all(r.w1.base.shape == (3, config.retained) for r in pair)
+        assert pair[0].w1.base is not pair[1].w1.base
 
 
 class TestRunEnsemble:

@@ -384,6 +384,15 @@ class TestKernelBuild:
                         for param in params.split(",")]
             entry = getattr(lib, name)
             assert (list(entry.argtypes), entry.restype) == (argtypes, results[result]), name
+        # gibbs_chain reads its tables through a struct that Python fills
+        body = re.search(r"^struct gibbs_tables \{(.*?)\};", source, re.M | re.S).group(1)
+        fields = []
+        for declaration in filter(str.strip, body.split(";")):
+            base, names = re.match(r"\s*(?:const\s+)?(\w+)\s+(.*)", declaration, re.S).groups()
+            fields += [(name.strip().lstrip("*"),
+                        ctypes.c_void_p if "*" in name else scalars[base])
+                       for name in names.split(",")]
+        assert _native.GibbsTables._fields_ == fields
 
     @pytest.mark.parametrize("isa", ["avx512f", "avx2", None], ids=["avx512f", "avx2", "default"])
     def test_every_vector_clone_matches_the_fallbacks(self, isa, tmp_path, monkeypatch):
