@@ -1,12 +1,13 @@
 /* The package's three compiled kernels: the energy tables over a capacity
  * grid (energy_tables, for sim.py), the sweeps of one Gibbs chain or of two
  * in lockstep (gibbs_chain, for gibbs.py) and the follower's best response
- * to every leader capacity (follower_best, for game.py). Each performs
- * exactly the operations of the fallback beside its caller (numpy in sim.py
- * and game.py, plain Python in gibbs.py), in the same order and with plain
- * double arithmetic, so both paths give the same bits as long as the
- * compiler neither contracts a*b+c into a fused multiply-add nor
- * reassociates: build with -ffp-contract=off and without -ffast-math.
+ * to every leader capacity at every sweep point (follower_best, for
+ * game.py). Each performs exactly the operations of the fallback beside its
+ * caller (numpy in sim.py and game.py, plain Python in gibbs.py), in the
+ * same order and with plain double arithmetic, so both paths give the same
+ * bits as long as the compiler neither contracts a*b+c into a fused
+ * multiply-add nor reassociates: build with -ffp-contract=off and without
+ * -ffast-math.
  * gibbs_chain also draws its uniforms itself, from each chain's numpy
  * PCG64 stream, where the fallback draws them with numpy.
  *
@@ -210,17 +211,21 @@ static inline int64_t order_key(int64_t b)
     return b ^ (int64_t)((uint64_t)(b >> 63) >> 1);
 }
 
-/* The follower's best response for game.equilibrium, one leader row at a
- * time. Cell j of row i is the follower's profit, computed with exactly the
- * operations of its twin game._follower_profit, given margin = p_g - p_t:
+/* The follower's best responses for game.equilibria, at every sweep point
+ * of one realisation. Cell j of row i at point p is the follower's profit,
+ * computed with exactly the operations of its twin game._follower_profit:
  *
- *   pi2[i,j] = (e_g2[j] - e_c2[i,j]) * margin - e_g2[j] * c_g2
+ *   pi2[p,i,j] = (e_g2[j] - e_c2[i,j]) * margin[p] - e_g2[j] * c_g2[p]
  *
- * cols[i] is the first column of the row's maximum, as np.argmax picks it,
- * so -0.0 and +0.0 tie and the first zero of either sign wins; best[i] is
- * that cell's own value, sign bit included. row is k doubles of workspace;
- * no k x k surface is stored. Returns 1 as soon as a row holds a non-finite
- * cell, with the outputs partly written, and 0 otherwise.
+ * with margin = p_g - p_t. cols[p*k + i] is the first column of that row's
+ * maximum, as np.argmax picks it, so -0.0 and +0.0 tie and the first zero of
+ * either sign wins; best[p*k + i] is that cell's own value, sign bit
+ * included. work is 2k doubles of workspace: a row's delivered energy
+ * e_g2[j] - e_c2[i,j], then its profits at one point; no k x k surface is
+ * stored. Rows run outside and points inside, so each row of e_c2 is read
+ * once and stays in L1 while every point uses it. Returns 1 as soon as a
+ * row holds a non-finite cell, with the outputs partly written, and 0
+ * otherwise.
  *
  * GCC vectorises no double max-reduction without -ffast-math, so the row's
  * maximum is taken over order_key of its cells' bits, and its non-finite
@@ -228,41 +233,48 @@ static inline int64_t order_key(int64_t b)
  * equal to the maximum.
  */
 VECTOR_CLONES
-int follower_best(ptrdiff_t k, const double *restrict e_g2, const double *restrict e_c2,
-                  double margin, double c_g2, int64_t *restrict cols,
-                  double *restrict best, double *restrict row)
+int follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
+                  const double *restrict e_c2, const double *restrict margin,
+                  const double *restrict c_g2, int64_t *restrict cols,
+                  double *restrict best, double *restrict work)
 {
     const int64_t magnitude = INT64_MAX, infinity = INT64_C(0x7ff0000000000000);
+    double *restrict delivered = work, *restrict row = work + k;
     for (ptrdiff_t i = 0; i < k; i++) {
         const double *restrict c2 = e_c2 + i * k;
-        int64_t top = INT64_MIN, widest = 0;
-        for (ptrdiff_t j = 0; j < k; j++) {
-            const double v = (e_g2[j] - c2[j]) * margin - e_g2[j] * c_g2;
-            int64_t b;
-            memcpy(&b, &v, sizeof b);
-            row[j] = v;
-            const int64_t key = order_key(b), size = b & magnitude;
-            top = key > top ? key : top;
-            widest = size > widest ? size : widest;
+        for (ptrdiff_t j = 0; j < k; j++)
+            delivered[j] = e_g2[j] - c2[j];
+        for (ptrdiff_t p = 0; p < points; p++) {
+            const double m = margin[p], c = c_g2[p];
+            int64_t top = INT64_MIN, widest = 0;
+            for (ptrdiff_t j = 0; j < k; j++) {
+                const double v = delivered[j] * m - e_g2[j] * c;
+                int64_t b;
+                memcpy(&b, &v, sizeof b);
+                row[j] = v;
+                const int64_t key = order_key(b), size = b & magnitude;
+                top = key > top ? key : top;
+                widest = size > widest ? size : widest;
+            }
+            if (widest >= infinity)
+                return 1;
+            const int64_t top_bits = order_key(top);
+            double peak;
+            memcpy(&peak, &top_bits, sizeof peak);
+            /* every cell is finite, so some cell equals peak */
+            ptrdiff_t j = 0;
+            for (; j + 8 <= k; j += 8) {
+                int hit = 0;
+                for (int l = 0; l < 8; l++)
+                    hit |= row[j + l] == peak;
+                if (hit)
+                    break;
+            }
+            while (row[j] != peak)
+                j++;
+            cols[p * k + i] = j;
+            best[p * k + i] = row[j];
         }
-        if (widest >= infinity)
-            return 1;
-        const int64_t top_bits = order_key(top);
-        double m;
-        memcpy(&m, &top_bits, sizeof m);
-        /* every cell is finite, so some cell equals m */
-        ptrdiff_t j = 0;
-        for (; j + 8 <= k; j += 8) {
-            int hit = 0;
-            for (int l = 0; l < 8; l++)
-                hit |= row[j + l] == m;
-            if (hit)
-                break;
-        }
-        while (row[j] != m)
-            j++;
-        cols[i] = j;
-        best[i] = row[j];
     }
     return 0;
 }

@@ -92,8 +92,7 @@ def _bind(path) -> ctypes.CDLL:
     energy.restype = None
     gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ptr, ptr, ptr]
     gibbs.restype = None
-    follower.argtypes = [ctypes.c_ssize_t, ptr, ptr, ctypes.c_double, ctypes.c_double,
-                         ptr, ptr, ptr]
+    follower.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[ptr] * 7]
     follower.restype = ctypes.c_int
     return lib
 

@@ -90,5 +90,18 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def entry() -> int:
+    """The console entry (``windgame`` and ``python -m windgame.cli``):
+    ``main``, then every object alive moved out of the collector's reach, so
+    the interpreter's last collections at exit skip the heap that ``main``
+    left. Exit handlers and stream flushes still run; every report is closed
+    and renamed into place before ``main`` returns."""
+    code = main()
+    import gc  # here, so that importing this module loads no further module
+
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -11,6 +11,7 @@ tables stay in memory: nothing here writes files.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -94,24 +95,42 @@ def _merge_groups(marginals: np.ndarray, min_count: int) -> np.ndarray:
     if min_count > total:
         raise DistributionError(
             f"min_count={min_count} exceeds total observation count {total}")
+    # Each group is keyed by its first bin. A heap holds (sum, first bin) of
+    # every group, and stale entries of merged groups are skipped when popped;
+    # groups keep their order, so (sum, first bin) orders the groups as
+    # (sum, index) does, and the merge order is the greedy one.
+    n = len(marginals)
     sums = [int(c) for c in marginals]
-    widths = [1] * len(sums)
-    while len(sums) > 1:
-        k = min(range(len(sums)), key=lambda i: (sums[i], i))
-        if sums[k] >= min_count:
+    widths = [1] * n
+    prev, next_ = list(range(-1, n - 1)), list(range(1, n + 1))  # -1 and n: no neighbour
+    alive = [True] * n
+    heap = [(c, i) for i, c in enumerate(sums)]
+    heapq.heapify(heap)
+    groups = n
+    while groups > 1:
+        total_k, k = heapq.heappop(heap)
+        if not alive[k] or sums[k] != total_k:
+            continue
+        if total_k >= min_count:
             break
-        if k == 0:
-            target = 1
-        elif k == len(sums) - 1:
-            target = k - 1
+        before, after = prev[k], next_[k]
+        if before < 0:
+            target = after
+        elif after == n:
+            target = before
         else:
-            target = k - 1 if sums[k - 1] >= sums[k + 1] else k + 1
+            target = before if sums[before] >= sums[after] else after
         lo, hi = min(k, target), max(k, target)
-        sums[lo] = sums[lo] + sums[hi]
-        widths[lo] = widths[lo] + widths[hi]
-        del sums[hi]
-        del widths[hi]
-    return np.repeat(np.arange(len(widths), dtype=np.int64), widths)
+        sums[lo] += sums[hi]
+        widths[lo] += widths[hi]
+        alive[hi] = False
+        next_[lo] = next_[hi]
+        if next_[hi] < n:
+            prev[next_[hi]] = lo
+        heapq.heappush(heap, (sums[lo], lo))
+        groups -= 1
+    kept = [w for w, live in zip(widths, alive) if live]
+    return np.repeat(np.arange(len(kept), dtype=np.int64), kept)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,11 +8,13 @@ generation cost. The equilibrium is found by backward induction on the
 capacity grid: the follower's best response per leader capacity, then the
 leader's best choice against that response curve. Ties break toward the
 smaller capacity. ``stackelberg`` over ``profit_surfaces`` is the
-full-surface reference. ``equilibrium`` gives its bits on one of two paths:
-the ``follower_best`` kernel of ``_kernels.c`` finds each row's best
-response without a k x k surface, and the leader's profit is evaluated along
-that curve alone; when no kernel loads, or the costs are large enough that
-a profit off the curve could overflow, it returns the reference itself.
+full-surface reference. ``equilibria`` gives its bits for every sweep point
+of one realisation on one of two paths: one call of the ``follower_best``
+kernel of ``_kernels.c`` finds each row's best response at every point
+without a k x k surface, and the leader's profit is evaluated along those
+curves alone; when no kernel loads, or a point's costs are large enough
+that a profit off the curve could overflow, that point returns the
+reference itself.
 """
 from __future__ import annotations
 
@@ -92,11 +94,11 @@ class Equilibrium:
     best_response: BestResponse = field(repr=False, compare=False)
 
 
-def _leader_profit(e_g1, e_c1, e_g2, e_c2, costs: CostParams) -> np.ndarray:
+def _leader_profit(e_g1, e_c1, e_g2, e_c2, p_g, c_g1, p_t, c_t) -> np.ndarray:
     """pi1 = delivered_1 * p_g - e_g1 * c_g1 + delivered_2 * p_t - c_t, where
-    delivered_i = e_gi - e_ci, cell by cell over broadcastable energies."""
-    return ((e_g1 - e_c1) * costs.p_g - e_g1 * costs.c_g1
-            + (e_g2 - e_c2) * costs.p_t - costs.c_t)
+    delivered_i = e_gi - e_ci, cell by cell over broadcastable energies and
+    costs."""
+    return (e_g1 - e_c1) * p_g - e_g1 * c_g1 + (e_g2 - e_c2) * p_t - c_t
 
 
 def _follower_profit(e_g2, e_c2, costs: CostParams) -> np.ndarray:
@@ -113,7 +115,8 @@ def profit_surfaces(tables: EnergyTables, costs: CostParams) -> ProfitSurfaces:
     overflows raises no numpy warning: ``ProfitSurfaces`` refuses it."""
     e_g1, e_g2 = tables.e_g1[:, None], tables.e_g2[None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        pi1 = _leader_profit(e_g1, tables.e_c1, e_g2, tables.e_c2, costs)
+        pi1 = _leader_profit(e_g1, tables.e_c1, e_g2, tables.e_c2,
+                             costs.p_g, costs.c_g1, costs.p_t, costs.c_t)
         pi2 = _follower_profit(e_g2, tables.e_c2, costs)
     return ProfitSurfaces(pi1=pi1, pi2=pi2)
 
@@ -125,32 +128,37 @@ def _best_response(pi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _follower_best(kernels, tables: EnergyTables,
-                   costs: CostParams) -> tuple[np.ndarray, np.ndarray]:
-    """``_best_response`` of ``_follower_profit`` over the tables, row by row in
-    the ``follower_best`` kernel: O(k) memory, no k x k surface."""
-    k = len(tables.grid)
-    cols = np.empty(k, dtype=np.int64)
-    work = np.empty((2, k))  # each row's best pi2, then the row in hand
-    at = work.ctypes.data
+                   costs: list[CostParams]) -> tuple[np.ndarray, np.ndarray]:
+    """``_best_response`` of ``_follower_profit`` over the tables at each of
+    ``costs``, as (points, k) arrays, row by row in the ``follower_best``
+    kernel: O(k) memory per point, no k x k surface."""
+    k, points = len(tables.grid), len(costs)
+    cols = np.empty((points, k), dtype=np.int64)
+    best = np.empty((points, k))
+    work = np.empty(2 * k)  # a row's delivered energy, then its profits at one point
+    margin = np.array([c.p_g - c.p_t for c in costs])
+    c_g2 = np.array([c.c_g2 for c in costs])
     e_g2, e_c2 = np.ascontiguousarray(tables.e_g2), np.ascontiguousarray(tables.e_c2)
-    if kernels.follower_best(k, e_g2.ctypes.data, e_c2.ctypes.data, costs.p_g - costs.p_t,
-                             costs.c_g2, cols.ctypes.data, at, at + work.strides[0]):
+    if kernels.follower_best(k, points, e_g2.ctypes.data, e_c2.ctypes.data,
+                             margin.ctypes.data, c_g2.ctypes.data, cols.ctypes.data,
+                             best.ctypes.data, work.ctypes.data):
         raise WindGameError("profit surfaces must be finite")
-    return cols, work[0]
+    return cols, best
 
 
-def _leader_choice(cols: np.ndarray, pi2_best: np.ndarray, pi1: np.ndarray,
-                   grid: StrategyGrid) -> Equilibrium:
-    """The leader's argmax of ``pi1``, its profit along the follower's response
-    ``cols`` (whose cells' pi2 is ``pi2_best``); ties break low."""
+def _leader_choices(cols: np.ndarray, pi2_best: np.ndarray, pi1: np.ndarray,
+                    grid: StrategyGrid) -> list[Equilibrium]:
+    """Per row of ``pi1``, the leader's argmax of its profit along the
+    follower's response in that row of ``cols`` (whose cells' pi2 are in
+    ``pi2_best``); ties break low."""
     if not np.all(np.isfinite(pi1)):
         raise WindGameError("profit surfaces must be finite")
-    i = int(np.argmax(pi1))
-    j = int(cols[i])
+    leaders = np.argmax(pi1, axis=1).tolist()
     values = grid.values
-    return Equilibrium(p_n1_star=float(values[i]), p_n2_star=float(values[j]),
-                       pi1_star=float(pi1[i]), pi2_star=float(pi2_best[i]), leader_index=i,
-                       follower_index=j, best_response=BestResponse(indices=cols))
+    return [Equilibrium(p_n1_star=float(values[i]), p_n2_star=float(values[row[i]]),
+                        pi1_star=float(profit[i]), pi2_star=float(pi2[i]), leader_index=i,
+                        follower_index=int(row[i]), best_response=BestResponse(indices=row))
+            for i, row, profit, pi2 in zip(leaders, cols, pi1, pi2_best)]
 
 
 def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
@@ -164,25 +172,51 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
         raise WindGameError(f"surface shape {surfaces.pi2.shape} does not match grid "
                             f"of {len(grid)}")
     cols, pi2_best = _best_response(surfaces.pi2)
-    return _leader_choice(cols, pi2_best, surfaces.pi1[np.arange(len(grid)), cols], grid)
+    pi1 = surfaces.pi1[np.arange(len(grid)), cols]
+    return _leader_choices(cols[None], pi2_best[None], pi1[None], grid)[0]
 
 
-def equilibrium(tables: EnergyTables, costs: CostParams) -> Equilibrium:
-    """``stackelberg(profit_surfaces(tables, costs), tables.grid)`` bit for bit.
-    With the kernels loaded and the costs under the overflow bound, the kernel
-    solves with the same profits, pi1 only along the follower's best response,
-    and builds no surface; otherwise this returns that reference itself."""
+# Cells of the (points, k) arrays that one follower_best call and its leader
+# step work on: a desk sweep (41 points at k=21) is one call, and at k=1,002
+# four points share each pass over e_c2 while each array stays at 32 KB
+# (8,192 cells solved a fine-grid sweep no faster, and raised the peak RSS of
+# a two-worker run by ~0.5 MB more).
+_CHUNK_CELLS = 4096
+
+
+def equilibria(tables: EnergyTables, costs: list[CostParams]) -> list[Equilibrium]:
+    """``stackelberg(profit_surfaces(tables, c), tables.grid)`` for each ``c``
+    of ``costs``, bit for bit. With the kernels loaded, the points under the
+    overflow bound are solved a chunk at a time, each chunk in one
+    ``follower_best`` call, with the same profits, pi1 only along the
+    follower's best responses, and no surface is built; every other point
+    returns that reference itself."""
     # |e_g1 - e_c1| <= 2 * peak1, so no intermediate of pi1 exceeds twice this
     # bound, and rounding cannot double it again: while four times the bound is
     # finite, no cell of pi1 overflows. Past it, the reference's whole-surface
     # check decides, so both paths refuse the same costs.
     kernels = _native.load_kernels()
     peak1, peak2 = tables.peaks
-    if kernels is None or not math.isfinite(
-            4 * (peak1 * (costs.p_g + costs.c_g1) + peak2 * costs.p_t + costs.c_t)):
-        return stackelberg(profit_surfaces(tables, costs), tables.grid)
-    cols, pi2_best = _follower_best(kernels, tables, costs)
-    rows = np.arange(len(cols))
-    pi1 = _leader_profit(tables.e_g1, tables.e_c1[rows, cols], tables.e_g2[cols],
-                         tables.e_c2[rows, cols], costs)
-    return _leader_choice(cols, pi2_best, pi1, tables.grid)
+    fast = [] if kernels is None else [
+        p for p, c in enumerate(costs)
+        if math.isfinite(4 * (peak1 * (c.p_g + c.c_g1) + peak2 * c.p_t + c.c_t))]
+    k = len(tables.grid)
+    rows, step, solved = np.arange(k), max(1, _CHUNK_CELLS // k), {}
+    for lo in range(0, len(fast), step):
+        chunk = fast[lo:lo + step]
+        points = [costs[p] for p in chunk]
+        cols, pi2_best = _follower_best(kernels, tables, points)
+        # each cost as a (points, 1) column against the (points, k) curves
+        p_g, c_g1, p_t, c_t = np.array([(c.p_g, c.c_g1, c.p_t, c.c_t)
+                                        for c in points]).T[..., None]
+        pi1 = _leader_profit(tables.e_g1, tables.e_c1[rows, cols], tables.e_g2[cols],
+                             tables.e_c2[rows, cols], p_g, c_g1, p_t, c_t)
+        solved.update(zip(chunk, _leader_choices(cols, pi2_best, pi1, tables.grid)))
+    return [solved[p] if p in solved else stackelberg(profit_surfaces(tables, c), tables.grid)
+            for p, c in enumerate(costs)]
+
+
+def equilibrium(tables: EnergyTables, costs: CostParams) -> Equilibrium:
+    """``equilibria`` at one point: ``stackelberg(profit_surfaces(tables,
+    costs), tables.grid)`` bit for bit."""
+    return equilibria(tables, [costs])[0]

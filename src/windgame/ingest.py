@@ -7,8 +7,10 @@ values. Input resolution is fixed at one hour; sub-hourly files are rejected.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from functools import partial
 from pathlib import Path
 from typing import Mapping
 
@@ -43,34 +45,43 @@ _SEPARATORS = np.array([[ord(_CANONICAL[i])] for i in _SEPARATOR_AT], dtype=np.u
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _parse_each(parse, cells: list[str], rows, out: np.ndarray) -> list[int]:
-    """``out[i] = parse(cells[i])`` for each i in ``rows``; returns the rows
-    whose cell ``parse`` rejected with ValueError or OverflowError (the
-    latter: a stamp whose offset takes it out of range in UTC)."""
+def _parse_each(parse, cells, rows, out: np.ndarray) -> list[int]:
+    """``out[i] = parse(cell)`` for each row i of ``rows`` and its cell in
+    ``cells``; returns the rows whose cell ``parse`` rejected with ValueError
+    or OverflowError (the latter: a stamp whose offset takes it out of range
+    in UTC)."""
     rejected = []
-    for i in rows:
+    for i, cell in zip(rows, cells):
         try:
-            out[i] = parse(cells[i])
+            out[i] = parse(cell)
         except (ValueError, OverflowError):
             rejected.append(i)
     return rejected
 
 
-def _epoch_seconds(cells: list[str]) -> tuple[np.ndarray, list[int]]:
+def _str_codes(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The (19, n) character codes of ``str`` cells, one row per character
+    position and one column per cell, and each cell's length, taken from the
+    ``str`` itself: a numpy string array drops trailing NULs."""
+    n, width = len(cells), len(_CANONICAL)
+    code = np.array(cells, dtype=f"U{width}").view(np.uint32).reshape(n, width).T
+    return code, np.fromiter(map(len, cells), np.intp, n)
+
+
+def _epoch_seconds(code: np.ndarray, lengths: np.ndarray,
+                   cell) -> tuple[np.ndarray, list[int]]:
     """``_parse_iso_timestamp`` over a column: seconds since the UTC epoch per
     cell, and the cells it rejected.
 
-    A canonical cell (exactly ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits, a valid
-    date and time of day) is read with integer array arithmetic (days from the
-    civil date); every other cell, a canonical shape out of range included,
-    goes through ``_parse_iso_timestamp``, the one authority on the rest. The
-    length comes from each ``str``: a numpy string array drops trailing NULs.
+    ``code`` holds the first 19 character codes of each cell, one column per
+    cell, and ``lengths`` each cell's length. A canonical cell (exactly
+    ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits, a valid date and time of day) is
+    read with integer array arithmetic (days from the civil date); every other
+    cell, a canonical shape out of range included, is fetched as ``cell(i)``
+    and goes through ``_parse_iso_timestamp``, the one authority on the rest.
     """
-    n, width = len(cells), len(_CANONICAL)
-    # one row per character position, one column per cell
-    code = np.array(cells, dtype=f"U{width}").view(np.uint32).reshape(n, width).T
     digits = code[_DIGIT_AT].astype(np.int64) - ord("0")
-    canonical = ((np.fromiter(map(len, cells), np.intp, n) == width)
+    canonical = ((lengths == len(_CANONICAL))
                  & (code[_SEPARATOR_AT] == _SEPARATORS).all(axis=0)
                  & ((digits >= 0) & (digits <= 9)).all(axis=0))
     century, year, month, day, hour, minute, second = digits[0::2] * 10 + digits[1::2]
@@ -85,14 +96,16 @@ def _epoch_seconds(cells: list[str]) -> tuple[np.ndarray, list[int]]:
     days = (era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100
             + day_of_year - 719468)  # 0 on 1970-01-01
     stamps = days * 86400 + hour * 3600 + minute * 60 + second
-    return stamps, _parse_each(_parse_iso_timestamp, cells,
-                               np.flatnonzero(~canonical).tolist(), stamps)
+    rows = np.flatnonzero(~canonical).tolist()
+    return stamps, _parse_each(_parse_iso_timestamp, map(cell, rows), rows, stamps)
 
 
 # Rows whose cells are held as strings at once: each block is parsed into
 # arrays before the next is read, so a long file never holds all its cells
 # as Python objects, whose memory the allocator keeps once they are freed
 # (all 17.5k rows of one shipped wind file at once left ~3 MB more resident).
+# The array path reads in blocks of the same size, so its temporaries stay
+# as small.
 _BLOCK_ROWS = 2048
 
 
@@ -113,23 +126,134 @@ def _cell_blocks(reader, i_ts: int, i_val: int, dropped: dict):
     yield ts_cells, val_cells
 
 
-def _parse_block(ts_cells: list[str], val_cells: list[str],
-                 dropped: dict) -> tuple[np.ndarray, np.ndarray]:
+def _csv_blocks(reader, i_ts: int, i_val: int, dropped: dict):
+    """``_parse_block`` over each of ``_cell_blocks``' blocks, every value
+    cell parsed by ``float``."""
+    for ts_cells, val_cells in _cell_blocks(reader, i_ts, i_val, dropped):
+        values = np.empty(len(val_cells))
+        rejected = _parse_each(float, val_cells, range(len(val_cells)), values)
+        yield _parse_block(*_str_codes(ts_cells), values, rejected,
+                           lambda i: (ts_cells[i], val_cells[i]), dropped)
+
+
+def _parse_block(code: np.ndarray, lengths: np.ndarray, values: np.ndarray,
+                 rejected: list[int], text, dropped: dict) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds and values of the block's rows that parse to a finite,
-    nonnegative value, in row order; the other rows are counted in ``dropped``."""
-    stamps, rejected = _epoch_seconds(ts_cells)
-    values = np.empty(len(val_cells))
-    rejected += _parse_each(float, val_cells, range(len(val_cells)), values)
+    nonnegative value, in row order; the other rows are counted in ``dropped``.
+
+    ``code`` and ``lengths`` are the timestamp cells as ``_epoch_seconds``
+    reads them; ``values`` are the parsed value cells, except at the rows in
+    ``rejected``; ``text(i)`` is row i's timestamp and value cells as ``str``.
+    """
+    stamps, rejected_stamps = _epoch_seconds(code, lengths, lambda i: text(i)[0])
     parsed = np.ones(len(values), dtype=bool)
+    parsed[rejected_stamps] = False
     parsed[rejected] = False
     rejected = np.flatnonzero(~parsed).tolist()
     # a whitespace-only cell fails both parsers, so only a rejected row can hold one
-    missing = sum(1 for i in rejected if not ts_cells[i].strip() or not val_cells[i].strip())
+    missing = sum(1 for i in rejected if not all(cell.strip() for cell in text(i)))
     keep = parsed & np.isfinite(values) & (values >= 0.0)
     dropped["missing"] += missing
     dropped["unparseable"] += len(rejected) - missing
     dropped["invalid"] += len(values) - len(rejected) - int(np.count_nonzero(keep))
     return stamps[keep], values[keep]
+
+
+# The widest value cell that the array path's one cast parses; a block with
+# a longer one parses its values with ``float``.
+_VALUE_WIDTH = 32
+
+
+def _line_feeds(data: bytes) -> np.ndarray | None:
+    """The offsets of the LFs in ``data`` when ``csv.reader`` would split it
+    exactly at its LFs and commas, else None: ``data`` is ASCII, holds no
+    quote and no NUL, has an LF just after every CR, and no line longer than
+    csv's field limit (a field is never longer than its line)."""
+    if not data.isascii() or b'"' in data or b"\0" in data:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    if not np.all(buf[np.flatnonzero(buf[:-1] == ord("\r")) + 1] == ord("\n")) \
+            or data.endswith(b"\r"):
+        return None
+    feeds = np.flatnonzero(buf == ord("\n"))
+    lines = np.diff(feeds, prepend=-1, append=len(data)) - 1
+    return feeds if lines.max() <= csv.field_size_limit() else None
+
+
+def _array_rows(data: bytes, feeds: np.ndarray):
+    """``csv.reader``'s rows of ``data``, which ``_line_feeds`` accepted, as
+    arrays: its header, then a function of the timestamp and value columns
+    that yields ``_parse_block``'s result per block of rows.
+
+    Each line ends at an LF, less a CR just before it; an empty line is no
+    row. The cells of a line lie between its commas. Timestamp cells are
+    gathered by their first 19 bytes; the value cells of a block are parsed
+    by one cast of a fixed-width bytes array, or by ``float`` one at a time
+    when a cell is too long for it or the cast refuses one.
+    """
+    buf = np.frombuffer(data, np.uint8)
+    starts = np.append(0, feeds + 1)
+    ends = np.append(feeds, len(data))
+    ends[:-1] -= (buf[feeds - 1] == ord("\r")) & (feeds > 0)
+    header = data[starts[0]:ends[0]].decode("ascii")
+    nonblank = np.flatnonzero(ends[1:] > starts[1:]) + 1
+    starts, ends = starts[nonblank], ends[nonblank]
+    commas = np.append(np.flatnonzero(buf == ord(",")), len(data))
+
+    def gather(start: np.ndarray, width: int) -> np.ndarray:
+        """The ``width`` bytes from each offset in ``start``, one row per
+        offset; past the end of the file, its last byte repeats."""
+        return buf[np.minimum(start[:, None] + np.arange(width), len(buf) - 1)]
+
+    def blocks(i_ts: int, i_val: int, dropped: dict):
+        last = max(i_ts, i_val)
+        for lo in range(0, len(starts) or 1, _BLOCK_ROWS):  # no row: one empty block
+            line_start, line_end = starts[lo:lo + _BLOCK_ROWS], ends[lo:lo + _BLOCK_ROWS]
+            first = np.searchsorted(commas, line_start)
+            count = np.searchsorted(commas, line_end) - first
+            full = count >= last
+            dropped["missing"] += len(full) - int(np.count_nonzero(full))
+            line_start, line_end = line_start[full], line_end[full]
+            first, count = first[full], count[full]
+
+            def span(c: int) -> tuple[np.ndarray, np.ndarray]:
+                """The start and end offsets of each row's cell ``c``."""
+                start = line_start if c == 0 else commas[first + c - 1] + 1
+                return start, np.where(count > c, commas[first + c], line_end)
+
+            (ts_start, ts_end), (val_start, val_end) = span(i_ts), span(i_val)
+
+            def text(i: int) -> tuple[str, str]:
+                return (data[ts_start[i]:ts_end[i]].decode("ascii"),
+                        data[val_start[i]:val_end[i]].decode("ascii"))
+
+            yield _parse_block(gather(ts_start, len(_CANONICAL)).T, ts_end - ts_start,
+                               *_cast_values(gather, val_start, val_end - val_start, text),
+                               text, dropped)
+
+    return header.split(",") if header else [], blocks
+
+
+def _cast_values(gather, start: np.ndarray, length: np.ndarray,
+                 text) -> tuple[np.ndarray, list[int]]:
+    """The value cells that start at ``start`` and are ``length`` bytes long
+    (``gather`` fetches their bytes), parsed as ``float`` parses them, and
+    the rows it rejected: an empty cell, and any cell ``float`` refuses. One
+    cast parses every nonempty cell; when a cell is too long for it, or it
+    refuses one, ``float`` parses each."""
+    values = np.empty(len(start))
+    filled = length > 0
+    width = int(length.max(initial=1))
+    if width <= _VALUE_WIDTH:
+        cells = gather(start[filled], width)
+        cells[np.arange(width) >= length[filled, None]] = 0
+        try:
+            values[filled] = cells.view(f"S{width}")[:, 0].astype(np.float64)
+            return values, np.flatnonzero(~filled).tolist()
+        except ValueError:
+            pass
+    return values, _parse_each(float, (text(i)[1] for i in range(len(start))),
+                               range(len(start)), values)
 
 
 @dataclass(frozen=True)
@@ -234,6 +358,10 @@ def load_series_csv(path: str | Path,
     duplicated timestamps the first occurrence wins. Raises
     :class:`IngestError` for a missing file, a file that is not UTF-8 CSV,
     absent columns, no valid rows, or sub-hourly sampling.
+
+    The file is read once. ASCII without quotes, whose lines end in LF or
+    CRLF, is split into rows and cells as arrays; every other file goes
+    through ``csv.reader``. Both give the rows ``csv.reader`` gives.
     """
     path = Path(path)
     try:
@@ -247,18 +375,22 @@ def load_series_csv(path: str | Path,
     if not path.is_file():
         raise IngestError(f"{label}: file not found: {path}")
 
+    data = path.read_bytes()
     dropped = dict.fromkeys(("missing", "unparseable", "invalid"), 0)
+    feeds = _line_feeds(data)
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, [])
-            columns = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
-            for needed in (ts_col, val_col):
-                if needed not in columns:
-                    raise IngestError(f"{label}: column '{needed}' not in header "
-                                      f"{header} of {path}")
-            blocks = [_parse_block(ts_cells, val_cells, dropped) for ts_cells, val_cells
-                      in _cell_blocks(reader, columns[ts_col], columns[val_col], dropped)]
+        if feeds is None:  # the reference path, for quoted or non-ASCII input too
+            reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                 newline=""))
+            header, blocks = next(reader, []), partial(_csv_blocks, reader)
+        else:
+            header, blocks = _array_rows(data, feeds)
+        columns = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
+        for needed in (ts_col, val_col):
+            if needed not in columns:
+                raise IngestError(f"{label}: column '{needed}' not in header "
+                                  f"{header} of {path}")
+        blocks = list(blocks(columns[ts_col], columns[val_col], dropped))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"{label}: cannot read {path}: {exc}") from None
     stamps, values = (np.concatenate(arrays) for arrays in zip(*blocks))

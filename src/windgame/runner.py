@@ -3,14 +3,15 @@
 Pipeline: ingest -> distribution tables -> chain jobs on a thread pool ->
 ensemble aggregation. A ``run`` job samples chain k, builds its energy
 tables once (cost parameters cannot affect the physics), solves the
-equilibrium at every sweep point and returns the chain's means and its
-(sweep, 4) block, so no realisation outlives its job; a ``stats`` job samples
-two consecutive chains together and returns only their means. Jobs run on
-``workers`` threads (the compiled kernels and numpy's k x k loops release the
-GIL) and each result depends on the chain index alone, so reports are
-byte-identical for every pool size. Failures, in a thread too, running out of
-memory and Ctrl-C are re-raised tagged with their stage; after one, no job
-starts and those in flight finish. Reports are renamed into place once written.
+equilibria at every sweep point in one call and returns the chain's means
+and its (sweep, 4) block, so no realisation outlives its job; a ``stats``
+job samples two consecutive chains together and returns only their means.
+Jobs run on ``workers`` threads (the compiled kernels and numpy's k x k
+loops release the GIL) and each result depends on the chain index alone, so
+reports are byte-identical for every pool size. Failures, in a thread too,
+running out of memory and Ctrl-C are re-raised tagged with their stage;
+after one, no job starts and those in flight finish. Reports are renamed
+into place once written.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import scipy
 from . import __version__
 from .config import ScenarioConfig
 from .errors import StageError, WindGameError
-from .game import CostParams, equilibrium
+from .game import CostParams, equilibria
 from .gibbs import Realisation, SamplerTables, StatsReport, run_chains, stats_from_means
 from .ingest import JointSeries, align_series, load_series_csv, normalize_demand
 from .sim import PowerCurve, StrategyGrid, build_energy_tables, default_power_curve, \
@@ -135,11 +136,8 @@ def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: Strate
     """Equilibria of one realisation at every sweep point: a (sweep, 4) block
     of p_n1, p_n2, pi1, pi2, from energy tables built once for all points."""
     energies = build_energy_tables(realisation, curve, grid)
-    block = np.empty((len(costs), 4))
-    for s_idx, point in enumerate(costs):
-        eq = equilibrium(energies, point)
-        block[s_idx] = (eq.p_n1_star, eq.p_n2_star, eq.pi1_star, eq.pi2_star)
-    return block
+    return np.array([(eq.p_n1_star, eq.p_n2_star, eq.pi1_star, eq.pi2_star)
+                     for eq in equilibria(energies, costs)])
 
 
 def run_stats(config: ScenarioConfig, workers: int = 1) -> StatsReport:
@@ -172,9 +170,12 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
         means, blocks = zip(*_map_chains(job, config, workers, 1))
         stats = stats_from_means(means, series, config.chain.retained) if len(means) > 1 else None
         per_real = np.stack(blocks, axis=1)
-        aggregates = np.stack([per_real.mean(axis=1),
-                               per_real.min(axis=1),
-                               per_real.max(axis=1)], axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            aggregates = np.stack([per_real.mean(axis=1),
+                                   per_real.min(axis=1),
+                                   per_real.max(axis=1)], axis=1)
+        if not np.all(np.isfinite(aggregates)):
+            raise WindGameError("the ensemble mean of the equilibria overflows")
 
     metadata = {
         "seed": config.chain.seed,

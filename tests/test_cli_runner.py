@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from windgame import ConfigError, StageError, WindGameError
 from windgame.cli import main
@@ -267,6 +267,10 @@ class TestRunScenario:
                            st.sampled_from([0.05, 0.1, 0.25, 0.5]), st.integers(1, 4)),
            costs=st.tuples(st.sampled_from([1.0, 74.3, 500.0, 1e305]),
                            *[st.floats(0.0, 1.5)] * 3, st.sampled_from([0.0, 1e3, 1e5])))
+    # every realisation's pi2 is finite (1.03e308 to 1.14e308), but their mean overflows
+    @example(dataset_seed=21, bins=(3.0, 6), grid=(20.0, 3), chain=(37, 3, 1835175),
+             sweep=("p_t", 0, 0.5, 1),
+             costs=(1e305, 1.3002329050567005, 0.937399680258423, 0.22200611132097153, 1000.0))
     def test_compiled_and_fallback_paths_write_the_same_reports(
             self, dataset_seed, bins, grid, chain, sweep, costs):
         # every stage that has a kernel (sampler, energy tables, game) against
@@ -557,6 +561,24 @@ class TestCli:
         assert done.returncode == 1
         assert "Warning:" not in done.stderr and "Traceback" not in done.stderr, done.stderr
         assert done.stderr.splitlines()[-1] == "error: [game] profit surfaces must be finite"
+
+    def test_overflowing_ensemble_mean_fails_without_a_warning(self, tmp_path):
+        # every realisation's profits are finite, but the mean across them is
+        # not: under -W error numpy's warning in the mean would end in a
+        # traceback, and without it the report would hold inf
+        write_tiny_dataset(tmp_path, seed=21)
+        config = write_tiny_config(
+            tmp_path, bins="wind_width_ms = 3.0\nmin_count = 6",
+            grid="step_mw = 20.0\nmax_mw = 60.0", chain="n = 37\nrealisations = 3\nseed = 1835175",
+            sweep="parameter = p_t\nstart_frac = 0.0\nstop_frac = 0.0\nstep_frac = 0.5",
+            costs="p_g = 1e305\np_t_frac = 1.3002329050567005\nc_g1_frac = 0.937399680258423\n"
+                  "c_g2_frac = 0.22200611132097153\nc_t = 1000.0")
+        done = run_cli_process("run", config, python_flags=("-W", "error"))
+        assert done.returncode == 1
+        assert "Warning:" not in done.stderr and "Traceback" not in done.stderr, done.stderr
+        assert done.stderr.splitlines()[-1] == \
+            "error: [game] the ensemble mean of the equilibria overflows"
+        assert not (tmp_path / "out" / "equilibria.csv").exists()
 
     def test_out_of_memory_is_stage_tagged(self, tiny_config, monkeypatch, capsys):
         import windgame.runner as runner_mod

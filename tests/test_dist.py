@@ -243,6 +243,15 @@ class TestMergeSparseBins:
         with pytest.raises(DistributionError, match="exceeds total"):
             _merge_groups(marginals, sum(counts) + 1)
 
+    def test_merge_of_3000_bins_matches_greedy_oracle(self):
+        # sparse, tied and empty bins at a count where a quadratic merge took
+        # 0.44 s; the merge must still follow the literal greedy order
+        rng = np.random.default_rng(7)
+        marginals = rng.poisson(2.0, 3000) * (rng.random(3000) < 0.6)
+        assignment = _merge_groups(marginals, 25)
+        assert assignment.tolist() == greedy_merge(marginals, 25)
+        assert 1 < assignment.max() + 1 < 3000
+
 
 class TestConditionalSlice:
     def test_point_mass(self):

@@ -10,7 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from windgame import (ChainConfig, CostParams, EnergyTables, Equilibrium, ProfitSurfaces,
                       StrategyGrid, WindGameError, _native, build_energy_tables,
-                      default_power_curve, equilibrium, profit_surfaces, run_chain, stackelberg)
+                      default_power_curve, equilibria, equilibrium, profit_surfaces, run_chain,
+                      stackelberg)
+from windgame import game
 
 from conftest import use_kernel_path
 
@@ -328,6 +330,40 @@ class TestEquilibrium:
 
         on_each_path(check)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.sampled_from([1.0, 74.3, 1e305, 1.4e308]),
+                              *[st.sampled_from([0.0, 0.26, 0.8, 1.2])] * 3,
+                              st.sampled_from([0.0, 9.0e6])), min_size=1, max_size=6),
+           st.sampled_from([1, 6, game._CHUNK_CELLS]))
+    def test_sweep_in_one_call_matches_reference_per_point(self, k, seed, points, chunk_cells):
+        # a sweep whose points fall under and over the overflow bound, solved
+        # in chunks of one point, of a few, or all at once: one call solves
+        # them all as the reference solves each, or raises as it does
+        rng = np.random.default_rng(seed)
+        grid = StrategyGrid(step=1.0, p_n_max=float(k - 1))
+        tables = EnergyTables(e_g1=rng.uniform(0.0, 900.0, k), e_g2=rng.uniform(0.0, 900.0, k),
+                              e_c1=rng.uniform(0.0, 80.0, (k, k)),
+                              e_c2=rng.uniform(0.0, 80.0, (k, k)), grid=grid)
+        sweep = [CostParams.from_fractions(*point) for point in points]
+        try:
+            refs = [stackelberg(profit_surfaces(tables, costs), grid) for costs in sweep]
+        except WindGameError as exc:
+            assert str(exc) == "profit surfaces must be finite"
+            refs = None
+
+        def check():
+            if refs is None:
+                with pytest.raises(WindGameError, match="must be finite"):
+                    equilibria(tables, sweep)
+            else:
+                for eq, ref in zip(equilibria(tables, sweep), refs, strict=True):
+                    assert_same_equilibrium(eq, ref)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(game, "_CHUNK_CELLS", chunk_cells)
+            on_each_path(check)
+
     @pytest.mark.parametrize("name, value", [
         ("e_g1", np.zeros(3)), ("e_c2", np.zeros((2, 3))), ("e_c1", np.zeros((2, 2), np.float32)),
         ("e_g2", [0.0, 0.0])])
@@ -351,11 +387,17 @@ class TestEquilibriumOnFineGrid:
     P_T_FRACS = [i / 50 for i in range(41)] + [1.2]
 
     def test_fee_sweep_matches_full_surface_reference(self, fine_grid_tables):
-        for frac in self.P_T_FRACS:
-            costs = CostParams.from_fractions(74.3, frac, 0.26, 0.20, 9.0e6)
-            ref = stackelberg(profit_surfaces(fine_grid_tables, costs), fine_grid_tables.grid)
-            on_each_path(lambda: assert_same_equilibrium(equilibrium(fine_grid_tables, costs),
-                                                         ref))
+        # the whole sweep in one call, as the runner solves a realisation
+        sweep = [CostParams.from_fractions(74.3, frac, 0.26, 0.20, 9.0e6)
+                 for frac in self.P_T_FRACS]
+        refs = [stackelberg(profit_surfaces(fine_grid_tables, costs), fine_grid_tables.grid)
+                for costs in sweep]
+
+        def check():
+            for eq, ref in zip(equilibria(fine_grid_tables, sweep), refs, strict=True):
+                assert_same_equilibrium(eq, ref)
+
+        on_each_path(check)
 
     def test_compiled_solve_builds_no_surface(self, fine_grid_tables, monkeypatch):
         use_kernel_path("compiled", monkeypatch)

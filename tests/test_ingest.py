@@ -12,7 +12,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from windgame import (GapReport, IngestError, TimeSeries, align_series, load_series_csv,
                       normalize_demand)
 from windgame import ingest
-from windgame.ingest import _epoch_seconds, _parse_iso_timestamp
+from windgame.ingest import _array_rows, _epoch_seconds, _parse_iso_timestamp
+
+from conftest import REPO_ROOT
 
 COLMAP = {"timestamp": "timestamp", "value": "wind_speed_ms"}
 
@@ -222,7 +224,7 @@ class TestLoadSeriesCsv:
     def test_canonical_stamps_match_fromisoformat(self, cells):
         # the vectorised path against the per-cell parser, cell by cell: the same
         # seconds, or both reject
-        stamps, rejected = _epoch_seconds(cells)
+        stamps, rejected = _epoch_seconds(*ingest._str_codes(cells), cells.__getitem__)
         for i, cell in enumerate(cells):
             try:
                 expected = _parse_iso_timestamp(cell)
@@ -268,10 +270,17 @@ class TestLoadSeriesCsv:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(st.sampled_from(HEADERS), st.lists(st.tuples(TS_CELLS, VALUE_CELLS, ROW_SHAPES),
                                              max_size=30),
-           st.sampled_from([1, 2, 7, ingest._BLOCK_ROWS]))
-    def test_matches_dict_reader_oracle(self, tmp_path, header, rows, block_rows):
-        # small blocks carry duplicates and drop counts across block boundaries
-        lines = [",".join(header)]
+           st.sampled_from([1, 2, 7, ingest._BLOCK_ROWS]), st.sampled_from(["\n", "\r\n", "\r"]),
+           st.booleans(), st.booleans(), st.booleans())
+    def test_matches_dict_reader_oracle(self, tmp_path, header, rows, block_rows, newline,
+                                        final_newline, quoted, non_ascii):
+        # small blocks carry duplicates and drop counts across block boundaries;
+        # ASCII with LF or CRLF lines takes the array path, and a lone CR, a
+        # quote, a NUL or a non-ASCII character the csv.reader path
+        names = list(header) + (["notes_é"] if non_ascii else [])
+        if quoted:
+            names[0] = f'"{names[0]}"'
+        lines = [",".join(names)]
         for ts, value, shape in rows:
             if shape == "blank":
                 lines.append("")
@@ -281,7 +290,9 @@ class TestLoadSeriesCsv:
                 cells[header.index("wind_speed_ms")] = "-1"
             lines.append(",".join(cells[:-1] if shape == "short" else
                                   cells + ["x"] if shape == "long" else cells))
-        path = write(tmp_path, "\n".join(lines) + "\n")
+        path = tmp_path / "series.csv"
+        path.write_bytes((newline.join(lines) + (newline if final_newline else ""))
+                         .encode("utf-8"))
         expected = dict_reader_oracle(path, "timestamp", "wind_speed_ms")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ingest, "_BLOCK_ROWS", block_rows)
@@ -294,6 +305,41 @@ class TestLoadSeriesCsv:
         assert np.array_equal(series.timestamps, stamps)
         assert np.array_equal(series.values, values)
         assert report == GapReport(label="x", rows_kept=len(values), **counts)
+
+    @pytest.mark.parametrize("text, array_path", [
+        ("timestamp,wind_speed_ms\n2015-01-01T00:00:00,5.0\n", True),
+        ("timestamp,wind_speed_ms\r\n2015-01-01T00:00:00,5.0", True),
+        ("timestamp,wind_speed_ms\r2015-01-01T00:00:00,5.0\r", False),
+        ("timestamp,wind_speed_ms\r\n2015-01-01T00:00:00,5.0\r", False),
+        ('timestamp,"wind_speed_ms"\n2015-01-01T00:00:00,5.0\n', False),
+        ("timestamp,wind_speed_ms,é\n2015-01-01T00:00:00,5.0\n", False),
+        ("timestamp,wind_speed_ms\n2015-01-01T00:00:00,5.0,\x00\n", False),
+    ], ids=["lf", "crlf-unterminated", "lone-cr", "cr-at-end", "quote", "non-ascii", "nul"])
+    def test_path_taken_by_the_bytes(self, tmp_path, text, array_path, monkeypatch):
+        # both paths give the same row; only input that csv.reader splits at
+        # exactly its LFs and commas takes the array path
+        taken = []
+        monkeypatch.setattr(ingest, "_array_rows", lambda *args: taken.append(True)
+                            or _array_rows(*args))
+        path = tmp_path / "series.csv"
+        path.write_bytes(text.encode("utf-8"))
+        series, report = load_series_csv(path, COLMAP)
+        assert bool(taken) == array_path
+        assert list(series.values) == [5.0] and report.rows_read == 1
+
+    def test_shipped_files_take_the_array_path(self, monkeypatch):
+        # CRLF lines, gaps, blanks, sentinels and duplicates; the csv.reader
+        # path gives the same series and report
+        taken = []
+        monkeypatch.setattr(ingest, "_array_rows", lambda *args: taken.append(True)
+                            or _array_rows(*args))
+        path = f"{REPO_ROOT}/data/synthetic/site_a_wind.csv"
+        series, report = load_series_csv(path, COLMAP)
+        monkeypatch.setattr(ingest, "_line_feeds", lambda data: None)
+        reference, reference_report = load_series_csv(path, COLMAP)
+        assert taken == [True] and report == reference_report and report.dropped_total > 0
+        assert series.timestamps.tobytes() == reference.timestamps.tobytes()
+        assert series.values.tobytes() == reference.values.tobytes()
 
     @pytest.mark.parametrize("body, shown", [
         (b"2015-01-01T00:00:00,5.0 \xb0\n", "'utf-8' codec can't decode byte 0xb0"),

@@ -419,13 +419,15 @@ class TestKernelBuild:
         expected = build_energy_tables(series, None, grid)
         for name in ("e_g1", "e_g2", "e_c1", "e_c2"):
             assert getattr(tables, name).tobytes() == getattr(expected, name).tobytes(), name
-        for p_t_frac in (0.0, 0.26, 0.8, 1.2):  # 1.2: a fee above the tariff
-            costs = CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 9.0e6)
-            cols, best = game._follower_best(clone, tables, costs)
+        # 1.2: a fee above the tariff; every point in one call
+        points = [CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 9.0e6)
+                  for p_t_frac in (0.0, 0.26, 0.8, 1.2)]
+        cols, best = game._follower_best(clone, tables, points)
+        for p, costs in enumerate(points):
             want_cols, want_best = game._best_response(
                 game._follower_profit(tables.e_g2[None, :], tables.e_c2, costs))
-            assert np.array_equal(cols, want_cols)
-            assert best.tobytes() == want_best.tobytes()
+            assert np.array_equal(cols[p], want_cols)
+            assert best[p].tobytes() == want_best.tobytes()
 
     def test_cached_binary_is_reused(self, tmp_path, monkeypatch):
         if _native.shutil.which("cc") is None and _native.shutil.which("gcc") is None:
