@@ -147,8 +147,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
-    try:
-        parser.read(path, encoding="utf-8")
+    try:  # read_file, unlike read, does not skip a file it cannot open
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle, source=str(path))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     base = path.parent

@@ -3,6 +3,8 @@
 Gaps are dropped and reported, never interpolated: the downstream sampler is
 the mechanism that papers over missing history, so ingestion must not invent
 values. Input resolution is fixed at one hour; sub-hourly files are rejected.
+Two tokenizers split a CSV file (numpy for plain ASCII, ``csv.reader`` for the
+rest) and hand one parser each block of cells as UTF-8 bytes and offsets.
 """
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ def _parse_iso_timestamp(raw: str) -> int:
 _CANONICAL = "0000-00-00T00:00:00"
 _DIGIT_AT = [i for i, c in enumerate(_CANONICAL) if c == "0"]
 _SEPARATOR_AT = [i for i, c in enumerate(_CANONICAL) if c != "0"]
-_SEPARATORS = np.array([[ord(_CANONICAL[i])] for i in _SEPARATOR_AT], dtype=np.uint32)
+_SEPARATORS = np.array([[ord(_CANONICAL[i])] for i in _SEPARATOR_AT], dtype=np.uint8)
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -59,22 +61,13 @@ def _parse_each(parse, cells, rows, out: np.ndarray) -> list[int]:
     return rejected
 
 
-def _str_codes(cells: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The (19, n) character codes of ``str`` cells, one row per character
-    position and one column per cell, and each cell's length, taken from the
-    ``str`` itself: a numpy string array drops trailing NULs."""
-    n, width = len(cells), len(_CANONICAL)
-    code = np.array(cells, dtype=f"U{width}").view(np.uint32).reshape(n, width).T
-    return code, np.fromiter(map(len, cells), np.intp, n)
-
-
 def _epoch_seconds(code: np.ndarray, lengths: np.ndarray,
                    cell) -> tuple[np.ndarray, list[int]]:
     """``_parse_iso_timestamp`` over a column: seconds since the UTC epoch per
     cell, and the cells it rejected.
 
-    ``code`` holds the first 19 character codes of each cell, one column per
-    cell, and ``lengths`` each cell's length. A canonical cell (exactly
+    ``code`` holds the first 19 UTF-8 bytes of each cell, one column per
+    cell, and ``lengths`` each cell's length in bytes. A canonical cell (exactly
     ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits, a valid date and time of day) is
     read with integer array arithmetic (days from the civil date); every other
     cell, a canonical shape out of range included, is fetched as ``cell(i)``
@@ -100,58 +93,57 @@ def _epoch_seconds(code: np.ndarray, lengths: np.ndarray,
     return stamps, _parse_each(_parse_iso_timestamp, map(cell, rows), rows, stamps)
 
 
-# Rows whose cells are held as strings at once: each block is parsed into
-# arrays before the next is read, so a long file never holds all its cells
-# as Python objects, whose memory the allocator keeps once they are freed
-# (all 17.5k rows of one shipped wind file at once left ~3 MB more resident).
-# The array path reads in blocks of the same size, so its temporaries stay
-# as small.
-_BLOCK_ROWS = 2048
+_VALUE_WIDTH = 32  # the widest value cell that one cast parses
 
 
-def _cell_blocks(reader, i_ts: int, i_val: int, dropped: dict):
-    """The timestamp and value cells of each row long enough to hold both, in
-    blocks of at most ``_BLOCK_ROWS`` rows; a shorter row counts as missing."""
-    last = max(i_ts, i_val)
-    ts_cells, val_cells = [], []
-    for row in reader:
-        if len(row) > last:
-            ts_cells.append(row[i_ts])
-            val_cells.append(row[i_val])
-            if len(ts_cells) == _BLOCK_ROWS:
-                yield ts_cells, val_cells
-                ts_cells, val_cells = [], []
-        elif row:  # a blank line is no row
-            dropped["missing"] += 1
-    yield ts_cells, val_cells
+def _cast_values(gather, start: np.ndarray, length: np.ndarray,
+                 text) -> tuple[np.ndarray, list[int]]:
+    """The value cells at ``start``, ``length`` bytes long, parsed as
+    ``float`` parses them, and the rows it rejects (an empty cell among them).
+    One cast of the bytes ``gather`` fetches parses them all; when a cell is
+    too long for it or holds a NUL (where the cast would end it), or the cast
+    refuses one, ``float`` parses each cell ``text(i)``."""
+    values = np.empty(len(start))
+    filled = length > 0
+    width = int(length.max(initial=1))
+    if width <= _VALUE_WIDTH:
+        cells = gather(start[filled], width)
+        cells[np.arange(width) >= length[filled, None]] = 0
+        try:
+            if np.count_nonzero(cells) == length.sum():
+                values[filled] = cells.view(f"S{width}")[:, 0].astype(np.float64)
+                return values, np.flatnonzero(~filled).tolist()
+        except ValueError:
+            pass
+    return values, _parse_each(float, map(text, range(len(start))), range(len(start)), values)
 
 
-def _csv_blocks(reader, i_ts: int, i_val: int, dropped: dict):
-    """``_parse_block`` over each of ``_cell_blocks``' blocks, every value
-    cell parsed by ``float``."""
-    for ts_cells, val_cells in _cell_blocks(reader, i_ts, i_val, dropped):
-        values = np.empty(len(val_cells))
-        rejected = _parse_each(float, val_cells, range(len(val_cells)), values)
-        yield _parse_block(*_str_codes(ts_cells), values, rejected,
-                           lambda i: (ts_cells[i], val_cells[i]), dropped)
-
-
-def _parse_block(code: np.ndarray, lengths: np.ndarray, values: np.ndarray,
-                 rejected: list[int], text, dropped: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds and values of the block's rows that parse to a finite,
+def _parse_cells(data: bytes, ts_start: np.ndarray, ts_end: np.ndarray,
+                 val_start: np.ndarray, val_end: np.ndarray,
+                 dropped: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds and values of a block's rows that parse to a finite,
     nonnegative value, in row order; the other rows are counted in ``dropped``.
+    Row i's timestamp cell is ``data[ts_start[i]:ts_end[i]]`` and its value
+    cell ``data[val_start[i]:val_end[i]]``, both UTF-8."""
+    buf = np.frombuffer(data or b"\0", np.uint8)  # rows of empty cells gather a byte each
 
-    ``code`` and ``lengths`` are the timestamp cells as ``_epoch_seconds``
-    reads them; ``values`` are the parsed value cells, except at the rows in
-    ``rejected``; ``text(i)`` is row i's timestamp and value cells as ``str``.
-    """
-    stamps, rejected_stamps = _epoch_seconds(code, lengths, lambda i: text(i)[0])
+    def gather(start: np.ndarray, width: int) -> np.ndarray:
+        """The ``width`` bytes from each offset in ``start``, one row per
+        offset; past the end of ``data``, its last byte repeats."""
+        return buf[np.minimum(start[:, None] + np.arange(width), len(buf) - 1)]
+
+    def text(start: np.ndarray, end: np.ndarray):
+        return lambda i: data[start[i]:end[i]].decode()
+
+    ts_text, val_text = text(ts_start, ts_end), text(val_start, val_end)
+    stamps, rejected_stamps = _epoch_seconds(gather(ts_start, len(_CANONICAL)).T,
+                                             ts_end - ts_start, ts_text)
+    values, rejected = _cast_values(gather, val_start, val_end - val_start, val_text)
     parsed = np.ones(len(values), dtype=bool)
-    parsed[rejected_stamps] = False
-    parsed[rejected] = False
+    parsed[rejected_stamps + rejected] = False
     rejected = np.flatnonzero(~parsed).tolist()
     # a whitespace-only cell fails both parsers, so only a rejected row can hold one
-    missing = sum(1 for i in rejected if not all(cell.strip() for cell in text(i)))
+    missing = sum(1 for i in rejected if not (ts_text(i).strip() and val_text(i).strip()))
     keep = parsed & np.isfinite(values) & (values >= 0.0)
     dropped["missing"] += missing
     dropped["unparseable"] += len(rejected) - missing
@@ -159,9 +151,36 @@ def _parse_block(code: np.ndarray, lengths: np.ndarray, values: np.ndarray,
     return stamps[keep], values[keep]
 
 
-# The widest value cell that the array path's one cast parses; a block with
-# a longer one parses its values with ``float``.
-_VALUE_WIDTH = 32
+# Rows parsed at once, by either tokenizer: a block's gathered bytes and date
+# arithmetic are freed before the next block is read (one shipped wind file
+# parsed whole peaked at 7.3 MB under tracemalloc, against 2.0 MB in blocks).
+_BLOCK_ROWS = 2048
+
+
+def _csv_blocks(reader, i_ts: int, i_val: int, dropped: dict):
+    """``csv.reader``'s rows as ``_parse_cells`` takes them, per block of at
+    most ``_BLOCK_ROWS`` rows: each row's timestamp and value cells in UTF-8,
+    one after the other in one buffer, and their offsets in it. A row too
+    short to hold both cells counts as missing."""
+    last = max(i_ts, i_val)
+
+    def block():  # cell j spans bounds[j]:bounds[j + 1]
+        text = "".join(cells)  # one encode per block: cell by cell, loads took ~30% longer
+        sizes = map(len, cells if text.isascii() else map(str.encode, cells))
+        bounds = np.zeros(len(cells) + 1, np.int64)
+        np.cumsum(np.fromiter(sizes, np.int64, len(cells)), out=bounds[1:])
+        return text.encode(), bounds[:-1:2], bounds[1::2], bounds[1::2], bounds[2::2]
+
+    cells = []
+    for row in reader:
+        if len(row) > last:
+            cells += row[i_ts], row[i_val]
+            if len(cells) == 2 * _BLOCK_ROWS:
+                yield block()
+                cells = []
+        elif row:  # a blank line is no row
+            dropped["missing"] += 1
+    yield block()
 
 
 def _line_feeds(data: bytes) -> np.ndarray | None:
@@ -183,13 +202,9 @@ def _line_feeds(data: bytes) -> np.ndarray | None:
 def _array_rows(data: bytes, feeds: np.ndarray):
     """``csv.reader``'s rows of ``data``, which ``_line_feeds`` accepted, as
     arrays: its header, then a function of the timestamp and value columns
-    that yields ``_parse_block``'s result per block of rows.
-
-    Each line ends at an LF, less a CR just before it; an empty line is no
-    row. The cells of a line lie between its commas. Timestamp cells are
-    gathered by their first 19 bytes; the value cells of a block are parsed
-    by one cast of a fixed-width bytes array, or by ``float`` one at a time
-    when a cell is too long for it or the cast refuses one.
+    that yields ``_parse_cells``' arguments per block of rows, the cells'
+    offsets into ``data`` itself. Each line ends at an LF, less a CR just
+    before it; an empty line is no row; a line's cells lie between its commas.
     """
     buf = np.frombuffer(data, np.uint8)
     starts = np.append(0, feeds + 1)
@@ -199,11 +214,6 @@ def _array_rows(data: bytes, feeds: np.ndarray):
     nonblank = np.flatnonzero(ends[1:] > starts[1:]) + 1
     starts, ends = starts[nonblank], ends[nonblank]
     commas = np.append(np.flatnonzero(buf == ord(",")), len(data))
-
-    def gather(start: np.ndarray, width: int) -> np.ndarray:
-        """The ``width`` bytes from each offset in ``start``, one row per
-        offset; past the end of the file, its last byte repeats."""
-        return buf[np.minimum(start[:, None] + np.arange(width), len(buf) - 1)]
 
     def blocks(i_ts: int, i_val: int, dropped: dict):
         last = max(i_ts, i_val)
@@ -221,39 +231,9 @@ def _array_rows(data: bytes, feeds: np.ndarray):
                 start = line_start if c == 0 else commas[first + c - 1] + 1
                 return start, np.where(count > c, commas[first + c], line_end)
 
-            (ts_start, ts_end), (val_start, val_end) = span(i_ts), span(i_val)
-
-            def text(i: int) -> tuple[str, str]:
-                return (data[ts_start[i]:ts_end[i]].decode("ascii"),
-                        data[val_start[i]:val_end[i]].decode("ascii"))
-
-            yield _parse_block(gather(ts_start, len(_CANONICAL)).T, ts_end - ts_start,
-                               *_cast_values(gather, val_start, val_end - val_start, text),
-                               text, dropped)
+            yield data, *span(i_ts), *span(i_val)
 
     return header.split(",") if header else [], blocks
-
-
-def _cast_values(gather, start: np.ndarray, length: np.ndarray,
-                 text) -> tuple[np.ndarray, list[int]]:
-    """The value cells that start at ``start`` and are ``length`` bytes long
-    (``gather`` fetches their bytes), parsed as ``float`` parses them, and
-    the rows it rejected: an empty cell, and any cell ``float`` refuses. One
-    cast parses every nonempty cell; when a cell is too long for it, or it
-    refuses one, ``float`` parses each."""
-    values = np.empty(len(start))
-    filled = length > 0
-    width = int(length.max(initial=1))
-    if width <= _VALUE_WIDTH:
-        cells = gather(start[filled], width)
-        cells[np.arange(width) >= length[filled, None]] = 0
-        try:
-            values[filled] = cells.view(f"S{width}")[:, 0].astype(np.float64)
-            return values, np.flatnonzero(~filled).tolist()
-        except ValueError:
-            pass
-    return values, _parse_each(float, (text(i)[1] for i in range(len(start))),
-                               range(len(start)), values)
 
 
 @dataclass(frozen=True)
@@ -356,12 +336,13 @@ def load_series_csv(path: str | Path,
     names. Rows with missing cells, unparseable fields, or negative or
     non-finite values are dropped and counted in the returned report; among
     duplicated timestamps the first occurrence wins. Raises
-    :class:`IngestError` for a missing file, a file that is not UTF-8 CSV,
-    absent columns, no valid rows, or sub-hourly sampling.
+    :class:`IngestError` for a missing or unreadable file, a file that is
+    not UTF-8 CSV, absent columns, no valid rows, or sub-hourly sampling.
 
     The file is read once. ASCII without quotes, whose lines end in LF or
     CRLF, is split into rows and cells as arrays; every other file goes
-    through ``csv.reader``. Both give the rows ``csv.reader`` gives.
+    through ``csv.reader``. Both give the rows ``csv.reader`` gives, and both
+    hand one parser the same block: the cells' bytes and their offsets.
     """
     path = Path(path)
     try:
@@ -375,10 +356,10 @@ def load_series_csv(path: str | Path,
     if not path.is_file():
         raise IngestError(f"{label}: file not found: {path}")
 
-    data = path.read_bytes()
     dropped = dict.fromkeys(("missing", "unparseable", "invalid"), 0)
-    feeds = _line_feeds(data)
     try:
+        data = path.read_bytes()
+        feeds = _line_feeds(data)
         if feeds is None:  # the reference path, for quoted or non-ASCII input too
             reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
                                                  newline=""))
@@ -390,8 +371,9 @@ def load_series_csv(path: str | Path,
             if needed not in columns:
                 raise IngestError(f"{label}: column '{needed}' not in header "
                                   f"{header} of {path}")
-        blocks = list(blocks(columns[ts_col], columns[val_col], dropped))
-    except (UnicodeDecodeError, csv.Error) as exc:
+        blocks = [_parse_cells(*block, dropped)
+                  for block in blocks(columns[ts_col], columns[val_col], dropped)]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"{label}: cannot read {path}: {exc}") from None
     stamps, values = (np.concatenate(arrays) for arrays in zip(*blocks))
     rows_read = len(stamps) + sum(dropped.values())  # every nonblank row is kept or dropped

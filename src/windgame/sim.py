@@ -199,7 +199,7 @@ def load_curve_points(path: str | Path) -> list[tuple[float, float]]:
                 except (TypeError, ValueError):
                     raise FitError(f"{path} line {reader.line_num}: wind_ms and output_pu "
                                    f"must be numbers, got {row}") from None
-    except (UnicodeDecodeError, csv.Error) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FitError(f"cannot read {path}: {exc}") from None
     if not points:
         raise FitError(f"{path} contains no data rows")

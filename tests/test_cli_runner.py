@@ -729,8 +729,10 @@ class TestCli:
         assert main(args) == 1
         assert "error: seed must be >= 0, got -1\n" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["series", "ini", "points"])
-    def test_file_not_utf8(self, tiny_config, capsys, kind):
+    @staticmethod
+    def input_file(tiny_config, kind):
+        """The config with a power-curve file added, and the input of ``kind``
+        with the prefix of the error that names it."""
         root = tiny_config.parent
         points = (root / "curve.csv").resolve()
         points.write_text("wind_ms,output_pu\n3.0,0.01\n9.0,0.5\n15.0,0.99\n",
@@ -738,13 +740,40 @@ class TestCli:
         text = tiny_config.read_text(encoding="utf-8")
         tiny_config.write_text(text.replace("[grid]", "[power_curve]\npoints = curve.csv"
                                             "\n\n[grid]"), encoding="utf-8")
-        target, prefix = {"series": ((root / "w1.csv").resolve(), "[ingest] wind1: cannot read"),
-                          "ini": (tiny_config, "cannot parse"),
-                          "points": (points, "[curve] cannot read")}[kind]
+        return {"series": ((root / "w1.csv").resolve(), "[ingest] wind1: cannot read"),
+                "ini": (tiny_config, "cannot parse"),
+                "points": (points, "[curve] cannot read")}[kind]
+
+    @pytest.mark.parametrize("kind", ["series", "ini", "points"])
+    def test_file_not_utf8(self, tiny_config, capsys, kind):
+        target, prefix = self.input_file(tiny_config, kind)
         target.write_bytes(target.read_bytes() + b"# 15 \xb0C\n")
-        assert main(["run", "--config", str(tiny_config), "--out", str(root / "out")]) == 1
+        assert main(["run", "--config", str(tiny_config),
+                     "--out", str(tiny_config.parent / "out")]) == 1
         assert (f"error: {prefix} {target}: 'utf-8' codec can't decode byte 0xb0"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("kind", ["series", "ini", "points"])
+    def test_file_unreadable(self, tiny_config, capsys, monkeypatch, kind):
+        # a file that exists but cannot be opened, as without read permission
+        # (which root does not need, so opening it is made to fail instead)
+        target, prefix = self.input_file(tiny_config, kind)
+        prefix = prefix.replace("cannot parse", "cannot read")
+        denied = PermissionError(13, "Permission denied", str(target))
+
+        def guard(opener):
+            def opened(file, *args, **kwargs):
+                if Path(file) == target:
+                    raise denied
+                return opener(file, *args, **kwargs)
+            return opened
+
+        monkeypatch.setattr("builtins.open", guard(open))
+        monkeypatch.setattr(Path, "read_bytes", guard(Path.read_bytes))
+        assert main(["run", "--config", str(tiny_config),
+                     "--out", str(tiny_config.parent / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {prefix} {target}: {denied}\n" in err and "Traceback" not in err
 
     def test_readme_library_use(self):
         with open(f"{REPO_ROOT}/README.md", encoding="utf-8") as handle:

@@ -6,10 +6,13 @@ results must update them and say why.
 """
 from __future__ import annotations
 
+import csv
+import dataclasses
 import hashlib
 
 import pytest
 
+from windgame import ingest
 from windgame.config import load_config
 from windgame.runner import emit_report, run_scenario
 
@@ -44,3 +47,23 @@ def test_reports_match_golden_digests(scenario, workers, fallback, tmp_path, mon
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN[scenario]}
     assert digests == GOLDEN[scenario]
+
+
+def test_quoted_inputs_match_golden_digests(tmp_path, monkeypatch):
+    # scenario 3's three CSVs with every cell quoted go through csv.reader,
+    # not the array tokenizer, and must give the same reports
+    monkeypatch.setattr(ingest, "_array_rows", lambda *args: pytest.fail("array tokenizer"))
+    config = load_config(f"{REPO_ROOT}/configs/scenario3.ini")
+    sources = {}
+    for role in ("wind1", "wind2", "demand"):
+        source = getattr(config, role)
+        quoted = tmp_path / source.path.name
+        with open(source.path, newline="", encoding="utf-8") as plain, \
+                open(quoted, "w", newline="", encoding="utf-8") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(plain))
+        sources[role] = dataclasses.replace(source, path=quoted)
+    out = tmp_path / "out"
+    emit_report(run_scenario(dataclasses.replace(config, **sources)), out)
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN[3]}
+    assert digests == GOLDEN[3]

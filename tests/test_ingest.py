@@ -95,7 +95,8 @@ TS_CELLS = st.one_of(
                      "2015-01-00T00:00:00", "2015-02-29T00:00:00", "1900-02-29T00:00:00",
                      "2000-02-29T00:00:00", "2015-01-01T24:00:00", "2015-01-01T00:00:60",
                      "0000-01-01T00:00:00", "0001-01-01T00:30:00+01:00",
-                     "9999-12-31T23:30:00-01:00"]))
+                     "9999-12-31T23:30:00-01:00", "2015-01-01T02:00:00,",
+                     "2015-01-01T03:00:00\n"]))
 # 19 characters laid out as YYYY-MM-DDTHH:MM:SS, with fields past their ranges
 # and separators that fromisoformat may or may not accept
 CANONICAL_SHAPED = st.tuples(
@@ -105,9 +106,13 @@ CANONICAL_SHAPED = st.tuples(
     st.integers(0, 25).map("{:02d}".format), st.sampled_from(":."),
     st.integers(0, 61).map("{:02d}".format), st.sampled_from(":-"),
     st.integers(0, 61).map("{:02d}".format)).map("".join)
+# non-ASCII numerals and spaces that float accepts and numpy's bytes cast
+# refuses, a NUL that the cast would take as the cell's end, and a comma or LF
+# that stays in the cell when it is quoted
 VALUE_CELLS = st.one_of(
     st.floats(0.0, 40.0).map(repr),
-    st.sampled_from(["", " ", "0", "-0.5", "-999.0", "nan", "inf", "1e400", "abc", " 7.5 "]))
+    st.sampled_from(["", " ", "0", "-0.5", "-999.0", "nan", "inf", "1e400", "abc", " 7.5 ",
+                     "١٢", "１２", "\u20071", "1.5\xa0", "5.0\x00", "5,0", "5.0\n"]))
 ROW_SHAPES = st.sampled_from(["full", "full", "full", "short", "long", "blank"])
 
 
@@ -224,7 +229,10 @@ class TestLoadSeriesCsv:
     def test_canonical_stamps_match_fromisoformat(self, cells):
         # the vectorised path against the per-cell parser, cell by cell: the same
         # seconds, or both reject
-        stamps, rejected = _epoch_seconds(*ingest._str_codes(cells), cells.__getitem__)
+        raw = [cell.encode() for cell in cells]
+        code = np.array(raw, dtype="S19").view(np.uint8).reshape(len(raw), 19).T
+        stamps, rejected = _epoch_seconds(code, np.array([len(r) for r in raw]),
+                                          cells.__getitem__)
         for i, cell in enumerate(cells):
             try:
                 expected = _parse_iso_timestamp(cell)
@@ -276,7 +284,8 @@ class TestLoadSeriesCsv:
                                         final_newline, quoted, non_ascii):
         # small blocks carry duplicates and drop counts across block boundaries;
         # ASCII with LF or CRLF lines takes the array path, and a lone CR, a
-        # quote, a NUL or a non-ASCII character the csv.reader path
+        # quote, a NUL or a non-ASCII character the csv.reader path; quoted
+        # files quote their data cells too, so a comma or LF can sit in a cell
         names = list(header) + (["notes_é"] if non_ascii else [])
         if quoted:
             names[0] = f'"{names[0]}"'
@@ -288,6 +297,8 @@ class TestLoadSeriesCsv:
             cells = [ts if name == "timestamp" else value for name in header]
             if header.count("wind_speed_ms") > 1:  # the first of the pair is a decoy
                 cells[header.index("wind_speed_ms")] = "-1"
+            if quoted:
+                cells = [f'"{cell}"' for cell in cells]
             lines.append(",".join(cells[:-1] if shape == "short" else
                                   cells + ["x"] if shape == "long" else cells))
         path = tmp_path / "series.csv"
