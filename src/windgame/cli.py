@@ -49,8 +49,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="windgame",
         description="Wind/demand scenario sampling and capacity-investment equilibria")
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="debug-level progress logging")
     commands = parser.add_subparsers(dest="command", required=True)
 
     run_cmd = commands.add_parser("run", help="run a scenario sweep and write reports")
@@ -65,8 +63,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="CSV with columns wind_ms, output_pu")
 
     args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.DEBUG if args.verbose else logging.INFO,
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
 
     try:

@@ -38,13 +38,11 @@ def _parse_iso_timestamp(raw: str) -> int:
 
 
 # The canonical stamp: "0" marks an ASCII digit, anything else a literal
-# separator. Its 14 digits pair up as century, year of century, month, day,
-# hour, minute and second.
+# separator.
 _CANONICAL = "0000-00-00T00:00:00"
 _DIGIT_AT = [i for i, c in enumerate(_CANONICAL) if c == "0"]
 _SEPARATOR_AT = [i for i, c in enumerate(_CANONICAL) if c != "0"]
-_SEPARATORS = np.array([[ord(_CANONICAL[i])] for i in _SEPARATOR_AT], dtype=np.uint8)
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_SEPARATORS = np.array([ord(_CANONICAL[i]) for i in _SEPARATOR_AT], dtype=np.uint8)
 
 
 def _parse_each(parse, cells, rows, out: np.ndarray) -> list[int]:
@@ -66,29 +64,24 @@ def _epoch_seconds(code: np.ndarray, lengths: np.ndarray,
     """``_parse_iso_timestamp`` over a column: seconds since the UTC epoch per
     cell, and the cells it rejected.
 
-    ``code`` holds the first 19 UTF-8 bytes of each cell, one column per
-    cell, and ``lengths`` each cell's length in bytes. A canonical cell (exactly
-    ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits, a valid date and time of day) is
-    read with integer array arithmetic (days from the civil date); every other
-    cell, a canonical shape out of range included, is fetched as ``cell(i)``
-    and goes through ``_parse_iso_timestamp``, the one authority on the rest.
+    ``code`` holds the first 19 UTF-8 bytes of each cell, one row per cell,
+    and ``lengths`` each cell's length in bytes. Canonical cells (exactly
+    ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits, year 0001 or later) are read by
+    one ``datetime64`` cast; every other cell, and every canonical one when
+    the cast refuses any (a date or time out of range), is fetched as
+    ``cell(i)`` and goes through ``_parse_iso_timestamp``, the one authority
+    on the rest.
     """
-    digits = code[_DIGIT_AT].astype(np.int64) - ord("0")
+    digits = code[:, _DIGIT_AT]
     canonical = ((lengths == len(_CANONICAL))
-                 & (code[_SEPARATOR_AT] == _SEPARATORS).all(axis=0)
-                 & ((digits >= 0) & (digits <= 9)).all(axis=0))
-    century, year, month, day, hour, minute, second = digits[0::2] * 10 + digits[1::2]
-    year += century * 100
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + ((month == 2) & leap)
-    canonical &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
-                  & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60))
-    y = year - (month <= 2)  # years counted from March, so leap days come last
-    era, year_of_era = np.divmod(y, 400)
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = (era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100
-            + day_of_year - 719468)  # 0 on 1970-01-01
-    stamps = days * 86400 + hour * 3600 + minute * 60 + second
+                 & (code[:, _SEPARATOR_AT] == _SEPARATORS).all(axis=1)
+                 & ((digits >= ord("0")) & (digits <= ord("9"))).all(axis=1)
+                 & (digits[:, :4] != ord("0")).any(axis=1))  # fromisoformat refuses year 0000
+    stamps = np.empty(len(lengths), np.int64)
+    try:
+        stamps[canonical] = code[canonical].view("S19")[:, 0].astype("datetime64[s]").view(np.int64)
+    except ValueError:
+        canonical[:] = False
     rows = np.flatnonzero(~canonical).tolist()
     return stamps, _parse_each(_parse_iso_timestamp, map(cell, rows), rows, stamps)
 
@@ -136,7 +129,7 @@ def _parse_cells(data: bytes, ts_start: np.ndarray, ts_end: np.ndarray,
         return lambda i: data[start[i]:end[i]].decode()
 
     ts_text, val_text = text(ts_start, ts_end), text(val_start, val_end)
-    stamps, rejected_stamps = _epoch_seconds(gather(ts_start, len(_CANONICAL)).T,
+    stamps, rejected_stamps = _epoch_seconds(gather(ts_start, len(_CANONICAL)),
                                              ts_end - ts_start, ts_text)
     values, rejected = _cast_values(gather, val_start, val_end - val_start, val_text)
     parsed = np.ones(len(values), dtype=bool)
@@ -151,9 +144,10 @@ def _parse_cells(data: bytes, ts_start: np.ndarray, ts_end: np.ndarray,
     return stamps[keep], values[keep]
 
 
-# Rows parsed at once, by either tokenizer: a block's gathered bytes and date
-# arithmetic are freed before the next block is read (one shipped wind file
-# parsed whole peaked at 7.3 MB under tracemalloc, against 2.0 MB in blocks).
+# Rows parsed at once, by either tokenizer: a block's gathered bytes are freed
+# before the next block is read (one shipped wind file parsed whole peaked at
+# 7.3 MB under tracemalloc, against 2.0 MB in blocks), and a stamp cast that
+# refuses one cell sends at most this many to the per-cell parser.
 _BLOCK_ROWS = 2048
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import ScenarioConfig
@@ -176,6 +175,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
                                    per_real.max(axis=1)], axis=1)
         if not np.all(np.isfinite(aggregates)):
             raise WindGameError("the ensemble mean of the equilibria overflows")
+
+    import scipy  # here, for its version alone: stats and fit-curve never load it
 
     metadata = {
         "seed": config.chain.seed,

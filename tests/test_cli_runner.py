@@ -791,17 +791,18 @@ class TestCli:
         write_tiny_dataset(tmp_path)
         config = str(write_tiny_config(tmp_path, chain="n = 300\nrealisations = 2\nseed = 7"))
         out = str(tmp_path / "out")
+        # stats loads no scipy at all; run loads it for run.json's versions only
         script = f"""
 import sys
-def check(step):
-    if "scipy.special" in sys.modules:
-        sys.exit(f"{{step}} imported scipy.special")
+def check(step, module):
+    if module in sys.modules:
+        sys.exit(f"{{step}} imported {{module}}")
 import windgame.cli
-check("import windgame.cli")
-assert windgame.cli.main(["run", "--config", {config!r}, "--out", {out!r}]) == 0
-check("run")
+check("import windgame.cli", "scipy")
 assert windgame.cli.main(["stats", "--config", {config!r}]) == 0
-check("stats")
+check("stats", "scipy")
+assert windgame.cli.main(["run", "--config", {config!r}, "--out", {out!r}]) == 0
+check("run", "scipy.special")
 """
         # the subprocess inherits the session's kernel cache directory
         done = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT,

@@ -226,11 +226,12 @@ class TestLoadSeriesCsv:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(CANONICAL_SHAPED, max_size=20))
     @example(["2015-01-01T00:00-05", "9999-12-31T23:59-01"])  # 19 characters with an offset
+    @example(["0000-01-01T00:00:00", "2015-01-01T00:00:00"])  # numpy reads year 0000
     def test_canonical_stamps_match_fromisoformat(self, cells):
         # the vectorised path against the per-cell parser, cell by cell: the same
         # seconds, or both reject
         raw = [cell.encode() for cell in cells]
-        code = np.array(raw, dtype="S19").view(np.uint8).reshape(len(raw), 19).T
+        code = np.array(raw, dtype="S19").view(np.uint8).reshape(len(raw), 19)
         stamps, rejected = _epoch_seconds(code, np.array([len(r) for r in raw]),
                                           cells.__getitem__)
         for i, cell in enumerate(cells):
@@ -240,6 +241,28 @@ class TestLoadSeriesCsv:
                 assert i in rejected, cell
             else:
                 assert i not in rejected and stamps[i] == expected, cell
+
+    def test_canonical_stamps_over_a_gregorian_cycle(self):
+        # every day of one 400-year cycle, each at its last second, and both
+        # ends of the calendar: the cast gives fromisoformat's seconds
+        days = np.datetime64("2000-03-01T23:59:59", "s") + np.arange(146097) * 86400
+        cells = [str(t) for t in days] + ["0001-01-01T00:00:00", "9999-12-31T23:59:59"]
+        code = np.array(cells, dtype="S19").view(np.uint8).reshape(len(cells), 19)
+        stamps, rejected = _epoch_seconds(code, np.full(len(cells), 19), cells.__getitem__)
+        assert rejected == []
+        assert stamps.tolist() == [_parse_iso_timestamp(cell) for cell in cells]
+
+    def test_invalid_canonical_date_leaves_its_block_parsed(self, tmp_path):
+        # the cast refuses the whole block for one day that does not exist;
+        # the valid rows around it keep their seconds
+        stamps = hourly(30, "2015-02-28T00:00:00")
+        rows = [f"{t},{i}.0\n" for i, t in enumerate(stamps)]
+        rows[3] = "2015-02-29T00:00:00,3.0\n"
+        path = write(tmp_path, "timestamp,wind_speed_ms\n" + "".join(rows))
+        series, report = load_series_csv(path, COLMAP)
+        assert list(series.timestamps) == [t for i, t in enumerate(stamps) if i != 3]
+        assert list(series.values) == [float(i) for i in range(30) if i != 3]
+        assert (report.rows_read, report.dropped_unparseable) == (30, 1)
 
     def test_negative_sentinel_dropped_as_invalid(self, tmp_path):
         path = write(tmp_path, "timestamp,wind_speed_ms\n"
