@@ -148,7 +148,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:  # read_file, unlike read, does not skip a file it cannot open
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle, source=str(path))
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None

@@ -11,7 +11,6 @@ tables stay in memory: nothing here writes files.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -95,42 +94,19 @@ def _merge_groups(marginals: np.ndarray, min_count: int) -> np.ndarray:
     if min_count > total:
         raise DistributionError(
             f"min_count={min_count} exceeds total observation count {total}")
-    # Each group is keyed by its first bin. A heap holds (sum, first bin) of
-    # every group, and stale entries of merged groups are skipped when popped;
-    # groups keep their order, so (sum, first bin) orders the groups as
-    # (sum, index) does, and the merge order is the greedy one.
-    n = len(marginals)
     sums = [int(c) for c in marginals]
-    widths = [1] * n
-    prev, next_ = list(range(-1, n - 1)), list(range(1, n + 1))  # -1 and n: no neighbour
-    alive = [True] * n
-    heap = [(c, i) for i, c in enumerate(sums)]
-    heapq.heapify(heap)
-    groups = n
-    while groups > 1:
-        total_k, k = heapq.heappop(heap)
-        if not alive[k] or sums[k] != total_k:
-            continue
-        if total_k >= min_count:
+    widths = [1] * len(sums)
+    while len(sums) > 1:
+        low = min(sums)
+        if low >= min_count:
             break
-        before, after = prev[k], next_[k]
-        if before < 0:
-            target = after
-        elif after == n:
-            target = before
-        else:
-            target = before if sums[before] >= sums[after] else after
-        lo, hi = min(k, target), max(k, target)
-        sums[lo] += sums[hi]
-        widths[lo] += widths[hi]
-        alive[hi] = False
-        next_[lo] = next_[hi]
-        if next_[hi] < n:
-            prev[next_[hi]] = lo
-        heapq.heappush(heap, (sums[lo], lo))
-        groups -= 1
-    kept = [w for w, live in zip(widths, alive) if live]
-    return np.repeat(np.arange(len(kept), dtype=np.int64), kept)
+        k = sums.index(low)
+        # edge groups fold inward; a neighbour tie folds toward the lower one
+        into_lower = k == len(sums) - 1 or (k > 0 and sums[k - 1] >= sums[k + 1])
+        lo = k - 1 if into_lower else k
+        sums[lo] += sums.pop(lo + 1)
+        widths[lo] += widths.pop(lo + 1)
+    return np.repeat(np.arange(len(widths), dtype=np.int64), widths)
 
 
 @dataclass(frozen=True, eq=False)

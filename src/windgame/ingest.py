@@ -355,7 +355,7 @@ def load_series_csv(path: str | Path,
         data = path.read_bytes()
         feeds = _line_feeds(data)
         if feeds is None:  # the reference path, for quoted or non-ASCII input too
-            reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+            reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
                                                  newline=""))
             header, blocks = next(reader, []), partial(_csv_blocks, reader)
         else:

@@ -188,7 +188,7 @@ def load_curve_points(path: str | Path) -> list[tuple[float, float]]:
         raise FitError(f"power-curve file not found: {path}")
     points = []
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or not {"wind_ms", "output_pu"} <= set(reader.fieldnames):
                 raise FitError(f"{path} must have columns wind_ms, output_pu; "

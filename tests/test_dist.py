@@ -244,8 +244,7 @@ class TestMergeSparseBins:
             _merge_groups(marginals, sum(counts) + 1)
 
     def test_merge_of_3000_bins_matches_greedy_oracle(self):
-        # sparse, tied and empty bins at a count where a quadratic merge took
-        # 0.44 s; the merge must still follow the literal greedy order
+        # the greedy order, with its ties and empty bins, pinned at 3,000 bins
         rng = np.random.default_rng(7)
         marginals = rng.poisson(2.0, 3000) * (rng.random(3000) < 0.6)
         assignment = _merge_groups(marginals, 25)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import re
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from windgame import (GapReport, IngestError, TimeSeries, align_series, load_series_csv,
                       normalize_demand)
 from windgame import ingest
+from windgame.config import load_config
 from windgame.ingest import _array_rows, _epoch_seconds, _parse_iso_timestamp
+from windgame.sim import load_curve_points
+from windgame.synthetic import DEFAULT_SEED, write_synthetic_csvs
 
 from conftest import REPO_ROOT
 
@@ -510,3 +514,32 @@ class TestTimeSeriesInvariants:
     def test_rejects_nonfinite(self):
         with pytest.raises(IngestError, match="finite"):
             TimeSeries(hourly(2), np.array([1.0, np.nan]), "x")
+
+
+def _series_and_report(path):
+    series, report = load_series_csv(path, COLMAP)
+    return series.timestamps.tobytes(), series.values.tobytes(), series.label, report
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("source, load", [
+        ("data/synthetic/site_a_wind.csv", _series_and_report),
+        ("src/windgame/data/enercon_e82_power_curve.csv", load_curve_points),
+        ("configs/scenario3.ini", load_config),
+    ], ids=["series", "curve", "config"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, source, load):
+        # Excel's "CSV UTF-8" and some editors start a UTF-8 file with U+FEFF;
+        # both copies sit in one directory, so a config's paths resolve alike
+        data = Path(REPO_ROOT, source).read_bytes()
+        plain, marked = tmp_path / f"plain-{Path(source).name}", tmp_path / Path(source).name
+        plain.write_bytes(data)
+        marked.write_bytes(b"\xef\xbb\xbf" + data)
+        assert load(marked) == load(plain)
+
+    def test_fixture_generator_writes_the_shipped_csvs(self, tmp_path):
+        shipped = Path(REPO_ROOT, "data", "synthetic")
+        paths = write_synthetic_csvs(tmp_path, DEFAULT_SEED)
+        assert sorted(path.name for path in paths) == sorted(
+            path.name for path in shipped.glob("*.csv"))
+        for path in paths:
+            assert path.read_bytes() == (shipped / path.name).read_bytes(), path.name
