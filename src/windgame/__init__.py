@@ -15,7 +15,7 @@ from .dist import (BinSpec, DemandConditional, JointTable, assert_ergodic,
 from .errors import (ConfigError, DistributionError, ErgodicityError, FitError,
                      IngestError, StageError, WindGameError)
 from .game import (BestResponse, CostParams, Equilibrium, ProfitSurfaces,
-                   equilibria, equilibrium, profit_surfaces, stackelberg)
+                   equilibria, profit_surfaces, stackelberg)
 from .gibbs import (ChainConfig, Realisation, SamplerTables, StatsReport, VariableStats,
                     chain_rng, convergence_stats, run_chain, run_chains, run_ensemble,
                     wci_95)

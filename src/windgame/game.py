@@ -8,13 +8,13 @@ generation cost. The equilibrium is found by backward induction on the
 capacity grid: the follower's best response per leader capacity, then the
 leader's best choice against that response curve. Ties break toward the
 smaller capacity. ``stackelberg`` over ``profit_surfaces`` is the
-full-surface reference. ``equilibria`` gives its bits for every sweep point
-of one realisation on one of two paths: one call of the ``follower_best``
-kernel of ``_kernels.c`` finds each row's best response at every point
-without a k x k surface, and the leader's profit is evaluated along those
-curves alone; when no kernel loads, or a point's costs are large enough
-that a profit off the curve could overflow, that point returns the
-reference itself.
+full-surface reference. ``equilibria`` gives its p_n1, p_n2, pi1 and pi2
+bit for bit, as one row per sweep point of one realisation, on one of two
+paths: one call of the ``follower_best`` kernel of ``_kernels.c`` finds each
+row's best response at every point without a k x k surface, and the
+leader's profit is evaluated along those curves alone; when no kernel
+loads, or a point's costs are large enough that a profit off the curve
+could overflow, that point's row is copied from the reference itself.
 """
 from __future__ import annotations
 
@@ -147,18 +147,17 @@ def _follower_best(kernels, tables: EnergyTables,
 
 
 def _leader_choices(cols: np.ndarray, pi2_best: np.ndarray, pi1: np.ndarray,
-                    grid: StrategyGrid) -> list[Equilibrium]:
+                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``pi1``, the leader's argmax of its profit along the
     follower's response in that row of ``cols`` (whose cells' pi2 are in
-    ``pi2_best``); ties break low."""
+    ``pi2_best``), ties low: those leader indices, and the (rows, 4) block of
+    p_n1, p_n2, pi1 and pi2 there, with capacities read from ``values``."""
     if not np.all(np.isfinite(pi1)):
         raise WindGameError("profit surfaces must be finite")
-    leaders = np.argmax(pi1, axis=1).tolist()
-    values = grid.values
-    return [Equilibrium(p_n1_star=float(values[i]), p_n2_star=float(values[row[i]]),
-                        pi1_star=float(profit[i]), pi2_star=float(pi2[i]), leader_index=i,
-                        follower_index=int(row[i]), best_response=BestResponse(indices=row))
-            for i, row, profit, pi2 in zip(leaders, cols, pi1, pi2_best)]
+    lead = np.argmax(pi1, axis=1)
+    at = np.arange(len(lead))
+    return lead, np.stack([values[lead], values[cols[at, lead]], pi1[at, lead],
+                           pi2_best[at, lead]], axis=1)
 
 
 def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
@@ -173,7 +172,9 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
                             f"of {len(grid)}")
     cols, pi2_best = _best_response(surfaces.pi2)
     pi1 = surfaces.pi1[np.arange(len(grid)), cols]
-    return _leader_choices(cols[None], pi2_best[None], pi1[None], grid)[0]
+    (lead,), (row,) = _leader_choices(cols[None], pi2_best[None], pi1[None], grid.values)
+    return Equilibrium(*row.tolist(), leader_index=int(lead), follower_index=int(cols[lead]),
+                       best_response=BestResponse(indices=cols))
 
 
 # Cells of the (points, k) arrays that one follower_best call and its leader
@@ -184,24 +185,29 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
 _CHUNK_CELLS = 4096
 
 
-def equilibria(tables: EnergyTables, costs: list[CostParams]) -> list[Equilibrium]:
-    """``stackelberg(profit_surfaces(tables, c), tables.grid)`` for each ``c``
-    of ``costs``, bit for bit. With the kernels loaded, the points under the
+def equilibria(tables: EnergyTables, costs: list[CostParams]) -> np.ndarray:
+    """The float64 (points, 4) block of p_n1, p_n2, pi1, pi2 that
+    ``stackelberg(profit_surfaces(tables, c), tables.grid)`` gives at each
+    ``c`` of ``costs``, bit for bit. With the kernels loaded, points under the
     overflow bound are solved a chunk at a time, each chunk in one
-    ``follower_best`` call, with the same profits, pi1 only along the
-    follower's best responses, and no surface is built; every other point
-    returns that reference itself."""
+    ``follower_best`` call, with pi1 only along the follower's best responses
+    and no surface built; every other point's row is copied from the reference."""
     # |e_g1 - e_c1| <= 2 * peak1, so no intermediate of pi1 exceeds twice this
     # bound, and rounding cannot double it again: while four times the bound is
     # finite, no cell of pi1 overflows. Past it, the reference's whole-surface
     # check decides, so both paths refuse the same costs.
     kernels = _native.load_kernels()
     peak1, peak2 = tables.peaks
-    fast = [] if kernels is None else [
-        p for p, c in enumerate(costs)
-        if math.isfinite(4 * (peak1 * (c.p_g + c.c_g1) + peak2 * c.p_t + c.c_t))]
-    k = len(tables.grid)
-    rows, step, solved = np.arange(k), max(1, _CHUNK_CELLS // k), {}
+    block, fast = np.empty((len(costs), 4)), []
+    for p, c in enumerate(costs):
+        if kernels is not None and math.isfinite(
+                4 * (peak1 * (c.p_g + c.c_g1) + peak2 * c.p_t + c.c_t)):
+            fast.append(p)
+        else:
+            eq = stackelberg(profit_surfaces(tables, c), tables.grid)
+            block[p] = eq.p_n1_star, eq.p_n2_star, eq.pi1_star, eq.pi2_star
+    rows = np.arange(len(tables.grid))
+    step = max(1, _CHUNK_CELLS // len(rows))
     for lo in range(0, len(fast), step):
         chunk = fast[lo:lo + step]
         points = [costs[p] for p in chunk]
@@ -211,12 +217,5 @@ def equilibria(tables: EnergyTables, costs: list[CostParams]) -> list[Equilibriu
                                         for c in points]).T[..., None]
         pi1 = _leader_profit(tables.e_g1, tables.e_c1[rows, cols], tables.e_g2[cols],
                              tables.e_c2[rows, cols], p_g, c_g1, p_t, c_t)
-        solved.update(zip(chunk, _leader_choices(cols, pi2_best, pi1, tables.grid)))
-    return [solved[p] if p in solved else stackelberg(profit_surfaces(tables, c), tables.grid)
-            for p, c in enumerate(costs)]
-
-
-def equilibrium(tables: EnergyTables, costs: CostParams) -> Equilibrium:
-    """``equilibria`` at one point: ``stackelberg(profit_surfaces(tables,
-    costs), tables.grid)`` bit for bit."""
-    return equilibria(tables, [costs])[0]
+        block[chunk] = _leader_choices(cols, pi2_best, pi1, tables.grid.values)[1]
+    return block

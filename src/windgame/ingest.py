@@ -8,6 +8,7 @@ rest) and hand one parser each block of cells as UTF-8 bytes and offsets.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from dataclasses import dataclass
@@ -333,10 +334,11 @@ def load_series_csv(path: str | Path,
     :class:`IngestError` for a missing or unreadable file, a file that is
     not UTF-8 CSV, absent columns, no valid rows, or sub-hourly sampling.
 
-    The file is read once. ASCII without quotes, whose lines end in LF or
-    CRLF, is split into rows and cells as arrays; every other file goes
-    through ``csv.reader``. Both give the rows ``csv.reader`` gives, and both
-    hand one parser the same block: the cells' bytes and their offsets.
+    The file is read once, and one leading UTF-8 BOM is skipped. ASCII
+    without quotes, whose lines end in LF or CRLF, is split into rows and
+    cells as arrays; every other file goes through ``csv.reader``. Both give
+    the rows ``csv.reader`` gives, and both hand one parser the same block:
+    the cells' bytes and their offsets.
     """
     path = Path(path)
     try:
@@ -352,10 +354,10 @@ def load_series_csv(path: str | Path,
 
     dropped = dict.fromkeys(("missing", "unparseable", "invalid"), 0)
     try:
-        data = path.read_bytes()
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
         feeds = _line_feeds(data)
         if feeds is None:  # the reference path, for quoted or non-ASCII input too
-            reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig",
+            reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
                                                  newline=""))
             header, blocks = next(reader, []), partial(_csv_blocks, reader)
         else:

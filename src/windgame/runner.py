@@ -134,9 +134,7 @@ def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: Strate
                        costs: list[CostParams]) -> np.ndarray:
     """Equilibria of one realisation at every sweep point: a (sweep, 4) block
     of p_n1, p_n2, pi1, pi2, from energy tables built once for all points."""
-    energies = build_energy_tables(realisation, curve, grid)
-    return np.array([(eq.p_n1_star, eq.p_n2_star, eq.pi1_star, eq.pi2_star)
-                     for eq in equilibria(energies, costs)])
+    return equilibria(build_energy_tables(realisation, curve, grid), costs)
 
 
 def run_stats(config: ScenarioConfig, workers: int = 1) -> StatsReport:

@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from windgame import (ChainConfig, CostParams, EnergyTables, Equilibrium, ProfitSurfaces,
-                      StrategyGrid, WindGameError, _native, build_energy_tables,
-                      default_power_curve, equilibria, equilibrium, profit_surfaces, run_chain,
-                      stackelberg)
+from windgame import (ChainConfig, CostParams, EnergyTables, ProfitSurfaces, StrategyGrid,
+                      WindGameError, _native, build_energy_tables, default_power_curve,
+                      equilibria, profit_surfaces, run_chain, stackelberg)
 from windgame import game
 
 from conftest import use_kernel_path
@@ -189,14 +188,21 @@ class TestStackelberg:
                             tables.e_c1.tobytes(), tables.e_c2.tobytes())
 
 
-def assert_same_equilibrium(eq, ref):
-    """Field by field, the profits by their bits (so -0.0 is not 0.0, as in the
-    reports), and the best-response curve."""
-    names = [f.name for f in dataclasses.fields(Equilibrium) if f.compare]
-    got, want = (np.array([getattr(e, name) for name in names], dtype=np.float64)
-                 for e in (eq, ref))
-    assert got.tobytes() == want.tobytes(), (eq, ref)
-    assert np.array_equal(eq.best_response.indices, ref.best_response.indices)
+def assert_same_equilibrium(row, ref):
+    """A row of ``equilibria`` against the reference's p_n1, p_n2, pi1 and pi2,
+    by their bits (so -0.0 is not 0.0, as in the reports)."""
+    want = np.array([ref.p_n1_star, ref.p_n2_star, ref.pi1_star, ref.pi2_star])
+    assert row.dtype == np.float64 and row.tobytes() == want.tobytes(), (row, ref)
+
+
+def assert_same_curves(tables, sweep, refs):
+    """On the compiled path, the follower's best responses that ``equilibria``
+    reads at each point of ``sweep`` against each reference's curve."""
+    kernels = _native.load_kernels()
+    if kernels is not None:
+        cols = game._follower_best(kernels, tables, sweep)[0]
+        for row, ref in zip(cols, refs, strict=True):
+            assert np.array_equal(row, ref.best_response.indices)
 
 
 def on_each_path(check):
@@ -229,9 +235,18 @@ class TestEquilibrium:
                               e_c2=draw(3, (k, k)), grid=grid)
         costs = CostParams(p_g=1.0 + draw(3, None), p_t=draw(3, None), c_g1=draw(3, None),
                            c_g2=draw(3, None), c_t=draw(9, None))
-        ref = stackelberg(profit_surfaces(tables, costs), grid)
+        surfaces = profit_surfaces(tables, costs)
+        ref = stackelberg(surfaces, grid)
+        # both paths share the leader step, so its ties are checked on the oracle
+        i, j, br = exhaustive_equilibrium(surfaces.pi1, surfaces.pi2, grid.values)
+        assert (ref.leader_index, ref.follower_index, ref.best_response.indices.tolist()) == \
+               (i, j, br)
 
-        on_each_path(lambda: assert_same_equilibrium(equilibrium(tables, costs), ref))
+        def check():
+            assert_same_equilibrium(equilibria(tables, [costs])[0], ref)
+            assert_same_curves(tables, [costs], [ref])
+
+        on_each_path(check)
 
     @pytest.mark.parametrize("tables, costs", [
         (tables_2x2()[0], dataclasses.replace(COSTS, p_t=60.0)),
@@ -247,7 +262,7 @@ class TestEquilibrium:
         # builds nothing and its profit is -0.0, which the reports print
         ref = stackelberg(profit_surfaces(tables, costs), tables.grid)
         assert ref.follower_index == 0 and np.signbit(ref.pi2_star)
-        on_each_path(lambda: assert_same_equilibrium(equilibrium(tables, costs), ref))
+        on_each_path(lambda: assert_same_equilibrium(equilibria(tables, [costs])[0], ref))
 
     # the follower answers leader row 0 with column 1, so e_c1[0, 0] is a cell
     # that no solve reads, yet the reference refuses its surface
@@ -261,7 +276,7 @@ class TestEquilibrium:
 
         def check():
             with pytest.raises(WindGameError, match="must be finite"):
-                equilibrium(dataclasses.replace(tables, **{name: table}), COSTS)
+                equilibria(dataclasses.replace(tables, **{name: table}), [COSTS])[0]
 
         on_each_path(check)
 
@@ -277,7 +292,7 @@ class TestEquilibrium:
 
         def check():
             with pytest.raises(WindGameError, match="must be finite"):
-                equilibrium(tables, costs)
+                equilibria(tables, [costs])[0]
 
         on_each_path(check)
 
@@ -293,7 +308,7 @@ class TestEquilibrium:
 
         def check():
             with pytest.raises(WindGameError, match="must be finite"):
-                equilibrium(tables, costs)
+                equilibria(tables, [costs])[0]
 
         on_each_path(check)
 
@@ -324,9 +339,9 @@ class TestEquilibrium:
         def check():
             if ref is None:
                 with pytest.raises(WindGameError, match="must be finite"):
-                    equilibrium(tables, costs)
+                    equilibria(tables, [costs])[0]
             else:
-                assert_same_equilibrium(equilibrium(tables, costs), ref)
+                assert_same_equilibrium(equilibria(tables, [costs])[0], ref)
 
         on_each_path(check)
 
@@ -357,8 +372,8 @@ class TestEquilibrium:
                 with pytest.raises(WindGameError, match="must be finite"):
                     equilibria(tables, sweep)
             else:
-                for eq, ref in zip(equilibria(tables, sweep), refs, strict=True):
-                    assert_same_equilibrium(eq, ref)
+                for row, ref in zip(equilibria(tables, sweep), refs, strict=True):
+                    assert_same_equilibrium(row, ref)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(game, "_CHUNK_CELLS", chunk_cells)
@@ -394,17 +409,20 @@ class TestEquilibriumOnFineGrid:
                 for costs in sweep]
 
         def check():
-            for eq, ref in zip(equilibria(fine_grid_tables, sweep), refs, strict=True):
-                assert_same_equilibrium(eq, ref)
+            for row, ref in zip(equilibria(fine_grid_tables, sweep), refs, strict=True):
+                assert_same_equilibrium(row, ref)
+            assert_same_curves(fine_grid_tables, sweep, refs)
 
         on_each_path(check)
 
     def test_compiled_solve_builds_no_surface(self, fine_grid_tables, monkeypatch):
+        # the whole fee sweep in one call, as the runner solves a realisation
         use_kernel_path("compiled", monkeypatch)
-        costs = CostParams.from_fractions(74.3, 0.26, 0.26, 0.20, 9.0e6)
+        sweep = [CostParams.from_fractions(74.3, frac, 0.26, 0.20, 9.0e6)
+                 for frac in self.P_T_FRACS]
         tracemalloc.start()
         try:
-            equilibrium(fine_grid_tables, costs)
+            equilibria(fine_grid_tables, sweep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

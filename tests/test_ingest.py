@@ -527,14 +527,24 @@ class TestInputFiles:
         ("src/windgame/data/enercon_e82_power_curve.csv", load_curve_points),
         ("configs/scenario3.ini", load_config),
     ], ids=["series", "curve", "config"])
-    def test_byte_order_mark_is_skipped(self, tmp_path, source, load):
+    def test_byte_order_mark_is_skipped(self, tmp_path, monkeypatch, source, load):
         # Excel's "CSV UTF-8" and some editors start a UTF-8 file with U+FEFF;
         # both copies sit in one directory, so a config's paths resolve alike
         data = Path(REPO_ROOT, source).read_bytes()
         plain, marked = tmp_path / f"plain-{Path(source).name}", tmp_path / Path(source).name
         plain.write_bytes(data)
         marked.write_bytes(b"\xef\xbb\xbf" + data)
-        assert load(marked) == load(plain)
+        expected = load(plain)
+        if load is _series_and_report:
+            # only one BOM is skipped: a second is part of the first header name
+            twice = tmp_path / "twice.csv"
+            twice.write_bytes(b"\xef\xbb\xbf" * 2 + data)
+            with pytest.raises(IngestError, match="column 'timestamp' not in header"):
+                load(twice)
+            # and the marked copy of a plain file stays on the array path
+            monkeypatch.setattr(ingest.csv, "reader", lambda *args, **kwargs: pytest.fail(
+                "a BOM sent a plain series CSV to csv.reader"))
+        assert load(marked) == expected
 
     def test_fixture_generator_writes_the_shipped_csvs(self, tmp_path):
         shipped = Path(REPO_ROOT, "data", "synthetic")
