@@ -3,8 +3,9 @@
 Gaps are dropped and reported, never interpolated: the downstream sampler is
 the mechanism that papers over missing history, so ingestion must not invent
 values. Input resolution is fixed at one hour; sub-hourly files are rejected.
-Two tokenizers split a CSV file (numpy for plain ASCII, ``csv.reader`` for the
-rest) and hand one parser each block of cells as UTF-8 bytes and offsets.
+Two tokenizers only split a CSV file (numpy for plain ASCII, ``csv.reader`` for
+the rest); one parser takes each block of cells as UTF-8 bytes and offsets, and
+counts every row it drops.
 """
 from __future__ import annotations
 
@@ -152,12 +153,12 @@ def _parse_cells(data: bytes, ts_start: np.ndarray, ts_end: np.ndarray,
 _BLOCK_ROWS = 2048
 
 
-def _csv_blocks(reader, i_ts: int, i_val: int, dropped: dict):
+def _csv_blocks(reader, i_ts: int, i_val: int):
     """``csv.reader``'s rows as ``_parse_cells`` takes them, per block of at
     most ``_BLOCK_ROWS`` rows: each row's timestamp and value cells in UTF-8,
-    one after the other in one buffer, and their offsets in it. A row too
-    short to hold both cells counts as missing."""
-    last = max(i_ts, i_val)
+    one after the other in one buffer, and their offsets in it. A cell that a
+    short row lacks is empty."""
+    pad = [""] * (max(i_ts, i_val) + 1)
 
     def block():  # cell j spans bounds[j]:bounds[j + 1]
         text = "".join(cells)  # one encode per block: cell by cell, loads took ~30% longer
@@ -167,64 +168,53 @@ def _csv_blocks(reader, i_ts: int, i_val: int, dropped: dict):
         return text.encode(), bounds[:-1:2], bounds[1::2], bounds[1::2], bounds[2::2]
 
     cells = []
-    for row in reader:
-        if len(row) > last:
-            cells += row[i_ts], row[i_val]
-            if len(cells) == 2 * _BLOCK_ROWS:
-                yield block()
-                cells = []
-        elif row:  # a blank line is no row
-            dropped["missing"] += 1
+    for row in filter(None, reader):  # a blank line is no row
+        if len(row) < len(pad):
+            row += pad[len(row):]
+        cells += row[i_ts], row[i_val]
+        if len(cells) == 2 * _BLOCK_ROWS:
+            yield block()
+            cells = []
     yield block()
 
 
-def _line_feeds(data: bytes) -> np.ndarray | None:
-    """The offsets of the LFs in ``data`` when ``csv.reader`` would split it
-    exactly at its LFs and commas, else None: ``data`` is ASCII, holds no
-    quote and no NUL, has an LF just after every CR, and no line longer than
-    csv's field limit (a field is never longer than its line)."""
+def _array_rows(data: bytes):
+    """``csv.reader``'s rows of ``data`` as arrays: its header, then a function
+    of the timestamp and value columns that yields ``_parse_cells``' arguments
+    per block of rows, the cells' offsets into ``data`` itself. Each line ends
+    at an LF, less a CR just before it; an empty line is no row; a line's cells
+    lie between its commas, and a cell that a short row lacks is empty, at the
+    line's end. None unless ``csv.reader`` would split ``data`` exactly so:
+    ``data`` is ASCII, holds no quote and no NUL, has an LF just after every
+    CR, and no line longer than csv's field limit (a field is never longer
+    than its line)."""
     if not data.isascii() or b'"' in data or b"\0" in data:
         return None
     buf = np.frombuffer(data, np.uint8)
-    if not np.all(buf[np.flatnonzero(buf[:-1] == ord("\r")) + 1] == ord("\n")) \
-            or data.endswith(b"\r"):
-        return None
     feeds = np.flatnonzero(buf == ord("\n"))
-    lines = np.diff(feeds, prepend=-1, append=len(data)) - 1
-    return feeds if lines.max() <= csv.field_size_limit() else None
-
-
-def _array_rows(data: bytes, feeds: np.ndarray):
-    """``csv.reader``'s rows of ``data``, which ``_line_feeds`` accepted, as
-    arrays: its header, then a function of the timestamp and value columns
-    that yields ``_parse_cells``' arguments per block of rows, the cells'
-    offsets into ``data`` itself. Each line ends at an LF, less a CR just
-    before it; an empty line is no row; a line's cells lie between its commas.
-    """
-    buf = np.frombuffer(data, np.uint8)
-    starts = np.append(0, feeds + 1)
-    ends = np.append(feeds, len(data))
-    ends[:-1] -= (buf[feeds - 1] == ord("\r")) & (feeds > 0)
+    starts, ends = np.append(0, feeds + 1), np.append(feeds, len(data))
+    crlf = (buf[feeds - 1] == ord("\r")) & (feeds > 0)
+    if np.count_nonzero(buf == ord("\r")) != np.count_nonzero(crlf) \
+            or (ends - starts).max() > csv.field_size_limit():
+        return None
+    ends[:-1] -= crlf
     header = data[starts[0]:ends[0]].decode("ascii")
     nonblank = np.flatnonzero(ends[1:] > starts[1:]) + 1
     starts, ends = starts[nonblank], ends[nonblank]
     commas = np.append(np.flatnonzero(buf == ord(",")), len(data))
+    last = len(commas) - 1  # the sentinel: a short last row's lacking cells index past it
 
-    def blocks(i_ts: int, i_val: int, dropped: dict):
-        last = max(i_ts, i_val)
+    def blocks(i_ts: int, i_val: int):
         for lo in range(0, len(starts) or 1, _BLOCK_ROWS):  # no row: one empty block
             line_start, line_end = starts[lo:lo + _BLOCK_ROWS], ends[lo:lo + _BLOCK_ROWS]
             first = np.searchsorted(commas, line_start)
             count = np.searchsorted(commas, line_end) - first
-            full = count >= last
-            dropped["missing"] += len(full) - int(np.count_nonzero(full))
-            line_start, line_end = line_start[full], line_end[full]
-            first, count = first[full], count[full]
 
             def span(c: int) -> tuple[np.ndarray, np.ndarray]:
                 """The start and end offsets of each row's cell ``c``."""
-                start = line_start if c == 0 else commas[first + c - 1] + 1
-                return start, np.where(count > c, commas[first + c], line_end)
+                end = np.where(count > c, commas[np.minimum(first + c, last)], line_end)
+                start = line_start if c == 0 else commas[np.minimum(first + c - 1, last)] + 1
+                return np.minimum(start, end), end
 
             yield data, *span(i_ts), *span(i_val)
 
@@ -355,20 +345,19 @@ def load_series_csv(path: str | Path,
     dropped = dict.fromkeys(("missing", "unparseable", "invalid"), 0)
     try:
         data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
-        feeds = _line_feeds(data)
-        if feeds is None:  # the reference path, for quoted or non-ASCII input too
+        rows = _array_rows(data)
+        if rows is None:  # the reference path, for quoted or non-ASCII input too
             reader = csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
                                                  newline=""))
-            header, blocks = next(reader, []), partial(_csv_blocks, reader)
-        else:
-            header, blocks = _array_rows(data, feeds)
+            rows = next(reader, []), partial(_csv_blocks, reader)
+        header, blocks = rows
         columns = {name: i for i, name in enumerate(header)}  # a repeated name: last wins
         for needed in (ts_col, val_col):
             if needed not in columns:
                 raise IngestError(f"{label}: column '{needed}' not in header "
                                   f"{header} of {path}")
         blocks = [_parse_cells(*block, dropped)
-                  for block in blocks(columns[ts_col], columns[val_col], dropped)]
+                  for block in blocks(columns[ts_col], columns[val_col])]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"{label}: cannot read {path}: {exc}") from None
     stamps, values = (np.concatenate(arrays) for arrays in zip(*blocks))

@@ -5,8 +5,7 @@ cross-site correlation and Weibull-shaped marginals; demand carries annual,
 daily and weekly structure, autocorrelated noise, and a weak negative
 coupling to the mean wind. The CSV writer degrades the series the way real
 archives do (missing rows, blank cells, sentinel values, duplicated
-timestamps) so the ingestion path is exercised end to end; the in-memory
-variant stays clean.
+timestamps) so the ingestion path is exercised end to end.
 """
 from __future__ import annotations
 
@@ -16,8 +15,6 @@ from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
-
-from .ingest import JointSeries
 
 DEFAULT_SEED = 414243
 WIND_START = np.datetime64("2014-01-01T00:00:00", "s")
@@ -64,15 +61,6 @@ def _generate(n_hours: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     demand = 30000.0 + seasonal + daily + weekly + noise + coupling
     np.maximum(demand, 15000.0, out=demand)
     return w1, w2, demand
-
-
-def make_joint_series(n_hours: int = 8760, seed: int = DEFAULT_SEED,
-                      demand_mean: float = 108.1830) -> JointSeries:
-    """Clean, aligned synthetic record with demand scaled to ``demand_mean``."""
-    w1, w2, demand = _generate(n_hours, seed)
-    demand = demand * (demand_mean / demand.mean())
-    timestamps = DEMAND_START + np.arange(n_hours) * HOUR
-    return JointSeries(timestamps=timestamps, w1=w1, w2=w2, p_d=demand)
 
 
 def _write_csv(path: Path, header: tuple[str, str],

@@ -6,7 +6,7 @@ import pytest
 
 from windgame import SamplerTables, _native
 from windgame.ingest import JointSeries
-from windgame.synthetic import make_joint_series
+from windgame.synthetic import DEFAULT_SEED, DEMAND_START, HOUR, _generate
 
 REPO_ROOT = __file__.rsplit("/", 2)[0]
 
@@ -48,7 +48,12 @@ def kernel_cache(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def synthetic_series() -> JointSeries:
-    return make_joint_series()
+    """A clean, aligned year of the fixture generator's series, with demand
+    scaled to the shipped configs' target mean."""
+    n_hours = 8760
+    w1, w2, demand = _generate(n_hours, DEFAULT_SEED)
+    return JointSeries(timestamps=DEMAND_START + np.arange(n_hours) * HOUR, w1=w1, w2=w2,
+                       p_d=demand * (108.1830 / demand.mean()))
 
 
 @pytest.fixture(scope="session")

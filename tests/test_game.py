@@ -312,6 +312,14 @@ class TestEquilibrium:
 
         on_each_path(check)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_leader_step_refuses_a_non_finite_profit(self, bad):
+        # the leader's own check, apart from the follower's: an argmax over a
+        # row holding NaN or inf would pick a point and report it
+        cols, pi2_best, pi1 = np.zeros((1, 2), np.intp), np.zeros((1, 2)), np.array([[1.0, bad]])
+        with pytest.raises(WindGameError, match="^profit surfaces must be finite$"):
+            game._leader_choices(cols, pi2_best, pi1, np.array([0.0, 10.0]))
+
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1),
            st.lists(st.sampled_from([0.0, 1.0, 1e3, 1e300, 1e304, 4.4e304, 1e305, 1e306,

@@ -1,4 +1,4 @@
-"""Shipped desk sweeps against committed SHA-256 digests of their reports.
+"""Shipped desk sweeps and their `stats` table against committed SHA-256 digests.
 
 Rerun determinism alone would pass a change that shifts a bit in every run;
 these digests pin the bytes themselves. A change that is meant to alter the
@@ -9,10 +9,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import json
 
 import pytest
 
 from windgame import ingest
+from windgame.cli import main
 from windgame.config import load_config
 from windgame.runner import emit_report, run_scenario
 
@@ -32,14 +34,31 @@ GOLDEN = {
         "convergence.csv": CONVERGENCE},
 }
 
+# run.json less its timing_s and versions, hashed as json.dumps(meta,
+# sort_keys=True), as the benchmark hashes it
+RUN_JSON = {1: "e5706edfb9aadadd0ddd022cdbfd19c84bcd74cd3b2145d3e4c357fe8bac2ec2",
+            2: "5f6e957ead4d81e6afac02375bb588be7a7926c4a3c6ffe1e9911496c333dabd",
+            3: "5999604d90ac6acfcfc0df98737e04bc6f2623063572719c6ce8928d014867d2"}
 
-@pytest.mark.parametrize("scenario, workers, fallback",
-                         [pytest.param(s, w, fallback, id=f"{s}{tag}{suffix}")
-                          for fallback, tag in ((False, ""), (True, "-fallback"))
-                          for w, suffix in ((1, ""), (3, "-workers3")) for s in sorted(GOLDEN)])
+# the stdout of `windgame stats`: the three desk configs share their data and
+# chain, so they print the same table
+STATS = "d8d9970cb3c43d07953c0ffcea76e4344174c94ab2d5315b0c2bbeb2993d30b3"
+
+# each desk config with 1 and 3 workers, on whichever path loads here and on
+# the loops that run when no kernel loads
+CASES = [pytest.param(s, w, fallback, id=f"{s}{tag}{suffix}")
+         for fallback, tag in ((False, ""), (True, "-fallback"))
+         for w, suffix in ((1, ""), (3, "-workers3")) for s in sorted(GOLDEN)]
+
+
+def run_json_digest(path) -> str:
+    meta = json.loads(path.read_text())
+    del meta["timing_s"], meta["versions"]
+    return hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("scenario, workers, fallback", CASES)
 def test_reports_match_golden_digests(scenario, workers, fallback, tmp_path, monkeypatch):
-    # the plain cases run whichever path loads here, the fallback cases the
-    # loops that run when no kernel loads
     if fallback:
         use_kernel_path("numpy", monkeypatch)
     config = load_config(f"{REPO_ROOT}/configs/scenario{scenario}.ini")
@@ -47,12 +66,24 @@ def test_reports_match_golden_digests(scenario, workers, fallback, tmp_path, mon
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in GOLDEN[scenario]}
     assert digests == GOLDEN[scenario]
+    assert run_json_digest(tmp_path / "run.json") == RUN_JSON[scenario]
+
+
+@pytest.mark.parametrize("scenario, workers, fallback", CASES)
+def test_stats_table_matches_golden_digest(scenario, workers, fallback, capsys, monkeypatch):
+    if fallback:
+        use_kernel_path("numpy", monkeypatch)
+    assert main(["stats", "--config", f"{REPO_ROOT}/configs/scenario{scenario}.ini",
+                 "--workers", str(workers)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STATS
 
 
 def test_quoted_inputs_match_golden_digests(tmp_path, monkeypatch):
     # scenario 3's three CSVs with every cell quoted go through csv.reader,
     # not the array tokenizer, and must give the same reports
-    monkeypatch.setattr(ingest, "_array_rows", lambda *args: pytest.fail("array tokenizer"))
+    array_rows = ingest._array_rows
+    monkeypatch.setattr(ingest, "_array_rows", lambda data: None if array_rows(data) is None
+                        else pytest.fail("array tokenizer"))
     config = load_config(f"{REPO_ROOT}/configs/scenario3.ini")
     sources = {}
     for role in ("wind1", "wind2", "demand"):

@@ -29,6 +29,20 @@ def write(tmp_path, text, name="series.csv"):
     return path
 
 
+def record_array_rows(monkeypatch):
+    """Patch the array tokenizer to record, per call, whether it split the
+    data; returns that record."""
+    taken = []
+
+    def array_rows(data):
+        rows = _array_rows(data)
+        taken.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(ingest, "_array_rows", array_rows)
+    return taken
+
+
 def hourly(n, start="2015-01-01T00:00:00"):
     return (np.datetime64(start, "s") + np.arange(n) * np.timedelta64(3600, "s"))
 
@@ -356,24 +370,34 @@ class TestLoadSeriesCsv:
     def test_path_taken_by_the_bytes(self, tmp_path, text, array_path, monkeypatch):
         # both paths give the same row; only input that csv.reader splits at
         # exactly its LFs and commas takes the array path
-        taken = []
-        monkeypatch.setattr(ingest, "_array_rows", lambda *args: taken.append(True)
-                            or _array_rows(*args))
+        taken = record_array_rows(monkeypatch)
         path = tmp_path / "series.csv"
         path.write_bytes(text.encode("utf-8"))
         series, report = load_series_csv(path, COLMAP)
-        assert bool(taken) == array_path
+        assert taken == [array_path]
         assert list(series.values) == [5.0] and report.rows_read == 1
+
+    @pytest.mark.parametrize("tokenizer", ["array", "csv"])
+    def test_short_unterminated_last_row_is_missing(self, tmp_path, tokenizer, monkeypatch):
+        # the last row lacks both cells and its line end; its cells read as
+        # empty, at the end of the data, and the parser counts it as missing
+        taken = record_array_rows(monkeypatch)
+        if tokenizer == "csv":
+            monkeypatch.setattr(ingest, "_array_rows", lambda data: None)
+        path = tmp_path / "series.csv"
+        path.write_bytes(b"other,timestamp,wind_speed_ms\n1,2015-01-01T00:00:00,5.0\n1")
+        series, report = load_series_csv(path, COLMAP, label="x")
+        assert taken == ([True] if tokenizer == "array" else [])
+        assert list(series.values) == [5.0]
+        assert report == GapReport(label="x", rows_read=2, rows_kept=1, dropped_missing=1)
 
     def test_shipped_files_take_the_array_path(self, monkeypatch):
         # CRLF lines, gaps, blanks, sentinels and duplicates; the csv.reader
         # path gives the same series and report
-        taken = []
-        monkeypatch.setattr(ingest, "_array_rows", lambda *args: taken.append(True)
-                            or _array_rows(*args))
+        taken = record_array_rows(monkeypatch)
         path = f"{REPO_ROOT}/data/synthetic/site_a_wind.csv"
         series, report = load_series_csv(path, COLMAP)
-        monkeypatch.setattr(ingest, "_line_feeds", lambda data: None)
+        monkeypatch.setattr(ingest, "_array_rows", lambda data: None)
         reference, reference_report = load_series_csv(path, COLMAP)
         assert taken == [True] and report == reference_report and report.dropped_total > 0
         assert series.timestamps.tobytes() == reference.timestamps.tobytes()
