@@ -104,9 +104,12 @@ class ScenarioConfig:
         if self.curve_alpha is not None and self.curve_points is not None:
             raise ConfigError("[power_curve] give either points or alpha and beta, not both")
         _section("grid", StrategyGrid, step=self.grid_step, p_n_max=self.grid_max)
+        sweep = self.sweep
+        if sweep.start_frac < 0.0:  # the points rise from the start
+            raise ConfigError(f"[sweep] start_frac {sweep.start_frac} gives a negative "
+                              f"{sweep.parameter}")
         # a (points, realisations, 4) float64 report numpy cannot shape is refused
         # here, before the game stage lists the points one by one
-        sweep = self.sweep
         points = (sweep.stop_frac - sweep.start_frac) / sweep.step_frac + 1
         if not math.isfinite(points) \
                 or points * self.chain.realisations * 4 * 8 > np.iinfo(np.intp).max:

@@ -9,12 +9,11 @@ capacity grid: the follower's best response per leader capacity, then the
 leader's best choice against that response curve. Ties break toward the
 smaller capacity. ``stackelberg`` over ``profit_surfaces`` is the
 full-surface reference. ``equilibria`` gives its p_n1, p_n2, pi1 and pi2
-bit for bit, as one row per sweep point of one realisation, on one of two
-paths: one call of the ``follower_best`` kernel of ``_kernels.c`` finds each
-row's best response at every point without a k x k surface, and the
-leader's profit is evaluated along those curves alone; when no kernel
-loads, or a point's costs are large enough that a profit off the curve
-could overflow, that point's row is copied from the reference itself.
+bit for bit, as one row per sweep point of one realisation, by one solve on
+every machine: ``_follower_best`` finds each row's best response at every
+point (in one call of the ``follower_best`` kernel of ``_kernels.c``, with no
+k x k surface, or, when no kernel loads, by the reference's own follower
+step), and the leader's profit is evaluated along those curves alone.
 """
 from __future__ import annotations
 
@@ -131,7 +130,11 @@ def _follower_best(kernels, tables: EnergyTables,
                    costs: list[CostParams]) -> tuple[np.ndarray, np.ndarray]:
     """``_best_response`` of ``_follower_profit`` over the tables at each of
     ``costs``, as (points, k) arrays, row by row in the ``follower_best``
-    kernel: O(k) memory per point, no k x k surface."""
+    kernel: O(k) memory per point, no k x k surface; with ``kernels`` None,
+    by the reference's own step on each point's surfaces, refusing as it does."""
+    if kernels is None:
+        cols, best = zip(*(_best_response(profit_surfaces(tables, c).pi2) for c in costs))
+        return np.stack(cols), np.stack(best)
     k, points = len(tables.grid), len(costs)
     cols = np.empty((points, k), dtype=np.int64)
     best = np.empty((points, k))
@@ -188,34 +191,29 @@ _CHUNK_CELLS = 4096
 def equilibria(tables: EnergyTables, costs: list[CostParams]) -> np.ndarray:
     """The float64 (points, 4) block of p_n1, p_n2, pi1, pi2 that
     ``stackelberg(profit_surfaces(tables, c), tables.grid)`` gives at each
-    ``c`` of ``costs``, bit for bit. With the kernels loaded, points under the
-    overflow bound are solved a chunk at a time, each chunk in one
-    ``follower_best`` call, with pi1 only along the follower's best responses
-    and no surface built; every other point's row is copied from the reference."""
+    ``c`` of ``costs``, bit for bit: solved a chunk of points at a time, each
+    chunk in one ``_follower_best`` call, with pi1 only along the follower's
+    best responses."""
     # |e_g1 - e_c1| <= 2 * peak1, so no intermediate of pi1 exceeds twice this
     # bound, and rounding cannot double it again: while four times the bound is
     # finite, no cell of pi1 overflows. Past it, the reference's whole-surface
-    # check decides, so both paths refuse the same costs.
-    kernels = _native.load_kernels()
+    # check decides: both refuse the same costs, and a surface it passes has
+    # no cell that overflows, on the curve or off it.
     peak1, peak2 = tables.peaks
-    block, fast = np.empty((len(costs), 4)), []
-    for p, c in enumerate(costs):
-        if kernels is not None and math.isfinite(
-                4 * (peak1 * (c.p_g + c.c_g1) + peak2 * c.p_t + c.c_t)):
-            fast.append(p)
-        else:
-            eq = stackelberg(profit_surfaces(tables, c), tables.grid)
-            block[p] = eq.p_n1_star, eq.p_n2_star, eq.pi1_star, eq.pi2_star
+    for c in costs:
+        if not math.isfinite(4 * (peak1 * (c.p_g + c.c_g1) + peak2 * c.p_t + c.c_t)):
+            profit_surfaces(tables, c)
+    kernels = _native.load_kernels()
     rows = np.arange(len(tables.grid))
+    block = np.empty((len(costs), 4))
     step = max(1, _CHUNK_CELLS // len(rows))
-    for lo in range(0, len(fast), step):
-        chunk = fast[lo:lo + step]
-        points = [costs[p] for p in chunk]
+    for lo in range(0, len(costs), step):
+        points = costs[lo:lo + step]
         cols, pi2_best = _follower_best(kernels, tables, points)
         # each cost as a (points, 1) column against the (points, k) curves
         p_g, c_g1, p_t, c_t = np.array([(c.p_g, c.c_g1, c.p_t, c.c_t)
                                         for c in points]).T[..., None]
         pi1 = _leader_profit(tables.e_g1, tables.e_c1[rows, cols], tables.e_g2[cols],
                              tables.e_c2[rows, cols], p_g, c_g1, p_t, c_t)
-        block[chunk] = _leader_choices(cols, pi2_best, pi1, tables.grid.values)[1]
+        block[lo:lo + step] = _leader_choices(cols, pi2_best, pi1, tables.grid.values)[1]
     return block

@@ -420,7 +420,8 @@ def stats_from_means(chain_means: Sequence[tuple[float, float, float]],
 
     sigma is the standard deviation (ddof=1) of per-realisation means; the
     max error is the worst per-realisation mean's relative deviation from
-    the historic mean, in percent.
+    the historic mean, in percent; a zero historic mean makes it nan (0 / 0),
+    or inf if some chain's mean is not zero, without a numpy warning.
     """
     n = len(chain_means)
     if n < 2:
@@ -430,12 +431,14 @@ def stats_from_means(chain_means: Sequence[tuple[float, float, float]],
     stats = {}
     for name, per_chain, mu in zip(("w1", "w2", "p_d"), chain_means.T, historic.means()):
         sigma = float(per_chain.std(ddof=1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            max_err_pct = float(np.abs(per_chain - mu).max() / mu * 100.0)
         stats[name] = VariableStats(
             name=name,
             mean=float(per_chain.mean()),
             sigma=sigma,
             wci=wci_95(sigma, n),
-            max_err_pct=float(np.abs(per_chain - mu).max() / mu * 100.0),
+            max_err_pct=max_err_pct,
             historic_mean=mu)
     return StatsReport(w1=stats["w1"], w2=stats["w2"], p_d=stats["p_d"],
                        n_realisations=n, sample_size=sample_size)

@@ -134,9 +134,17 @@ class EnergyTables:
                                            max(peak["e_g2"], peak["e_c2"])))
 
 
+def _sigmoid(alpha, beta, w):
+    """1 / (1 + exp(-alpha (w - beta))), broadcast. Where exp overflows to inf
+    the output is exactly 0.0, its limit, so the overflow raises no warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-alpha * (w - beta)))
+
+
 def per_unit_output(w, curve: PowerCurve):
-    """Per-unit power at wind speed ``w`` (scalar or array), in (0, 1)."""
-    return 1.0 / (1.0 + np.exp(-curve.alpha * (np.asarray(w, dtype=np.float64) - curve.beta)))
+    """Per-unit power at wind speed ``w`` (scalar or array), in [0, 1]: exactly
+    0.0 or 1.0 far enough below or above ``beta``."""
+    return _sigmoid(curve.alpha, curve.beta, np.asarray(w, dtype=np.float64))
 
 
 # fit_sigmoid's search: initial alpha window, refinement rounds, points per axis
@@ -169,8 +177,7 @@ def fit_sigmoid(points: list[tuple[float, float]]) -> PowerCurve:
     for _ in range(_FIT_ROUNDS):
         alphas = np.linspace(a_lo, a_hi, _FIT_RESOLUTION)
         betas = np.linspace(b_lo, b_hi, _FIT_RESOLUTION)
-        pred = 1.0 / (1.0 + np.exp(-alphas[:, None, None]
-                                   * (winds[None, None, :] - betas[None, :, None])))
+        pred = _sigmoid(alphas[:, None, None], betas[None, :, None], winds[None, None, :])
         sse = ((pred - outputs[None, None, :]) ** 2).sum(axis=2)
         ia, ib = np.unravel_index(int(np.argmin(sse)), sse.shape)
         best_a, best_b, best_sse = float(alphas[ia]), float(betas[ib]), float(sse[ia, ib])

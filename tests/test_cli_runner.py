@@ -160,6 +160,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="sweep parameter"):
             load_config(path)
 
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_negative_sweep_start(self, tiny_config, capsys, command):
+        # the points rise from the start, so a negative one is refused at load,
+        # before ingest, also by stats, which solves no game
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("start_frac = 0.1", "start_frac = -0.1"),
+                               encoding="utf-8")
+        args = [command, "--config", str(tiny_config)]
+        if command == "run":
+            args += ["--out", str(tiny_config.parent / "out")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: [sweep] start_frac -0.1 gives a negative p_t\n"
+
     def test_profiles(self, tiny_config):
         config = load_config(tiny_config)
         paper = apply_profile(config, "paper")
@@ -561,6 +574,43 @@ class TestCli:
         assert done.returncode == 1
         assert "Warning:" not in done.stderr and "Traceback" not in done.stderr, done.stderr
         assert done.stderr.splitlines()[-1] == "error: [game] profit surfaces must be finite"
+
+    @pytest.mark.parametrize("command", ["stats", "run"])
+    def test_zero_mean_wind_gives_nan_max_error(self, tmp_path, command):
+        # an all-calm site: its max error is 0 / 0, a nan with no numpy warning,
+        # which -W error would turn into a traceback
+        rng = np.random.default_rng(5)
+        write_series(tmp_path, np.zeros(240), np.clip(rng.normal(12.0, 4.0, 240), 0.1, 28.0),
+                     np.clip(rng.normal(100.0, 15.0, 240), 40.0, 170.0))
+        done = run_cli_process(command, write_tiny_config(tmp_path),
+                               python_flags=("-W", "error"))
+        assert done.returncode == 0, done.stderr
+        if command == "stats":
+            w1 = next(line for line in done.stdout.splitlines() if line.startswith("w1 "))
+            assert w1.split()[4] == "nan"
+        else:
+            rows = (tmp_path / "out" / "convergence.csv").read_text().splitlines()
+            assert rows[0].split(",")[4] == "max_err_pct"
+            assert rows[1].split(",")[:5] == ["w1", "0.0", "0.0", "0.0", "nan"]
+
+    def test_steep_power_curve_raises_no_overflow_warning(self, tiny_config, tmp_path):
+        # exp overflows for calm hours at alpha = 1000 and, in the fit's search,
+        # for winds far from beta; the outputs there are exactly 0.0, so
+        # neither command may warn
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("[grid]", "[power_curve]\nalpha = 1000\n"
+                                            "beta = 10\n\n[grid]"), encoding="utf-8")
+        done = run_cli_process("run", tiny_config, python_flags=("-W", "error"))
+        assert done.returncode == 0, done.stderr
+        points = tmp_path / "wide.csv"
+        points.write_text("wind_ms,output_pu\n0.0,0.0\n5.0,0.1\n10.0,0.5\n15.0,0.9\n"
+                          "100.0,1.0\n", encoding="utf-8")
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "windgame.cli", "fit-curve",
+                               "--points", str(points)], cwd=REPO_ROOT,
+                              env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("alpha=")
 
     def test_overflowing_ensemble_mean_fails_without_a_warning(self, tmp_path):
         # every realisation's profits are finite, but the mean across them is

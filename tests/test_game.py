@@ -196,18 +196,17 @@ def assert_same_equilibrium(row, ref):
 
 
 def assert_same_curves(tables, sweep, refs):
-    """On the compiled path, the follower's best responses that ``equilibria``
-    reads at each point of ``sweep`` against each reference's curve."""
-    kernels = _native.load_kernels()
-    if kernels is not None:
-        cols = game._follower_best(kernels, tables, sweep)[0]
-        for row, ref in zip(cols, refs, strict=True):
-            assert np.array_equal(row, ref.best_response.indices)
+    """The follower's best responses that ``equilibria`` reads at each point of
+    ``sweep`` against each reference's curve."""
+    cols = game._follower_best(_native.load_kernels(), tables, sweep)[0]
+    for row, ref in zip(cols, refs, strict=True):
+        assert np.array_equal(row, ref.best_response.indices)
 
 
 def on_each_path(check):
     """Run ``check()`` on the compiled kernels, when they load here, and then
-    where none loads, which solves the game on the full-surface reference."""
+    where none loads, which finds the follower's best responses by the
+    reference's own step."""
     paths = ("compiled", "numpy") if _native.load_kernels() is not None else ("numpy",)
     for path in paths:
         with pytest.MonkeyPatch.context() as patch:
@@ -386,6 +385,26 @@ class TestEquilibrium:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(game, "_CHUNK_CELLS", chunk_cells)
             on_each_path(check)
+
+    def test_solve_never_calls_the_reference(self, monkeypatch):
+        # a sweep with points under the overflow bound and one over it whose
+        # surfaces are finite: every row is solved, none copied from stackelberg
+        tables, grid = tables_2x2()
+        sweep = [COSTS, dataclasses.replace(COSTS, p_g=1e305),
+                 dataclasses.replace(COSTS, p_t=60.0)]
+        assert not np.isfinite(4 * tables.peaks[0] * 1e305)
+        refs = [stackelberg(profit_surfaces(tables, costs), grid) for costs in sweep]
+
+        def refuse(*args):
+            raise AssertionError("equilibria called the full-surface reference")
+
+        monkeypatch.setattr(game, "stackelberg", refuse)
+
+        def check():
+            for row, ref in zip(equilibria(tables, sweep), refs, strict=True):
+                assert_same_equilibrium(row, ref)
+
+        on_each_path(check)
 
     @pytest.mark.parametrize("name, value", [
         ("e_g1", np.zeros(3)), ("e_c2", np.zeros((2, 3))), ("e_c1", np.zeros((2, 2), np.float32)),

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
@@ -99,6 +100,14 @@ class TestPerUnitOutput:
         outputs = per_unit_output(winds, curve)
         assert np.all(np.diff(outputs) > 0.0)
         assert np.all((outputs > 0.0) & (outputs < 1.0))
+
+    def test_steep_curve_reaches_its_limits_without_a_warning(self):
+        # exp(1e4) overflows to inf, and 1 / inf is the limit 0.0 exactly
+        curve = PowerCurve(alpha=1000.0, beta=10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert per_unit_output(0.0, curve) == 0.0
+            assert per_unit_output(20.0, curve) == 1.0
 
     @pytest.mark.parametrize("alpha, beta", [(math.nan, 7.0), (math.inf, 7.0),
                                              (0.9, math.nan), (0.9, math.inf)])
@@ -423,11 +432,9 @@ class TestKernelBuild:
         points = [CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 9.0e6)
                   for p_t_frac in (0.0, 0.26, 0.8, 1.2)]
         cols, best = game._follower_best(clone, tables, points)
-        for p, costs in enumerate(points):
-            want_cols, want_best = game._best_response(
-                game._follower_profit(tables.e_g2[None, :], tables.e_c2, costs))
-            assert np.array_equal(cols[p], want_cols)
-            assert best[p].tobytes() == want_best.tobytes()
+        want_cols, want_best = game._follower_best(None, tables, points)
+        assert np.array_equal(cols, want_cols)
+        assert best.tobytes() == want_best.tobytes()
 
     def test_cached_binary_is_reused(self, tmp_path, monkeypatch):
         if _native.shutil.which("cc") is None and _native.shutil.which("gcc") is None:
