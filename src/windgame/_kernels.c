@@ -7,7 +7,8 @@
  * same order and with plain double arithmetic, so both paths give the same
  * bits as long as the compiler neither contracts a*b+c into a fused
  * multiply-add nor reassociates: build with -ffp-contract=off and without
- * -ffast-math.
+ * -ffast-math. No kernel returns an error: each caller checks what it passes
+ * (for follower_best, that no profit overflows).
  * gibbs_chain also draws its uniforms itself, from each chain's numpy
  * PCG64 stream, where the fallback draws them with numpy.
  *
@@ -223,22 +224,20 @@ static inline int64_t order_key(int64_t b)
  * included. work is 2k doubles of workspace: a row's delivered energy
  * e_g2[j] - e_c2[i,j], then its profits at one point; no k x k surface is
  * stored. Rows run outside and points inside, so each row of e_c2 is read
- * once and stays in L1 while every point uses it. Returns 1 as soon as a
- * row holds a non-finite cell, with the outputs partly written, and 0
- * otherwise.
+ * once and stays in L1 while every point uses it. Every cell must be finite:
+ * game.equilibria bounds the costs so that none overflows, and sends any
+ * point past that bound to the reference's check first.
  *
  * GCC vectorises no double max-reduction without -ffast-math, so the row's
- * maximum is taken over order_key of its cells' bits, and its non-finite
- * test over their magnitude bits; a blocked scan then finds the first cell
- * equal to the maximum.
+ * maximum is taken over order_key of its cells' bits; a blocked scan then
+ * finds the first cell equal to the maximum.
  */
 VECTOR_CLONES
-int follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
-                  const double *restrict e_c2, const double *restrict margin,
-                  const double *restrict c_g2, int64_t *restrict cols,
-                  double *restrict best, double *restrict work)
+void follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
+                   const double *restrict e_c2, const double *restrict margin,
+                   const double *restrict c_g2, int64_t *restrict cols,
+                   double *restrict best, double *restrict work)
 {
-    const int64_t magnitude = INT64_MAX, infinity = INT64_C(0x7ff0000000000000);
     double *restrict delivered = work, *restrict row = work + k;
     for (ptrdiff_t i = 0; i < k; i++) {
         const double *restrict c2 = e_c2 + i * k;
@@ -246,35 +245,32 @@ int follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
             delivered[j] = e_g2[j] - c2[j];
         for (ptrdiff_t p = 0; p < points; p++) {
             const double m = margin[p], c = c_g2[p];
-            int64_t top = INT64_MIN, widest = 0;
+            int64_t top = INT64_MIN;
             for (ptrdiff_t j = 0; j < k; j++) {
                 const double v = delivered[j] * m - e_g2[j] * c;
                 int64_t b;
                 memcpy(&b, &v, sizeof b);
                 row[j] = v;
-                const int64_t key = order_key(b), size = b & magnitude;
+                const int64_t key = order_key(b);
                 top = key > top ? key : top;
-                widest = size > widest ? size : widest;
             }
-            if (widest >= infinity)
-                return 1;
             const int64_t top_bits = order_key(top);
             double peak;
             memcpy(&peak, &top_bits, sizeof peak);
-            /* every cell is finite, so some cell equals peak */
+            /* every cell is finite, so some cell equals peak; even were one
+             * NaN, the scan would stop at the row's last cell */
             ptrdiff_t j = 0;
-            for (; j + 8 <= k; j += 8) {
+            for (; j + 8 < k; j += 8) {
                 int hit = 0;
                 for (int l = 0; l < 8; l++)
                     hit |= row[j + l] == peak;
                 if (hit)
                     break;
             }
-            while (row[j] != peak)
+            while (j < k - 1 && row[j] != peak)
                 j++;
             cols[p * k + i] = j;
             best[p * k + i] = row[j];
         }
     }
-    return 0;
 }

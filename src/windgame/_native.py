@@ -10,8 +10,8 @@ per user under ``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``).
 When no compiler is found, the build or load fails (``gibbs_chain`` needs
 the compiler's ``unsigned __int128``) or the library lacks an entry point,
 one warning is logged and ``load_kernels`` returns None, so each caller
-runs its own fallback (numpy in ``sim``, the follower's profit surface per
-point in ``game``, Python in ``gibbs``), which gives the same bits.
+runs its own fallback (numpy in ``sim``, the follower's profit per point in
+``game``, Python in ``gibbs``), which gives the same bits.
 """
 from __future__ import annotations
 
@@ -93,7 +93,7 @@ def _bind(path) -> ctypes.CDLL:
     gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ptr, ptr, ptr]
     gibbs.restype = None
     follower.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[ptr] * 7]
-    follower.restype = ctypes.c_int
+    follower.restype = None
     return lib
 
 

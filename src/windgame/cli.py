@@ -15,7 +15,7 @@ import logging
 import sys
 
 from .config import apply_profile, load_config, override_seed
-from .errors import ConfigError, WindGameError
+from .errors import WindGameError
 from .runner import emit_report, run_scenario, run_stats
 from .sim import fit_sigmoid, load_curve_points
 
@@ -73,10 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             for path in paths:
                 print(path)
         elif args.command == "stats":
-            config = _load(args)
-            if config.chain.realisations < 2:
-                raise ConfigError("stats needs at least 2 realisations")
-            print(run_stats(config, workers=args.workers).format_table())
+            print(run_stats(_load(args), workers=args.workers).format_table())
         elif args.command == "fit-curve":
             curve = fit_sigmoid(load_curve_points(args.points))
             print(f"alpha={curve.alpha:.6f} beta={curve.beta:.6f} "

@@ -12,8 +12,8 @@ full-surface reference. ``equilibria`` gives its p_n1, p_n2, pi1 and pi2
 bit for bit, as one row per sweep point of one realisation, by one solve on
 every machine: ``_follower_best`` finds each row's best response at every
 point (in one call of the ``follower_best`` kernel of ``_kernels.c``, with no
-k x k surface, or, when no kernel loads, by the reference's own follower
-step), and the leader's profit is evaluated along those curves alone.
+k x k surface, or, when no kernel loads, from the follower's profit alone),
+and the leader's profit is evaluated along those curves alone.
 """
 from __future__ import annotations
 
@@ -131,9 +131,10 @@ def _follower_best(kernels, tables: EnergyTables,
     """``_best_response`` of ``_follower_profit`` over the tables at each of
     ``costs``, as (points, k) arrays, row by row in the ``follower_best``
     kernel: O(k) memory per point, no k x k surface; with ``kernels`` None,
-    by the reference's own step on each point's surfaces, refusing as it does."""
+    on each point's follower profit. ``equilibria`` keeps every cell finite."""
     if kernels is None:
-        cols, best = zip(*(_best_response(profit_surfaces(tables, c).pi2) for c in costs))
+        cols, best = zip(*(_best_response(_follower_profit(tables.e_g2, tables.e_c2, c))
+                           for c in costs))
         return np.stack(cols), np.stack(best)
     k, points = len(tables.grid), len(costs)
     cols = np.empty((points, k), dtype=np.int64)
@@ -142,10 +143,9 @@ def _follower_best(kernels, tables: EnergyTables,
     margin = np.array([c.p_g - c.p_t for c in costs])
     c_g2 = np.array([c.c_g2 for c in costs])
     e_g2, e_c2 = np.ascontiguousarray(tables.e_g2), np.ascontiguousarray(tables.e_c2)
-    if kernels.follower_best(k, points, e_g2.ctypes.data, e_c2.ctypes.data,
-                             margin.ctypes.data, c_g2.ctypes.data, cols.ctypes.data,
-                             best.ctypes.data, work.ctypes.data):
-        raise WindGameError("profit surfaces must be finite")
+    kernels.follower_best(k, points, e_g2.ctypes.data, e_c2.ctypes.data, margin.ctypes.data,
+                          c_g2.ctypes.data, cols.ctypes.data, best.ctypes.data,
+                          work.ctypes.data)
     return cols, best
 
 
@@ -155,8 +155,6 @@ def _leader_choices(cols: np.ndarray, pi2_best: np.ndarray, pi1: np.ndarray,
     follower's response in that row of ``cols`` (whose cells' pi2 are in
     ``pi2_best``), ties low: those leader indices, and the (rows, 4) block of
     p_n1, p_n2, pi1 and pi2 there, with capacities read from ``values``."""
-    if not np.all(np.isfinite(pi1)):
-        raise WindGameError("profit surfaces must be finite")
     lead = np.argmax(pi1, axis=1)
     at = np.arange(len(lead))
     return lead, np.stack([values[lead], values[cols[at, lead]], pi1[at, lead],
@@ -191,17 +189,18 @@ _CHUNK_CELLS = 4096
 def equilibria(tables: EnergyTables, costs: list[CostParams]) -> np.ndarray:
     """The float64 (points, 4) block of p_n1, p_n2, pi1, pi2 that
     ``stackelberg(profit_surfaces(tables, c), tables.grid)`` gives at each
-    ``c`` of ``costs``, bit for bit: solved a chunk of points at a time, each
-    chunk in one ``_follower_best`` call, with pi1 only along the follower's
-    best responses."""
-    # |e_g1 - e_c1| <= 2 * peak1, so no intermediate of pi1 exceeds twice this
-    # bound, and rounding cannot double it again: while four times the bound is
-    # finite, no cell of pi1 overflows. Past it, the reference's whole-surface
-    # check decides: both refuse the same costs, and a surface it passes has
-    # no cell that overflows, on the curve or off it.
+    ``c`` of ``costs``, bit for bit, or its refusal: solved a chunk of points
+    at a time, each chunk in one ``_follower_best`` call, with pi1 only along
+    the follower's best responses."""
+    # |e_g1 - e_c1| <= 2 * peak1 and |p_g - p_t| <= p_g + p_t, so no
+    # intermediate of pi1 or pi2 exceeds twice this bound, and rounding cannot
+    # double it again: while four times the bound is finite, no cell of either
+    # surface overflows. Past it, the reference's whole-surface check decides,
+    # so the solve checks no cell and refuses exactly the costs it refuses.
     peak1, peak2 = tables.peaks
     for c in costs:
-        if not math.isfinite(4 * (peak1 * (c.p_g + c.c_g1) + peak2 * c.p_t + c.c_t)):
+        if not math.isfinite(4 * (peak1 * (c.p_g + c.c_g1) + peak2 * (c.p_g + c.p_t + c.c_g2)
+                                  + c.c_t)):
             profit_surfaces(tables, c)
     kernels = _native.load_kernels()
     rows = np.arange(len(tables.grid))

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .config import ScenarioConfig
-from .errors import StageError, WindGameError
+from .errors import ConfigError, StageError, WindGameError
 from .game import CostParams, equilibria
 from .gibbs import Realisation, SamplerTables, StatsReport, run_chains, stats_from_means
 from .ingest import JointSeries, align_series, load_series_csv, normalize_demand
@@ -140,6 +140,8 @@ def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: Strate
 def run_stats(config: ScenarioConfig, workers: int = 1) -> StatsReport:
     """Convergence diagnostics of the configured ensemble (two or more
     chains), sampled two consecutive chains per job on ``workers`` threads."""
+    if config.chain.realisations < 2:
+        raise ConfigError("stats needs at least 2 realisations")
     series, tables = _sampling_stages(config, {})
     with _stage("sample", {}):
         means = _map_chains(lambda indices: [r.means() for r in

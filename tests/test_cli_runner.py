@@ -866,6 +866,18 @@ check("run", "scipy.special")
         assert main(["stats", "--config", str(path)]) == 1
         assert "at least 2 realisations" in capsys.readouterr().err
 
+    def test_run_stats_refuses_one_realisation_before_ingest(self, tmp_path, monkeypatch):
+        import windgame.runner as runner_mod
+
+        def ingest(*args, **kwargs):
+            raise AssertionError("run_stats read a series")
+
+        write_tiny_dataset(tmp_path)
+        path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 1\nseed = 7")
+        monkeypatch.setattr(runner_mod, "load_series_csv", ingest)
+        with pytest.raises(ConfigError, match="^stats needs at least 2 realisations$"):
+            run_stats(load_config(path))
+
     @pytest.mark.parametrize("command", ["run", "stats"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_refused(self, tiny_config, capsys, command, workers):

@@ -205,8 +205,8 @@ def assert_same_curves(tables, sweep, refs):
 
 def on_each_path(check):
     """Run ``check()`` on the compiled kernels, when they load here, and then
-    where none loads, which finds the follower's best responses by the
-    reference's own step."""
+    where none loads, which finds the follower's best responses from its
+    profit alone."""
     paths = ("compiled", "numpy") if _native.load_kernels() is not None else ("numpy",)
     for path in paths:
         with pytest.MonkeyPatch.context() as patch:
@@ -311,13 +311,21 @@ class TestEquilibrium:
 
         on_each_path(check)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_leader_step_refuses_a_non_finite_profit(self, bad):
-        # the leader's own check, apart from the follower's: an argmax over a
-        # row holding NaN or inf would pick a point and report it
-        cols, pi2_best, pi1 = np.zeros((1, 2), np.intp), np.zeros((1, 2)), np.array([[1.0, bad]])
+    def test_follower_overflow_refused_by_the_reference(self, monkeypatch):
+        # only pi2 overflows: the cost bound sends the point to the reference's
+        # check, on the compiled path too, and no kernel judges a cell
+        use_kernel_path("compiled", monkeypatch)
+        tables = tables_2x2()[0]
+        calls, reference = [], game.profit_surfaces
+
+        def spy(*args):
+            calls.append(args)
+            return reference(*args)
+
+        monkeypatch.setattr(game, "profit_surfaces", spy)
         with pytest.raises(WindGameError, match="^profit surfaces must be finite$"):
-            game._leader_choices(cols, pi2_best, pi1, np.array([0.0, 10.0]))
+            equilibria(tables, [dataclasses.replace(COSTS, c_g2=1e308)])
+        assert len(calls) == 1
 
     @settings(deadline=None, max_examples=150)
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1),
@@ -442,15 +450,24 @@ class TestEquilibriumOnFineGrid:
 
         on_each_path(check)
 
-    def test_compiled_solve_builds_no_surface(self, fine_grid_tables, monkeypatch):
-        # the whole fee sweep in one call, as the runner solves a realisation
-        use_kernel_path("compiled", monkeypatch)
+    def solve_peak(self, tables, path, monkeypatch) -> int:
+        """The traced peak bytes of the whole fee sweep solved in one call, as
+        the runner solves a realisation, on the given kernel path."""
+        use_kernel_path(path, monkeypatch)
         sweep = [CostParams.from_fractions(74.3, frac, 0.26, 0.20, 9.0e6)
                  for frac in self.P_T_FRACS]
         tracemalloc.start()
         try:
-            equilibria(fine_grid_tables, sweep)
-            peak = tracemalloc.get_traced_memory()[1]
+            equilibria(tables, sweep)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20  # one k x k float64 surface is 7.7 MiB
+
+    def test_compiled_solve_builds_no_surface(self, fine_grid_tables, monkeypatch):
+        # one k x k float64 surface is 7.7 MiB
+        assert self.solve_peak(fine_grid_tables, "compiled", monkeypatch) < 2**20
+
+    def test_fallback_solve_builds_no_leader_surface(self, fine_grid_tables, monkeypatch):
+        # the follower's profit is the one k x k surface the fallback holds
+        k = len(fine_grid_tables.grid)
+        assert self.solve_peak(fine_grid_tables, "numpy", monkeypatch) < 1.5 * 8 * k * k
