@@ -29,7 +29,11 @@ _SECOND = timedelta(seconds=1)
 
 def _parse_iso_timestamp(raw: str) -> int:
     """Parse an ISO-8601 timestamp to whole seconds since the UTC epoch,
-    truncated to the second; a timestamp without an offset is UTC."""
+    truncated to the second; a timestamp without an offset is UTC. A NUL is
+    refused anywhere, as in a value cell (3.11's fromisoformat accepts one
+    trailing NUL)."""
+    if "\0" in raw:
+        raise ValueError(f"NUL in timestamp {raw!r}")
     text = raw.strip()
     if text.endswith(("Z", "z")):  # 3.11's fromisoformat rejects a lowercase z
         text = text[:-1] + "+00:00"

@@ -1,17 +1,17 @@
 """End-to-end scenario execution and report emission.
 
 Pipeline: ingest -> distribution tables -> chain jobs on a thread pool ->
-ensemble aggregation. A ``run`` job samples chain k, builds its energy
-tables once (cost parameters cannot affect the physics), solves the
-equilibria at every sweep point in one call and returns the chain's means
-and its (sweep, 4) block, so no realisation outlives its job; a ``stats``
-job samples two consecutive chains together and returns only their means.
-Jobs run on ``workers`` threads (the compiled kernels and numpy's k x k
-loops release the GIL) and each result depends on the chain index alone, so
-reports are byte-identical for every pool size. Failures, in a thread too,
-running out of memory and Ctrl-C are re-raised tagged with their stage;
-after one, no job starts and those in flight finish. Reports are renamed
-into place once written.
+ensemble aggregation. There is one job: it samples its chains and returns
+each chain's means; in ``run`` it also builds the chain's energy tables once
+(cost parameters cannot affect the physics) and solves the equilibria at
+every sweep point in one call, returning the (sweep, 4) block, so no
+realisation outlives its job. A solving job takes one chain, a ``stats`` job
+two consecutive chains together. Jobs run on ``workers`` threads (the
+compiled kernels and numpy's k x k loops release the GIL) and each result
+depends on the chain index alone, so reports are byte-identical for every
+pool size. Failures, in a thread too, running out of memory and Ctrl-C are
+re-raised tagged with their stage; after one, no job starts and those in
+flight finish. Reports are renamed into place once written.
 """
 from __future__ import annotations
 
@@ -30,8 +30,8 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig
 from .errors import ConfigError, StageError, WindGameError
-from .game import CostParams, equilibria
-from .gibbs import Realisation, SamplerTables, StatsReport, run_chains, stats_from_means
+from .game import equilibria
+from .gibbs import SamplerTables, StatsReport, run_chains, stats_from_means
 from .ingest import JointSeries, align_series, load_series_csv, normalize_demand
 from .sim import PowerCurve, StrategyGrid, build_energy_tables, default_power_curve, \
     fit_sigmoid, load_curve_points
@@ -101,10 +101,6 @@ def resolve_power_curve(config: ScenarioConfig) -> PowerCurve:
     return default_power_curve()
 
 
-def _swept_costs(base: CostParams, parameter: str, frac: float) -> CostParams:
-    return replace(base, **{parameter: frac * base.p_g})
-
-
 def _sampling_stages(config: ScenarioConfig, timing: dict
                      ) -> tuple[JointSeries, SamplerTables]:
     """The staged pipeline prefix: ingest -> tables. Returns the aligned
@@ -116,25 +112,25 @@ def _sampling_stages(config: ScenarioConfig, timing: dict
     return series, tables
 
 
-def _map_chains(job, config: ScenarioConfig, workers: int, per_job: int) -> list:
-    """``job(indices)`` for consecutive runs of ``per_job`` chain indices (the
-    last may be shorter), run on ``workers`` threads; each job returns one
-    result per index, and the results come back in chain order. After a job
+def _chain_results(config: ScenarioConfig, tables: SamplerTables, workers: int,
+                   solve=None) -> list[tuple[tuple[float, float, float], np.ndarray | None]]:
+    """Each chain's means and ``solve(realisation)`` (None without ``solve``),
+    in chain order, from jobs on ``workers`` threads. A solving job samples one
+    chain, so each thread holds one realisation's k x k tables; otherwise a
+    job samples two consecutive chains in the lockstep kernel. After a job
     fails, no further job starts."""
-    n, results = config.chain.realisations, []
+    n, per_job, results = config.chain.realisations, 2 if solve is None else 1, []
+
+    def job(indices: range) -> list:
+        return [(r.means(), None if solve is None else solve(r))
+                for r in run_chains(config.chain, tables, indices)]
+
     batches = [range(k, min(k + per_job, n)) for k in range(0, n, per_job)]
     with ThreadPoolExecutor(max_workers=min(workers, len(batches))) as pool:
         for batch in pool.map(job, batches):
             results += batch
             log.info("realisation %d/%d done", len(results), n)
     return results
-
-
-def _solve_realisation(realisation: Realisation, curve: PowerCurve, grid: StrategyGrid,
-                       costs: list[CostParams]) -> np.ndarray:
-    """Equilibria of one realisation at every sweep point: a (sweep, 4) block
-    of p_n1, p_n2, pi1, pi2, from energy tables built once for all points."""
-    return equilibria(build_energy_tables(realisation, curve, grid), costs)
 
 
 def run_stats(config: ScenarioConfig, workers: int = 1) -> StatsReport:
@@ -144,9 +140,7 @@ def run_stats(config: ScenarioConfig, workers: int = 1) -> StatsReport:
         raise ConfigError("stats needs at least 2 realisations")
     series, tables = _sampling_stages(config, {})
     with _stage("sample", {}):
-        means = _map_chains(lambda indices: [r.means() for r in
-                                             run_chains(config.chain, tables, indices)],
-                            config, workers, 2)
+        means = [m for m, _ in _chain_results(config, tables, workers)]
         return stats_from_means(means, series, config.chain.retained)
 
 
@@ -159,14 +153,11 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
     with _stage("game", timing):
         grid = StrategyGrid(step=config.grid_step, p_n_max=config.grid_max)
         sweep_fracs = config.sweep.values()
-        costs = [_swept_costs(config.costs, config.sweep.parameter, frac)
+        costs = [replace(config.costs, **{config.sweep.parameter: frac * config.costs.p_g})
                  for frac in sweep_fracs]
-
-        def job(indices: range) -> list[tuple[tuple[float, float, float], np.ndarray]]:
-            return [(r.means(), _solve_realisation(r, curve, grid, costs))
-                    for r in run_chains(config.chain, tables, indices)]
-
-        means, blocks = zip(*_map_chains(job, config, workers, 1))
+        means, blocks = zip(*_chain_results(
+            config, tables, workers,
+            lambda r: equilibria(build_energy_tables(r, curve, grid), costs)))
         stats = stats_from_means(means, series, config.chain.retained) if len(means) > 1 else None
         per_real = np.stack(blocks, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below

@@ -385,10 +385,10 @@ class TestRunScenario:
     def test_failure_in_a_thread_is_stage_tagged(self, tiny_config, monkeypatch):
         import windgame.runner as runner_mod
 
-        def fails(realisation, curve, grid, costs):
+        def fails(realisation, curve, grid):
             raise WindGameError(f"solve of realisation {realisation.chain_index} failed")
 
-        monkeypatch.setattr(runner_mod, "_solve_realisation", fails)
+        monkeypatch.setattr(runner_mod, "build_energy_tables", fails)
         with pytest.raises(StageError, match=r"\[game\] solve of realisation 0 failed"):
             run_scenario(load_config(tiny_config), workers=2)
 
@@ -397,16 +397,16 @@ class TestRunScenario:
         import windgame.runner as runner_mod
         write_tiny_dataset(tmp_path)
         path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 20\nseed = 99")
-        started = []
+        started, build = [], runner_mod.build_energy_tables
 
-        def solve(realisation, curve, grid, costs):
+        def slow(realisation, curve, grid):
             started.append(realisation.chain_index)  # list.append is atomic
             if realisation.chain_index == 1:
                 raise KeyboardInterrupt
             time.sleep(0.05)
-            return np.zeros((len(costs), 4))
+            return build(realisation, curve, grid)
 
-        monkeypatch.setattr(runner_mod, "_solve_realisation", solve)
+        monkeypatch.setattr(runner_mod, "build_energy_tables", slow)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out), "--workers", "2"]) == 1
         assert "error: [game] interrupted" in capsys.readouterr().err
@@ -420,18 +420,33 @@ class TestRunScenario:
         write_tiny_dataset(tmp_path)
         path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 20\nseed = 99")
         alive, most, lock = weakref.WeakSet(), [0], threading.Lock()
-        solve = runner_mod._solve_realisation
+        build = runner_mod.build_energy_tables
 
-        def tracking(realisation, curve, grid, costs):
+        def tracking(realisation, curve, grid):
             with lock:
                 alive.add(realisation)
                 most[0] = max(most[0], len(alive))
-            return solve(realisation, curve, grid, costs)
+            return build(realisation, curve, grid)
 
-        monkeypatch.setattr(runner_mod, "_solve_realisation", tracking)
+        monkeypatch.setattr(runner_mod, "build_energy_tables", tracking)
         result = run_scenario(load_config(path), workers=2)
         assert result.per_realisation.shape == (3, 20, 4)
         assert most[0] <= 2
+
+    def test_a_solving_job_holds_one_realisation(self, tiny_config, monkeypatch):
+        # stats jobs sample two chains; a run job samples one, so one worker
+        # never holds two realisations at once
+        import windgame.runner as runner_mod
+        alive, most, build = weakref.WeakSet(), [0], runner_mod.build_energy_tables
+
+        def tracking(realisation, curve, grid):
+            alive.add(realisation)
+            most[0] = max(most[0], len(alive))
+            return build(realisation, curve, grid)
+
+        monkeypatch.setattr(runner_mod, "build_energy_tables", tracking)
+        run_scenario(load_config(tiny_config), workers=1)
+        assert most[0] == 1
 
     def test_interrupted_report_leaves_previous_files(self, tiny_config, tmp_path,
                                                       monkeypatch):
@@ -550,6 +565,18 @@ class TestCli:
             assert f"realisations={realisations} " in printed[0]
             config = load_config(tiny_config)
             assert run_stats(config, workers=1) == run_stats(config, workers=2)
+
+    @pytest.mark.parametrize("realisations", [3, 4])
+    def test_run_and_stats_give_the_same_statistics(self, tiny_config, realisations):
+        # run samples one chain per job and stats two, from the same streams
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("realisations = 3",
+                                            f"realisations = {realisations}"),
+                               encoding="utf-8")
+        config = load_config(tiny_config)
+        for workers in (1, 2):
+            assert run_scenario(config, workers=workers).stats == \
+                   run_stats(config, workers=workers)
 
     def test_stats_samples_chains_on_the_pool(self, tiny_config, monkeypatch):
         import windgame.runner as runner_mod

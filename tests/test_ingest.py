@@ -48,6 +48,8 @@ def hourly(n, start="2015-01-01T00:00:00"):
 
 
 def _oracle_timestamp(raw):
+    if "\0" in raw:
+        raise ValueError("NUL")
     text = raw.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -240,6 +242,16 @@ class TestLoadSeriesCsv:
         series, report = load_series_csv(path, COLMAP)
         assert list(series.timestamps) == [np.datetime64("2015-01-01T01:00:00", "s")]
         assert (report.rows_read, report.dropped_unparseable) == (2, 1)
+
+    def test_nul_in_a_stamp_or_a_value_is_unparseable(self, tmp_path):
+        # the same trailing NUL drops its row from either cell
+        path = write(tmp_path, "timestamp,wind_speed_ms\n"
+                               "2015-01-01T00:00:00\x00,5.0\n"
+                               "2015-01-01T01:00:00,6.0\n"
+                               "2015-01-01T02:00:00,7.0\x00\n")
+        series, report = load_series_csv(path, COLMAP)
+        assert list(series.values) == [6.0]
+        assert (report.rows_read, report.dropped_unparseable) == (3, 2)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(CANONICAL_SHAPED, max_size=20))
