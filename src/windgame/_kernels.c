@@ -10,7 +10,9 @@
  * -ffast-math. No kernel returns an error: each caller checks what it passes
  * (for follower_best, that no profit overflows).
  * gibbs_chain also draws its uniforms itself, from each chain's numpy
- * PCG64 stream, where the fallback draws them with numpy.
+ * PCG64 stream, where the fallback draws them with numpy. Otherwise the
+ * loops are plain: a hand optimisation stays only where it was timed to
+ * pay (energy_tables' guarded division, follower_best's order_key maximum).
  *
  * gibbs_chain needs unsigned __int128 (GCC and Clang have it on 64-bit
  * targets). A compiler without it fails the build, and the package runs
@@ -182,7 +184,9 @@ static inline void gibbs_sweep(struct gibbs_state *c, const struct gibbs_tables 
  * Lengths are doubles so that u * length rounds as in numpy; casts truncate
  * toward zero like astype. The tables are checked on construction, so every
  * index is in range. The chains share no state: the second one's table
- * loads only fill the first one's load latency.
+ * loads only fill the first one's load latency. One loop serves both
+ * cases: with out_b NULL, b is a copy of a that is never swept, so start
+ * needs only five words.
  */
 void gibbs_chain(ptrdiff_t n, ptrdiff_t burn, const uint64_t *restrict start,
                  const struct gibbs_tables *restrict tables, double *restrict out_a,
@@ -191,15 +195,11 @@ void gibbs_chain(ptrdiff_t n, ptrdiff_t burn, const uint64_t *restrict start,
     const struct gibbs_tables tb = *tables;
     const ptrdiff_t kept = n - burn;
     struct gibbs_state a = gibbs_start(start, out_a);
-    if (out_b == NULL) {
-        for (ptrdiff_t t = 1; t < n; t++)
-            gibbs_sweep(&a, &tb, t - burn, kept);
-        return;
-    }
-    struct gibbs_state b = gibbs_start(start + 5, out_b);
+    struct gibbs_state b = out_b == NULL ? a : gibbs_start(start + 5, out_b);
     for (ptrdiff_t t = 1; t < n; t++) {
         gibbs_sweep(&a, &tb, t - burn, kept);
-        gibbs_sweep(&b, &tb, t - burn, kept);
+        if (out_b != NULL)
+            gibbs_sweep(&b, &tb, t - burn, kept);
     }
 }
 
@@ -221,16 +221,16 @@ static inline int64_t order_key(int64_t b)
  * with margin = p_g - p_t. cols[p*k + i] is the first column of that row's
  * maximum, as np.argmax picks it, so -0.0 and +0.0 tie and the first zero of
  * either sign wins; best[p*k + i] is that cell's own value, sign bit
- * included. work is 2k doubles of workspace: a row's delivered energy
- * e_g2[j] - e_c2[i,j], then its profits at one point; no k x k surface is
- * stored. Rows run outside and points inside, so each row of e_c2 is read
- * once and stays in L1 while every point uses it. Every cell must be finite:
- * game.equilibria bounds the costs so that none overflows, and sends any
- * point past that bound to the reference's check first.
+ * included. work is k doubles of workspace, a row's profits at one point;
+ * no k x k surface is stored. Rows run outside and points inside, so each
+ * row of e_c2 is read once and stays in L1 while every point uses it. Every
+ * cell must be finite: game.equilibria bounds the costs so that none
+ * overflows, and sends any point past that bound to the reference's check
+ * first.
  *
  * GCC vectorises no double max-reduction without -ffast-math, so the row's
- * maximum is taken over order_key of its cells' bits; a blocked scan then
- * finds the first cell equal to the maximum.
+ * maximum is taken over order_key of its cells' bits; a scan then finds the
+ * first cell equal to the maximum.
  */
 VECTOR_CLONES
 void follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
@@ -238,19 +238,16 @@ void follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
                    const double *restrict c_g2, int64_t *restrict cols,
                    double *restrict best, double *restrict work)
 {
-    double *restrict delivered = work, *restrict row = work + k;
     for (ptrdiff_t i = 0; i < k; i++) {
         const double *restrict c2 = e_c2 + i * k;
-        for (ptrdiff_t j = 0; j < k; j++)
-            delivered[j] = e_g2[j] - c2[j];
         for (ptrdiff_t p = 0; p < points; p++) {
             const double m = margin[p], c = c_g2[p];
             int64_t top = INT64_MIN;
             for (ptrdiff_t j = 0; j < k; j++) {
-                const double v = delivered[j] * m - e_g2[j] * c;
+                const double v = (e_g2[j] - c2[j]) * m - e_g2[j] * c;
                 int64_t b;
                 memcpy(&b, &v, sizeof b);
-                row[j] = v;
+                work[j] = v;
                 const int64_t key = order_key(b);
                 top = key > top ? key : top;
             }
@@ -260,17 +257,10 @@ void follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
             /* every cell is finite, so some cell equals peak; even were one
              * NaN, the scan would stop at the row's last cell */
             ptrdiff_t j = 0;
-            for (; j + 8 < k; j += 8) {
-                int hit = 0;
-                for (int l = 0; l < 8; l++)
-                    hit |= row[j + l] == peak;
-                if (hit)
-                    break;
-            }
-            while (j < k - 1 && row[j] != peak)
+            while (j < k - 1 && work[j] != peak)
                 j++;
             cols[p * k + i] = j;
-            best[p * k + i] = row[j];
+            best[p * k + i] = work[j];
         }
     }
 }

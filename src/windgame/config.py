@@ -128,28 +128,13 @@ def _section(name: str, build, **values):
         raise ConfigError(f"[{name}] {exc}") from None
 
 
-def _get(parser: configparser.ConfigParser, section: str, key: str,
-         cast=str, default=None, required: bool = False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key [{section}] {key}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        value = cast(raw)
-        if cast is float and not math.isfinite(value):
-            raise ValueError("not a finite number")
-    except ValueError as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from None
-    return value
-
-
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Parse and validate a scenario INI file."""
+    """Parse and validate a scenario INI file. Values are read literally (no
+    %-interpolation), and a section or key that no read asks for is refused."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:  # read_file, unlike read, does not skip a file it cannot open
         with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle, source=str(path))
@@ -158,30 +143,49 @@ def load_config(path: str | Path) -> ScenarioConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     base = path.parent
+    read = set()
+
+    def get(section: str, key: str, cast=str, default=None, required: bool = False):
+        read.add((section, key))
+        if not parser.has_option(section, key):
+            if required:
+                raise ConfigError(f"missing required key [{section}] {key}")
+            return default
+        raw = parser.get(section, key)
+        try:
+            value = cast(raw)
+            if cast is float and not math.isfinite(value):
+                raise ValueError("not a finite number")
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {raw!r} ({exc})") from None
+        return value
 
     def series(prefix: str, default_value_col: str) -> SeriesSource:
-        rel = _get(parser, "data", prefix, required=True)
+        rel = get("data", prefix, required=True)
         return SeriesSource(
             path=(base / rel).resolve(),
-            time_col=_get(parser, "data", f"{prefix}_time_col", default="timestamp"),
-            value_col=_get(parser, "data", f"{prefix}_value_col", default=default_value_col))
+            time_col=get("data", f"{prefix}_time_col", default="timestamp"),
+            value_col=get("data", f"{prefix}_value_col", default=default_value_col))
 
+    for section in parser.sections():
+        if section not in ("data", "bins", "chain", "power_curve", "grid", "costs", "sweep"):
+            raise ConfigError(f"unknown section [{section}] in {path}")
     for section in ("data", "chain", "costs", "sweep"):
         if not parser.has_section(section):
             raise ConfigError(f"missing required section [{section}] in {path}")
 
     chain = _section(
         "chain", ChainConfig,
-        n=_get(parser, "chain", "n", int, required=True),
-        realisations=_get(parser, "chain", "realisations", int, required=True),
-        burn_in_fraction=_get(parser, "chain", "burn_in_fraction", float, default=0.20),
-        seed=_get(parser, "chain", "seed", int, required=True))
+        n=get("chain", "n", int, required=True),
+        realisations=get("chain", "realisations", int, required=True),
+        burn_in_fraction=get("chain", "burn_in_fraction", float, default=0.20),
+        seed=get("chain", "seed", int, required=True))
 
-    p_g = _get(parser, "costs", "p_g", float, default=74.3)
+    p_g = get("costs", "p_g", float, default=74.3)
 
     def cost_rate(name: str) -> float:
-        absolute = _get(parser, "costs", f"{name}_mwh", float)
-        fraction = _get(parser, "costs", f"{name}_frac", float)
+        absolute = get("costs", f"{name}_mwh", float)
+        fraction = get("costs", f"{name}_frac", float)
         if absolute is not None and fraction is not None:
             raise ConfigError(f"[costs] {name}: give either {name}_frac or {name}_mwh, not both")
         if absolute is not None:
@@ -196,33 +200,38 @@ def load_config(path: str | Path) -> ScenarioConfig:
         p_t=cost_rate("p_t"),
         c_g1=cost_rate("c_g1"),
         c_g2=cost_rate("c_g2"),
-        c_t=_get(parser, "costs", "c_t", float, required=True))
+        c_t=get("costs", "c_t", float, required=True))
 
     sweep = SweepSpec(
-        parameter=_get(parser, "sweep", "parameter", required=True),
-        start_frac=_get(parser, "sweep", "start_frac", float, required=True),
-        stop_frac=_get(parser, "sweep", "stop_frac", float, required=True),
-        step_frac=_get(parser, "sweep", "step_frac", float, required=True))
+        parameter=get("sweep", "parameter", required=True),
+        start_frac=get("sweep", "start_frac", float, required=True),
+        stop_frac=get("sweep", "stop_frac", float, required=True),
+        step_frac=get("sweep", "step_frac", float, required=True))
 
-    curve_points = _get(parser, "power_curve", "points")
-
-    return ScenarioConfig(
+    curve_points = get("power_curve", "points")
+    fields = dict(
         wind1=series("wind1", "wind_speed_ms"),
         wind2=series("wind2", "wind_speed_ms"),
         demand=series("demand", "demand_mw"),
-        demand_target_mean=_get(parser, "data", "demand_target_mean_mw", float,
-                                default=108.1830),
-        wind_bin_width=_get(parser, "bins", "wind_width_ms", float, default=1.0),
-        demand_bin_width=_get(parser, "bins", "demand_width_mw", float, default=5.0),
-        min_count=_get(parser, "bins", "min_count", int, default=10),
+        demand_target_mean=get("data", "demand_target_mean_mw", float, default=108.1830),
+        wind_bin_width=get("bins", "wind_width_ms", float, default=1.0),
+        demand_bin_width=get("bins", "demand_width_mw", float, default=5.0),
+        min_count=get("bins", "min_count", int, default=10),
         chain=chain,
-        grid_step=_get(parser, "grid", "step_mw", float, default=5.0),
-        grid_max=_get(parser, "grid", "max_mw", float, default=100.0),
+        grid_step=get("grid", "step_mw", float, default=5.0),
+        grid_max=get("grid", "max_mw", float, default=100.0),
         costs=costs,
         sweep=sweep,
         curve_points=(base / curve_points).resolve() if curve_points else None,
-        curve_alpha=_get(parser, "power_curve", "alpha", float),
-        curve_beta=_get(parser, "power_curve", "beta", float))
+        curve_alpha=get("power_curve", "alpha", float),
+        curve_beta=get("power_curve", "beta", float))
+    # configparser copies each [DEFAULT] key into every section, where no read
+    # asks for it under [DEFAULT]'s name, so any key there is refused too
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if (section, key) not in read:
+                raise ConfigError(f"unknown key [{section}] {key} in {path}")
+    return ScenarioConfig(**fields)
 
 
 def apply_profile(config: ScenarioConfig, profile: str) -> ScenarioConfig:

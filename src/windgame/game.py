@@ -139,7 +139,7 @@ def _follower_best(kernels, tables: EnergyTables,
     k, points = len(tables.grid), len(costs)
     cols = np.empty((points, k), dtype=np.int64)
     best = np.empty((points, k))
-    work = np.empty(2 * k)  # a row's delivered energy, then its profits at one point
+    work = np.empty(k)  # a row's profits at one point
     margin = np.array([c.p_g - c.p_t for c in costs])
     c_g2 = np.array([c.c_g2 for c in costs])
     e_g2, e_c2 = np.ascontiguousarray(tables.e_g2), np.ascontiguousarray(tables.e_c2)

@@ -237,6 +237,43 @@ class TestLoadConfig:
         config = override_seed(load_config(tiny_config), 4321)
         assert config.chain.seed == 4321
 
+    def test_percent_in_a_value_is_read_literally(self, tiny_config, capsys):
+        # no %-interpolation: the sign is part of the file and column names
+        root = tiny_config.parent
+        (root / "w1.csv").rename(root / "100%_w1.csv")
+        text = (root / "demand.csv").read_text(encoding="utf-8")
+        (root / "demand.csv").write_text(text.replace("demand_mw", "demand%mw", 1),
+                                         encoding="utf-8")
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("wind1 = w1.csv", "wind1 = 100%_w1.csv\n"
+                                            "demand_value_col = demand%mw"), encoding="utf-8")
+        config = load_config(tiny_config)
+        assert (config.wind1.path.name, config.demand.value_col) == ("100%_w1.csv", "demand%mw")
+        assert main(["run", "--config", str(tiny_config), "--out", str(root / "out")]) == 0
+        assert (root / "out" / "equilibria.csv").is_file()
+
+    @pytest.mark.parametrize("old, new, unknown", [
+        ("step_mw = 10.0", "step_mv = 10.0", "key [grid] step_mv"),
+        ("[grid]", "[gird]", "section [gird]"),
+        ("\n[data]", "[DEFAULT]\nseed = 99\n\n[data]", "key [DEFAULT] seed"),
+    ], ids=["key", "section", "default-key"])
+    @pytest.mark.parametrize("command", ["run", "stats"])
+    def test_unknown_key_or_section_refused(self, tiny_config, monkeypatch, capsys, command,
+                                            old, new, unknown):
+        # a mistyped key would otherwise leave its default in force unseen
+        import windgame.runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "ingest_joint_series",
+                            lambda config: pytest.fail("ingest started"))
+        text = tiny_config.read_text(encoding="utf-8")
+        assert old in text
+        tiny_config.write_text(text.replace(old, new, 1), encoding="utf-8")
+        args = [command, "--config", str(tiny_config)]
+        if command == "run":
+            args += ["--out", str(tiny_config.parent / "out")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: unknown {unknown} in {tiny_config}\n"
+
 
 class TestRunScenario:
     def test_sweep_values_inclusive(self, tiny_config):

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from windgame import (ChainConfig, CostParams, FitError, PowerCurve, StrategyGrid,
-                      WindGameError, build_energy_tables, curtailment_timestep,
+from windgame import (ChainConfig, CostParams, EnergyTables, FitError, PowerCurve,
+                      StrategyGrid, WindGameError, build_energy_tables, curtailment_timestep,
                       default_power_curve, fit_sigmoid, load_curve_points,
                       per_unit_output, per_unit_series, run_chain)
 from windgame import _native, game
@@ -433,6 +433,26 @@ class TestKernelBuild:
                   for p_t_frac in (0.0, 0.26, 0.8, 1.2)]
         cols, best = game._follower_best(clone, tables, points)
         want_cols, want_best = game._follower_best(None, tables, points)
+        assert np.array_equal(cols, want_cols)
+        assert best.tobytes() == want_best.tobytes()
+        # designed rows at margin -1 and c_g2 1, where a cell is
+        # (g - c2) * -1 - g: column 13 (g = 0) gives -0.0, c2 = 2 over g = 1
+        # gives +0.0, c2 = 3 gives 1.0 and c2 = 0 gives -2.0
+        k = 37  # no vector width divides it
+        e_g2, e_c2 = np.ones(k), np.zeros((k, k))
+        e_g2[13] = 0.0
+        e_c2[0, 29] = 2.0  # -0.0 at 13 ties +0.0 at 29
+        e_c2[1, 5] = 2.0  # +0.0 at 5 ties -0.0 at 13
+        e_c2[2, k - 1] = 3.0  # the maximum is the last cell
+        e_c2[3, [13, k - 1]] = [-1.0, 2.0]  # the only zero is the last cell
+        e_c2[4, 0] = 2.0  # +0.0 at the first cell ties -0.0 at 13
+        designed = EnergyTables(e_g1=np.zeros(k), e_g2=e_g2, e_c1=np.zeros((k, k)),
+                                e_c2=e_c2, grid=StrategyGrid(step=1.0, p_n_max=k - 1.0))
+        point = [CostParams(p_g=1.0, p_t=2.0, c_g1=0.0, c_g2=1.0, c_t=0.0)]
+        cols, best = game._follower_best(clone, designed, point)
+        want_cols, want_best = game._follower_best(None, designed, point)
+        assert cols[0, :5].tolist() == [13, 5, k - 1, k - 1, 0]
+        assert np.signbit(best[0, :5]).tolist() == [True, False, False, False, False]
         assert np.array_equal(cols, want_cols)
         assert best.tobytes() == want_best.tobytes()
 
