@@ -4,8 +4,9 @@ Gaps are dropped and reported, never interpolated: the downstream sampler is
 the mechanism that papers over missing history, so ingestion must not invent
 values. Input resolution is fixed at one hour; sub-hourly files are rejected.
 Two tokenizers only split a CSV file (numpy for plain ASCII, ``csv.reader`` for
-the rest); one parser takes each block of cells as UTF-8 bytes and offsets, and
-counts every row it drops.
+the rest); one parser takes each block of cells as UTF-8 bytes and offsets,
+reads both columns by one cast rule (``_read_column``), and counts every row it
+drops.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import IngestError
 
@@ -51,98 +53,77 @@ _SEPARATOR_AT = [i for i, c in enumerate(_CANONICAL) if c != "0"]
 _SEPARATORS = np.array([ord(_CANONICAL[i]) for i in _SEPARATOR_AT], dtype=np.uint8)
 
 
-def _parse_each(parse, cells, rows, out: np.ndarray) -> list[int]:
-    """``out[i] = parse(cell)`` for each row i of ``rows`` and its cell in
-    ``cells``; returns the rows whose cell ``parse`` rejected with ValueError
-    or OverflowError (the latter: a stamp whose offset takes it out of range
-    in UTC)."""
-    rejected = []
-    for i, cell in zip(rows, cells):
-        try:
-            out[i] = parse(cell)
-        except (ValueError, OverflowError):
-            rejected.append(i)
-    return rejected
+def _canonical(cells: np.ndarray) -> np.ndarray:
+    """Which rows of ``cells`` read exactly ``YYYY-MM-DDTHH:MM:SS`` in ASCII
+    digits, year 0001 or later."""
+    digits = cells[:, _DIGIT_AT]
+    return ((cells[:, _SEPARATOR_AT] == _SEPARATORS).all(axis=1)
+            & ((digits >= ord("0")) & (digits <= ord("9"))).all(axis=1)
+            & (digits[:, :4] != ord("0")).any(axis=1))  # fromisoformat refuses year 0000
 
 
-def _epoch_seconds(code: np.ndarray, lengths: np.ndarray,
-                   cell) -> tuple[np.ndarray, list[int]]:
-    """``_parse_iso_timestamp`` over a column: seconds since the UTC epoch per
-    cell, and the cells it rejected.
-
-    ``code`` holds the first 19 UTF-8 bytes of each cell, one row per cell,
-    and ``lengths`` each cell's length in bytes. Canonical cells (exactly
-    ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits, year 0001 or later) are read by
-    one ``datetime64`` cast; every other cell, and every canonical one when
-    the cast refuses any (a date or time out of range), is fetched as
-    ``cell(i)`` and goes through ``_parse_iso_timestamp``, the one authority
-    on the rest.
-    """
-    digits = code[:, _DIGIT_AT]
-    canonical = ((lengths == len(_CANONICAL))
-                 & (code[:, _SEPARATOR_AT] == _SEPARATORS).all(axis=1)
-                 & ((digits >= ord("0")) & (digits <= ord("9"))).all(axis=1)
-                 & (digits[:, :4] != ord("0")).any(axis=1))  # fromisoformat refuses year 0000
-    stamps = np.empty(len(lengths), np.int64)
-    try:
-        stamps[canonical] = code[canonical].view("S19")[:, 0].astype("datetime64[s]").view(np.int64)
-    except ValueError:
-        canonical[:] = False
-    rows = np.flatnonzero(~canonical).tolist()
-    return stamps, _parse_each(_parse_iso_timestamp, map(cell, rows), rows, stamps)
+def _any_value(cells: np.ndarray) -> np.ndarray:
+    return np.ones(len(cells), dtype=bool)
 
 
 _VALUE_WIDTH = 32  # the widest value cell that one cast parses
 
 
-def _cast_values(gather, start: np.ndarray, length: np.ndarray,
-                 text) -> tuple[np.ndarray, list[int]]:
-    """The value cells at ``start``, ``length`` bytes long, parsed as
-    ``float`` parses them, and the rows it rejects (an empty cell among them).
-    One cast of the bytes ``gather`` fetches parses them all; when a cell is
-    too long for it or holds a NUL (where the cast would end it), or the cast
-    refuses one, ``float`` parses each cell ``text(i)``."""
-    values = np.empty(len(start))
-    filled = length > 0
-    width = int(length.max(initial=1))
-    if width <= _VALUE_WIDTH:
-        cells = gather(start[filled], width)
-        cells[np.arange(width) >= length[filled, None]] = 0
+def _read_column(data: bytes, start: np.ndarray, end: np.ndarray, width: int,
+                 shape, dtype, authority) -> tuple[np.ndarray, list[int]]:
+    """Each cell ``data[start[i]:end[i]]`` (UTF-8) as ``authority`` reads it,
+    and the rows it refuses (ValueError, or OverflowError for a stamp whose
+    offset takes it out of range in UTC).
+
+    A nonempty cell of at most ``width`` bytes, NUL-padded to ``width``, that
+    passes ``shape`` goes through one cast to ``dtype``; ``authority`` reads
+    every other cell, a cell whose ``width`` bytes would pass the end of
+    ``data`` among them, and every cell of a block where the cast refuses a
+    cell or a cell holds a NUL (the cast would take it as the cell's end).
+    """
+    length = end - start
+    out = np.empty(len(start), dtype)
+    cast = (length > 0) & (length <= width) & (start <= len(data) - width)
+    if cast.any():
+        cells = sliding_window_view(np.frombuffer(data, np.uint8), width)[start[cast]]
+        if (length[cast] < width).any():  # row n of the triangle keeps n bytes
+            cells *= np.tri(width + 1, width, -1, dtype=np.uint8)[length[cast]]
+        fits = shape(cells)
+        if not fits.all():
+            cast[cast] = fits
+            cells = cells[fits]
         try:
-            if np.count_nonzero(cells) == length.sum():
-                values[filled] = cells.view(f"S{width}")[:, 0].astype(np.float64)
-                return values, np.flatnonzero(~filled).tolist()
+            if np.count_nonzero(cells) != length[cast].sum():
+                raise ValueError("NUL in a cell")
+            out[cast] = cells.view(f"S{width}")[:, 0].astype(dtype)
         except ValueError:
-            pass
-    return values, _parse_each(float, map(text, range(len(start))), range(len(start)), values)
+            cast[:] = False
+    rejected = []
+    for i in np.flatnonzero(~cast).tolist():
+        try:
+            out[i] = authority(data[start[i]:end[i]].decode())
+        except (ValueError, OverflowError):
+            rejected.append(i)
+    return out, rejected
 
 
 def _parse_cells(data: bytes, ts_start: np.ndarray, ts_end: np.ndarray,
                  val_start: np.ndarray, val_end: np.ndarray,
                  dropped: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds and values of a block's rows that parse to a finite,
+    """Timestamps and values of a block's rows that parse to a finite,
     nonnegative value, in row order; the other rows are counted in ``dropped``.
     Row i's timestamp cell is ``data[ts_start[i]:ts_end[i]]`` and its value
     cell ``data[val_start[i]:val_end[i]]``, both UTF-8."""
-    buf = np.frombuffer(data or b"\0", np.uint8)  # rows of empty cells gather a byte each
-
-    def gather(start: np.ndarray, width: int) -> np.ndarray:
-        """The ``width`` bytes from each offset in ``start``, one row per
-        offset; past the end of ``data``, its last byte repeats."""
-        return buf[np.minimum(start[:, None] + np.arange(width), len(buf) - 1)]
-
-    def text(start: np.ndarray, end: np.ndarray):
-        return lambda i: data[start[i]:end[i]].decode()
-
-    ts_text, val_text = text(ts_start, ts_end), text(val_start, val_end)
-    stamps, rejected_stamps = _epoch_seconds(gather(ts_start, len(_CANONICAL)),
-                                             ts_end - ts_start, ts_text)
-    values, rejected = _cast_values(gather, val_start, val_end - val_start, val_text)
+    stamps, rejected_stamps = _read_column(data, ts_start, ts_end, len(_CANONICAL),
+                                           _canonical, "datetime64[s]", _parse_iso_timestamp)
+    values, rejected = _read_column(data, val_start, val_end, _VALUE_WIDTH,
+                                    _any_value, np.float64, float)
     parsed = np.ones(len(values), dtype=bool)
     parsed[rejected_stamps + rejected] = False
     rejected = np.flatnonzero(~parsed).tolist()
     # a whitespace-only cell fails both parsers, so only a rejected row can hold one
-    missing = sum(1 for i in rejected if not (ts_text(i).strip() and val_text(i).strip()))
+    missing = sum(1 for i in rejected if not (data[ts_start[i]:ts_end[i]].decode().strip()
+                                              and data[val_start[i]:val_end[i]].decode().strip()))
     keep = parsed & np.isfinite(values) & (values >= 0.0)
     dropped["missing"] += missing
     dropped["unparseable"] += len(rejected) - missing
@@ -152,8 +133,8 @@ def _parse_cells(data: bytes, ts_start: np.ndarray, ts_end: np.ndarray,
 
 # Rows parsed at once, by either tokenizer: a block's gathered bytes are freed
 # before the next block is read (one shipped wind file parsed whole peaked at
-# 7.3 MB under tracemalloc, against 2.0 MB in blocks), and a stamp cast that
-# refuses one cell sends at most this many to the per-cell parser.
+# 7.3 MB under tracemalloc, against 2.0 MB in blocks), and a cast that refuses
+# one cell sends at most this many to the per-cell parser.
 _BLOCK_ROWS = 2048
 
 
@@ -371,8 +352,7 @@ def load_series_csv(path: str | Path,
         raise IngestError(f"{label}: no valid rows in {path} "
                           f"({rows_read} read, all dropped)")
 
-    timestamps, first = np.unique(stamps.view("datetime64[s]"),
-                                  return_index=True)  # the first row of each timestamp
+    timestamps, first = np.unique(stamps, return_index=True)  # the first row of each timestamp
     dropped["duplicate"] = len(stamps) - len(first)
 
     if len(timestamps) > 1 and np.diff(timestamps).min() < np.timedelta64(1, "h"):

@@ -201,19 +201,23 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_atomic(path: Path, lines: list[str]) -> None:
-    """Write ``lines`` to a temporary file beside ``path``, then rename it over
-    ``path``, so an interrupted write never leaves a partial report."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+def _write_atomic(reports: dict[Path, list[str]]) -> None:
+    """Write each path's lines to a temporary file beside it, then rename
+    every one over its path: an interrupted write never leaves a partial
+    report, and a failed one leaves the previous set of reports as it was."""
+    tmp = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in reports}
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        for path, lines in reports.items():
+            with open(tmp[path], "w", newline="", encoding="utf-8") as handle:
+                handle.write("\n".join(lines) + "\n")
+        for path in reports:
+            os.replace(tmp[path], path)
     except OSError as exc:
         raise StageError("report", WindGameError(f"cannot write {path}: {exc}")) from exc
     finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for name in tmp.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(name)
 
 
 def emit_report(result: ScenarioResult, out_dir: str | Path) -> list[Path]:
@@ -244,12 +248,9 @@ def emit_report(result: ScenarioResult, out_dir: str | Path) -> list[Path]:
             convergence.append(",".join([v.name, _fmt(v.mean), _fmt(v.sigma), _fmt(v.wci),
                                          _fmt(v.max_err_pct), _fmt(v.historic_mean)]))
 
-    reports = {"equilibria.csv": equilibria,
-               "per_realisation.csv": per_realisation,
-               "convergence.csv": convergence,
-               "run.json": [json.dumps(result.metadata, indent=2, sort_keys=True)]}
-    paths = []
-    for name, lines in reports.items():
-        paths.append(out_dir / name)
-        _write_atomic(paths[-1], lines)
-    return paths
+    reports = {out_dir / "equilibria.csv": equilibria,
+               out_dir / "per_realisation.csv": per_realisation,
+               out_dir / "convergence.csv": convergence,
+               out_dir / "run.json": [json.dumps(result.metadata, indent=2, sort_keys=True)]}
+    _write_atomic(reports)
+    return list(reports)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
@@ -499,6 +500,32 @@ class TestRunScenario:
         changed = replace(result, per_realisation=result.per_realisation + 1.0)
         with pytest.raises(StageError, match=r"\[report\] cannot write"):
             emit_report(changed, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failed_report_write_leaves_previous_set(self, tiny_config, tmp_path,
+                                                      monkeypatch):
+        # the second temporary file fails to write: the new equilibria.csv
+        # must not replace the old one beside the old other three
+        import windgame.runner as runner_mod
+
+        result = run_scenario(load_config(tiny_config))
+        out = tmp_path / "report"
+        emit_report(result, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        opened = []
+
+        def second_open_fails(path, *args, **kwargs):
+            opened.append(path)
+            if len(opened) == 2:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "open", second_open_fails, raising=False)
+        changed = replace(result, aggregates=result.aggregates + 1.0,
+                          per_realisation=result.per_realisation + 1.0)
+        with pytest.raises(StageError, match=r"\[report\] cannot write"):
+            emit_report(changed, out)
+        assert len(opened) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_aggregates_match_brute_force_over_emitted_rows(self, tiny_config, tmp_path):

@@ -14,7 +14,7 @@ from windgame import (GapReport, IngestError, TimeSeries, align_series, load_ser
                       normalize_demand)
 from windgame import ingest
 from windgame.config import load_config
-from windgame.ingest import _array_rows, _epoch_seconds, _parse_iso_timestamp
+from windgame.ingest import _array_rows, _parse_iso_timestamp, _read_column
 from windgame.sim import load_curve_points
 from windgame.synthetic import DEFAULT_SEED, write_synthetic_csvs
 
@@ -41,6 +41,27 @@ def record_array_rows(monkeypatch):
 
     monkeypatch.setattr(ingest, "_array_rows", array_rows)
     return taken
+
+
+# each column's arguments to ``_read_column``, as ``_parse_cells`` passes them
+COLUMNS = {"timestamp": (len(ingest._CANONICAL), ingest._canonical, "datetime64[s]",
+                         _parse_iso_timestamp),
+           "value": (ingest._VALUE_WIDTH, ingest._any_value, np.float64, float)}
+
+
+def read_column(cells, column):
+    """``cells`` read by ``_read_column`` as one column, concatenated without
+    separators as the csv.reader path joins them: the parsed array and the
+    rows refused."""
+    raw = [cell.encode() for cell in cells]
+    end = np.cumsum([len(r) for r in raw], dtype=np.int64)
+    return _read_column(b"".join(raw), end - [len(r) for r in raw], end, *COLUMNS[column])
+
+
+def epoch_seconds(cells):
+    """``cells`` read as a timestamp column, in seconds since the UTC epoch."""
+    stamps, rejected = read_column(cells, "timestamp")
+    return stamps.view(np.int64), rejected
 
 
 def hourly(n, start="2015-01-01T00:00:00"):
@@ -127,13 +148,37 @@ CANONICAL_SHAPED = st.tuples(
     st.integers(0, 61).map("{:02d}".format), st.sampled_from(":-"),
     st.integers(0, 61).map("{:02d}".format)).map("".join)
 # non-ASCII numerals and spaces that float accepts and numpy's bytes cast
-# refuses, a NUL that the cast would take as the cell's end, and a comma or LF
-# that stays in the cell when it is quoted
+# refuses, a NUL that the cast would take as the cell's end, a comma or LF that
+# stays in the cell when it is quoted, and decimals too long for the cast, which
+# float reads alone in a block the cast reads
 VALUE_CELLS = st.one_of(
     st.floats(0.0, 40.0).map(repr),
     st.sampled_from(["", " ", "0", "-0.5", "-999.0", "nan", "inf", "1e400", "abc", " 7.5 ",
-                     "١٢", "１２", "\u20071", "1.5\xa0", "5.0\x00", "5,0", "5.0\n"]))
+                     "١٢", "１２", "\u20071", "1.5\xa0", "5.0\x00", "5,0", "5.0\n",
+                     "1." + "0" * 40, "0." + "3" * 35]))
 ROW_SHAPES = st.sampled_from(["full", "full", "full", "short", "long", "blank"])
+
+
+@st.composite
+def edited_cells(draw):
+    """A float's repr, a small integer or a stamp shaped like
+    ``2015-MM-DDTHH:00:SS`` with fields out of range, then edited at random:
+    truncated, a character inserted, or lengthened past the cast's width."""
+    cell = draw(st.one_of(
+        st.floats().map(repr), st.integers(-99, 999).map(str),
+        st.builds("2015-{:02d}-{:02d}T{:02d}:00:{:02d}".format, st.integers(0, 13),
+                  st.integers(0, 32), st.integers(0, 25), st.integers(0, 61))))
+    for edit in draw(st.lists(st.sampled_from(["truncate", "insert", "lengthen"]),
+                              max_size=2)):
+        at = draw(st.integers(0, len(cell)))
+        if edit == "truncate":
+            cell = cell[:at]
+        elif edit == "insert":
+            cell = cell[:at] + draw(st.sampled_from(["\x00", " ", "\x1c", "١", "５", "\xa0",
+                                                     "e", ".", "Z"])) + cell[at:]
+        else:
+            cell += "0" * draw(st.integers(1, 40))
+    return cell
 
 
 class TestLoadSeriesCsv:
@@ -260,10 +305,7 @@ class TestLoadSeriesCsv:
     def test_canonical_stamps_match_fromisoformat(self, cells):
         # the vectorised path against the per-cell parser, cell by cell: the same
         # seconds, or both reject
-        raw = [cell.encode() for cell in cells]
-        code = np.array(raw, dtype="S19").view(np.uint8).reshape(len(raw), 19)
-        stamps, rejected = _epoch_seconds(code, np.array([len(r) for r in raw]),
-                                          cells.__getitem__)
+        stamps, rejected = epoch_seconds(cells)
         for i, cell in enumerate(cells):
             try:
                 expected = _parse_iso_timestamp(cell)
@@ -277,10 +319,35 @@ class TestLoadSeriesCsv:
         # ends of the calendar: the cast gives fromisoformat's seconds
         days = np.datetime64("2000-03-01T23:59:59", "s") + np.arange(146097) * 86400
         cells = [str(t) for t in days] + ["0001-01-01T00:00:00", "9999-12-31T23:59:59"]
-        code = np.array(cells, dtype="S19").view(np.uint8).reshape(len(cells), 19)
-        stamps, rejected = _epoch_seconds(code, np.full(len(cells), 19), cells.__getitem__)
+        stamps, rejected = epoch_seconds(cells)
         assert rejected == []
         assert stamps.tolist() == [_parse_iso_timestamp(cell) for cell in cells]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(edited_cells(), max_size=12))
+    @example(["5.0\x00"])
+    @example(["5.0\x00", "1." + "0" * 38])  # a NUL inside the data; 40 bytes: float reads it alone
+    @example(["2015-01-01T00:00:00\x00"])
+    @example(["2015-01-01T00:00:0", "5.0"])  # the window reaches into the next cell
+    @example(["1001.0", "0.0"])  # the last cell's window passes the end of the data
+    def test_each_cast_agrees_with_its_authority(self, cells):
+        # cell by cell, each column accepts what its authority accepts, with
+        # the same seconds or the same bits (sign of zero included)
+        for column, (*_, authority) in COLUMNS.items():
+            parsed, rejected = read_column(cells, column)
+            for i, cell in enumerate(cells):
+                try:
+                    expected = authority(cell)
+                except (ValueError, OverflowError):
+                    assert i in rejected, (column, cell)
+                    continue
+                assert i not in rejected, (column, cell)
+                if column == "timestamp":
+                    assert parsed[i].astype(np.int64) == expected, cell
+                elif np.isnan(expected):
+                    assert np.isnan(parsed[i]), cell
+                else:
+                    assert parsed[i].tobytes() == np.float64(expected).tobytes(), cell
 
     def test_invalid_canonical_date_leaves_its_block_parsed(self, tmp_path):
         # the cast refuses the whole block for one day that does not exist;
