@@ -35,10 +35,11 @@
  * bit-identical to that loop. Only the order in which cells are visited
  * changes: per row i, t runs outside and the column loop inside, which the
  * compiler vectorises across j. The row's two accumulator rows (16 KB at
- * k = 1,002) stay in L1 while t sweeps the series.
+ * k = 1,002) stay in L1 while t sweeps the series, and e_g1[i] and e_g2[i]
+ * are summed in two scalars beside them and stored after the row.
  *
  * Inputs x1, x2 and grid are >= 0 (sim.PerUnitSeries and StrategyGrid
- * check this). The output arrays must be zero on entry.
+ * check this). e_c1 and e_c2 must be zero on entry.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -63,19 +64,15 @@ void energy_tables(ptrdiff_t n, ptrdiff_t k,
                    double *restrict e_g1, double *restrict e_g2,
                    double *restrict e_c1, double *restrict e_c2)
 {
-    for (ptrdiff_t t = 0; t < n; t++) {
-        const double u1 = x1[t], u2 = x2[t];
-        for (ptrdiff_t a = 0; a < k; a++) {
-            e_g1[a] += u1 * grid[a];
-            e_g2[a] += u2 * grid[a];
-        }
-    }
     for (ptrdiff_t i = 0; i < k; i++) {
         double *restrict c1 = e_c1 + i * k;
         double *restrict c2 = e_c2 + i * k;
+        double gen1 = 0.0, gen2 = 0.0;
         for (ptrdiff_t t = 0; t < n; t++) {
             const double g1 = x1[t] * grid[i];
             const double u2 = x2[t], d = p_d[t];
+            gen1 += g1;
+            gen2 += u2 * grid[i];
             for (ptrdiff_t j = 0; j < k; j++) {
                 const double total = g1 + u2 * grid[j];
                 double surplus = total - d;
@@ -90,6 +87,8 @@ void energy_tables(ptrdiff_t n, ptrdiff_t k,
                 c2[j] += surplus - pc1;
             }
         }
+        e_g1[i] = gen1;
+        e_g2[i] = gen2;
     }
 }
 
@@ -220,13 +219,13 @@ static inline int64_t order_key(int64_t b)
  *
  * with margin = p_g - p_t. cols[p*k + i] is the first column of that row's
  * maximum, as np.argmax picks it, so -0.0 and +0.0 tie and the first zero of
- * either sign wins; best[p*k + i] is that cell's own value, sign bit
- * included. work is k doubles of workspace, a row's profits at one point;
- * no k x k surface is stored. Rows run outside and points inside, so each
- * row of e_c2 is read once and stays in L1 while every point uses it. Every
- * cell must be finite: game.equilibria bounds the costs so that none
- * overflows, and sends any point past that bound to the reference's check
- * first.
+ * either sign wins. game.equilibria evaluates pi2 itself, at the one cell
+ * per point that it reads. work is k doubles of workspace, a row's profits
+ * at one point; no k x k surface is stored. Rows run outside and points
+ * inside, so each row of e_c2 is read once and stays in L1 while every
+ * point uses it. Every cell must be finite: game.equilibria bounds the
+ * costs so that none overflows, and sends any point past that bound to the
+ * reference's check first.
  *
  * GCC vectorises no double max-reduction without -ffast-math, so the row's
  * maximum is taken over order_key of its cells' bits; a scan then finds the
@@ -236,7 +235,7 @@ VECTOR_CLONES
 void follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
                    const double *restrict e_c2, const double *restrict margin,
                    const double *restrict c_g2, int64_t *restrict cols,
-                   double *restrict best, double *restrict work)
+                   double *restrict work)
 {
     for (ptrdiff_t i = 0; i < k; i++) {
         const double *restrict c2 = e_c2 + i * k;
@@ -260,7 +259,6 @@ void follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
             while (j < k - 1 && work[j] != peak)
                 j++;
             cols[p * k + i] = j;
-            best[p * k + i] = work[j];
         }
     }
 }

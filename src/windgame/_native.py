@@ -4,14 +4,15 @@ The source holds three entry points: ``energy_tables`` (used by ``sim``),
 ``gibbs_chain`` (used by ``gibbs``) and ``follower_best`` (used by
 ``game``). Each takes every array, and ``gibbs_chain`` its ``GibbsTables``,
 as a ``c_void_p`` address, so ctypes checks only the scalars; the caller
-passes arrays it built or checked in the kernel's types. The source is
-compiled on the first call to ``load_kernels``, not at import, and cached
+passes arrays it built or checked in the kernel's types, each bound to a
+name until the call returns (an address keeps no array alive). The source
+is compiled on the first call to ``load_kernels``, not at import, and cached
 per user under ``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``).
 When no compiler is found, the build or load fails (``gibbs_chain`` needs
 the compiler's ``unsigned __int128``) or the library lacks an entry point,
 one warning is logged and ``load_kernels`` returns None, so each caller
-runs its own fallback (numpy in ``sim``, the follower's profit per point in
-``game``, Python in ``gibbs``), which gives the same bits.
+runs its own fallback (numpy in ``sim``, np.argmax of the follower's profit
+per point in ``game``, Python in ``gibbs``), which gives the same bits.
 """
 from __future__ import annotations
 
@@ -92,7 +93,7 @@ def _bind(path) -> ctypes.CDLL:
     energy.restype = None
     gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ptr, ptr, ptr]
     gibbs.restype = None
-    follower.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[ptr] * 7]
+    follower.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[ptr] * 6]
     follower.restype = None
     return lib
 

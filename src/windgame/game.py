@@ -13,7 +13,8 @@ bit for bit, as one row per sweep point of one realisation, by one solve on
 every machine: ``_follower_best`` finds each row's best response at every
 point (in one call of the ``follower_best`` kernel of ``_kernels.c``, with no
 k x k surface, or, when no kernel loads, from the follower's profit alone),
-and the leader's profit is evaluated along those curves alone.
+the leader's profit is evaluated along those curves alone, and the
+follower's at the one cell per point that the leader picks.
 """
 from __future__ import annotations
 
@@ -100,12 +101,13 @@ def _leader_profit(e_g1, e_c1, e_g2, e_c2, p_g, c_g1, p_t, c_t) -> np.ndarray:
     return (e_g1 - e_c1) * p_g - e_g1 * c_g1 + (e_g2 - e_c2) * p_t - c_t
 
 
-def _follower_profit(e_g2, e_c2, costs: CostParams) -> np.ndarray:
-    """pi2 = delivered_2 * (p_g - p_t) - e_g2 * c_g2, in place in one new array:
-    a new array per operation made the k=1,002 reference solve ~1.3x slower."""
+def _follower_profit(e_g2, e_c2, margin, c_g2) -> np.ndarray:
+    """pi2 = delivered_2 * margin - e_g2 * c_g2, with margin = p_g - p_t, cell by
+    cell over broadcastable energies and costs, in place in one new array: a
+    new array per operation made the k=1,002 reference solve ~1.3x slower."""
     pi2 = e_g2 - e_c2
-    pi2 *= costs.p_g - costs.p_t
-    pi2 -= e_g2 * costs.c_g2
+    pi2 *= margin
+    pi2 -= e_g2 * c_g2
     return pi2
 
 
@@ -116,49 +118,38 @@ def profit_surfaces(tables: EnergyTables, costs: CostParams) -> ProfitSurfaces:
     with np.errstate(over="ignore", invalid="ignore"):
         pi1 = _leader_profit(e_g1, tables.e_c1, e_g2, tables.e_c2,
                              costs.p_g, costs.c_g1, costs.p_t, costs.c_t)
-        pi2 = _follower_profit(e_g2, tables.e_c2, costs)
+        pi2 = _follower_profit(e_g2, tables.e_c2, costs.p_g - costs.p_t, costs.c_g2)
     return ProfitSurfaces(pi1=pi1, pi2=pi2)
 
 
-def _best_response(pi2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``pi2``: np.argmax's first maximum, and that cell's value."""
-    cols = np.argmax(pi2, axis=1)
-    return cols, pi2[np.arange(len(cols)), cols]
-
-
-def _follower_best(kernels, tables: EnergyTables,
-                   costs: list[CostParams]) -> tuple[np.ndarray, np.ndarray]:
-    """``_best_response`` of ``_follower_profit`` over the tables at each of
-    ``costs``, as (points, k) arrays, row by row in the ``follower_best``
-    kernel: O(k) memory per point, no k x k surface; with ``kernels`` None,
-    on each point's follower profit. ``equilibria`` keeps every cell finite."""
-    if kernels is None:
-        cols, best = zip(*(_best_response(_follower_profit(tables.e_g2, tables.e_c2, c))
-                           for c in costs))
-        return np.stack(cols), np.stack(best)
-    k, points = len(tables.grid), len(costs)
-    cols = np.empty((points, k), dtype=np.int64)
-    best = np.empty((points, k))
-    work = np.empty(k)  # a row's profits at one point
+def _follower_best(kernels, tables: EnergyTables, costs: list[CostParams]) -> np.ndarray:
+    """The (points, k) first argmax per row of ``_follower_profit`` over the
+    tables at each of ``costs``, row by row in the ``follower_best`` kernel:
+    O(k) memory per point, no k x k surface; with ``kernels`` None, by
+    np.argmax of each point's follower profit. ``equilibria`` keeps every
+    cell finite."""
     margin = np.array([c.p_g - c.p_t for c in costs])
     c_g2 = np.array([c.c_g2 for c in costs])
+    if kernels is None:
+        return np.stack([np.argmax(_follower_profit(tables.e_g2, tables.e_c2, m, c), axis=1)
+                         for m, c in zip(margin, c_g2)])
+    k = len(tables.grid)
+    cols = np.empty((len(costs), k), dtype=np.int64)
+    work = np.empty(k)  # a row's profits at one point
+    # every array passed by address stays bound to a name until the call returns
     e_g2, e_c2 = np.ascontiguousarray(tables.e_g2), np.ascontiguousarray(tables.e_c2)
-    kernels.follower_best(k, points, e_g2.ctypes.data, e_c2.ctypes.data, margin.ctypes.data,
-                          c_g2.ctypes.data, cols.ctypes.data, best.ctypes.data,
+    kernels.follower_best(k, len(costs), e_g2.ctypes.data, e_c2.ctypes.data,
+                          margin.ctypes.data, c_g2.ctypes.data, cols.ctypes.data,
                           work.ctypes.data)
-    return cols, best
+    return cols
 
 
-def _leader_choices(cols: np.ndarray, pi2_best: np.ndarray, pi1: np.ndarray,
-                    values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leader_choices(cols: np.ndarray, pi1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``pi1``, the leader's argmax of its profit along the
-    follower's response in that row of ``cols`` (whose cells' pi2 are in
-    ``pi2_best``), ties low: those leader indices, and the (rows, 4) block of
-    p_n1, p_n2, pi1 and pi2 there, with capacities read from ``values``."""
+    follower's response in that row of ``cols``, ties low: those leader
+    indices, and the follower's column at each."""
     lead = np.argmax(pi1, axis=1)
-    at = np.arange(len(lead))
-    return lead, np.stack([values[lead], values[cols[at, lead]], pi1[at, lead],
-                           pi2_best[at, lead]], axis=1)
+    return lead, cols[np.arange(len(lead)), lead]
 
 
 def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
@@ -171,11 +162,12 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
     if surfaces.pi2.shape != (len(grid), len(grid)):
         raise WindGameError(f"surface shape {surfaces.pi2.shape} does not match grid "
                             f"of {len(grid)}")
-    cols, pi2_best = _best_response(surfaces.pi2)
+    cols = np.argmax(surfaces.pi2, axis=1)
     pi1 = surfaces.pi1[np.arange(len(grid)), cols]
-    (lead,), (row,) = _leader_choices(cols[None], pi2_best[None], pi1[None], grid.values)
-    return Equilibrium(*row.tolist(), leader_index=int(lead), follower_index=int(cols[lead]),
-                       best_response=BestResponse(indices=cols))
+    (lead,), (col,) = _leader_choices(cols[None], pi1[None])
+    return Equilibrium(float(grid.values[lead]), float(grid.values[col]), float(pi1[lead]),
+                       float(surfaces.pi2[lead, col]), leader_index=int(lead),
+                       follower_index=int(col), best_response=BestResponse(indices=cols))
 
 
 # Cells of the (points, k) arrays that one follower_best call and its leader
@@ -191,7 +183,7 @@ def equilibria(tables: EnergyTables, costs: list[CostParams]) -> np.ndarray:
     ``stackelberg(profit_surfaces(tables, c), tables.grid)`` gives at each
     ``c`` of ``costs``, bit for bit, or its refusal: solved a chunk of points
     at a time, each chunk in one ``_follower_best`` call, with pi1 only along
-    the follower's best responses."""
+    the follower's best responses and pi2 only at the chosen cell."""
     # |e_g1 - e_c1| <= 2 * peak1 and |p_g - p_t| <= p_g + p_t, so no
     # intermediate of pi1 or pi2 exceeds twice this bound, and rounding cannot
     # double it again: while four times the bound is finite, no cell of either
@@ -203,16 +195,19 @@ def equilibria(tables: EnergyTables, costs: list[CostParams]) -> np.ndarray:
                                   + c.c_t)):
             profit_surfaces(tables, c)
     kernels = _native.load_kernels()
-    rows = np.arange(len(tables.grid))
+    rows, values = np.arange(len(tables.grid)), tables.grid.values
     block = np.empty((len(costs), 4))
     step = max(1, _CHUNK_CELLS // len(rows))
     for lo in range(0, len(costs), step):
         points = costs[lo:lo + step]
-        cols, pi2_best = _follower_best(kernels, tables, points)
+        cols = _follower_best(kernels, tables, points)
         # each cost as a (points, 1) column against the (points, k) curves
-        p_g, c_g1, p_t, c_t = np.array([(c.p_g, c.c_g1, c.p_t, c.c_t)
-                                        for c in points]).T[..., None]
+        p_g, c_g1, p_t, c_t, c_g2 = np.array([(c.p_g, c.c_g1, c.p_t, c.c_t, c.c_g2)
+                                              for c in points]).T[..., None]
         pi1 = _leader_profit(tables.e_g1, tables.e_c1[rows, cols], tables.e_g2[cols],
                              tables.e_c2[rows, cols], p_g, c_g1, p_t, c_t)
-        block[lo:lo + step] = _leader_choices(cols, pi2_best, pi1, tables.grid.values)[1]
+        lead, col = (a[:, None] for a in _leader_choices(cols, pi1))
+        pi2 = _follower_profit(tables.e_g2[col], tables.e_c2[lead, col], p_g - p_t, c_g2)
+        block[lo:lo + step] = np.hstack([values[lead], values[col],
+                                         np.take_along_axis(pi1, lead, axis=1), pi2])
     return block

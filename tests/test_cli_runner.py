@@ -133,6 +133,9 @@ class TestLoadConfig:
 
     def test_absolute_cost_override(self, tmp_path):
         write_tiny_dataset(tmp_path)
+        path = write_tiny_config(tmp_path, costs="p_g = 74.3\nc_g1_frac = 0.30\n"
+                                                 "c_g2_mwh = 12.5\np_t_frac = 0.20\nc_t = 1.0e5")
+        assert load_config(path).costs.c_g2 == 12.5
         path = write_tiny_config(tmp_path, extra_costs="c_g2_mwh = 12.5")
         with pytest.raises(ConfigError, match="not both"):
             load_config(path)
@@ -223,10 +226,13 @@ class TestLoadConfig:
         ("wind_width_ms = 4.0", "wind_width_ms = 0", r"bin widths must be positive"),
         ("demand_width_mw = 20.0", "demand_width_mw = -5", r"bin widths must be positive"),
         ("min_count = 4", "min_count = 0", r"min_count must be >= 1"),
+        ("c_g2_frac = 0.25\n", "", r"\[costs\] missing c_g2_frac or c_g2_mwh"),
+        ("seed = 99", "", r"missing required key \[chain\] seed"),
     ], ids=["grid-max-off-step", "zero-alpha", "negative-beta", "points-and-alpha-beta",
             "grid-step-1e-300", "grid-step-5e-324", "sweep-step-1e-300", "sweep-step-5e-324",
             "alpha-without-beta",
-            "demand-target-mean", "wind-width", "demand-width", "min-count"])
+            "demand-target-mean", "wind-width", "demand-width", "min-count",
+            "no-c_g2", "no-chain-seed"])
     def test_bad_grid_or_curve_refused_at_load(self, tiny_config, old, new, message):
         text = tiny_config.read_text(encoding="utf-8")
         assert old in text
@@ -575,13 +581,17 @@ class TestRunScenario:
         assert "aligned joint series: 240 records" in text
 
 
-def curve_points_command(config, command, bad_row):
-    """Write curve.csv beside ``config`` with ``bad_row`` as its line 3; return
+# a curve.csv whose line 3 is the row under test
+CURVE_ROWS = "wind_ms,output_pu\n3.0,0.01\n{}\n15.0,0.99\n"
+
+
+def curve_points_command(config, command, text):
+    """Write ``text`` as curve.csv beside ``config`` (None: no file); return
     its path, the arguments of ``command`` reading it (``run`` through
     ``[power_curve] points``) and the prefix of its error."""
     points = (config.parent / "curve.csv").resolve()
-    points.write_text(f"wind_ms,output_pu\n3.0,0.01\n{bad_row}\n15.0,0.99\n",
-                      encoding="utf-8")
+    if text is not None:
+        points.write_text(text, encoding="utf-8")
     if command == "fit-curve":
         return points, ["fit-curve", "--points", str(points)], "error: "
     text = config.read_text(encoding="utf-8")
@@ -982,20 +992,26 @@ check("run", "scipy.special")
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["fit-curve", "run"])
-    @pytest.mark.parametrize("bad_row, shown", [("9.0,abc", "'abc'"), ("9.0", "None")],
-                             ids=["non-numeric-cell", "short-row"])
-    def test_malformed_curve_points(self, tiny_config, capsys, command, bad_row, shown):
-        points, args, prefix = curve_points_command(tiny_config, command, bad_row)
+    @pytest.mark.parametrize("text, message", [
+        (CURVE_ROWS.format("9.0,abc"), "%s line 3: wind_ms and output_pu must be numbers, "
+                                       "got {'wind_ms': '9.0', 'output_pu': 'abc'}"),
+        (CURVE_ROWS.format("9.0"), "%s line 3: wind_ms and output_pu must be numbers, "
+                                   "got {'wind_ms': '9.0', 'output_pu': None}"),
+        (None, "power-curve file not found: %s"),
+        ("wind,output\n3.0,0.01\n",
+         "%s must have columns wind_ms, output_pu; found ['wind', 'output']"),
+        ("wind_ms,output_pu\n", "%s contains no data rows"),
+    ], ids=["non-numeric-cell", "short-row", "missing-file", "wrong-header", "header-only"])
+    def test_malformed_curve_points(self, tiny_config, capsys, command, text, message):
+        points, args, prefix = curve_points_command(tiny_config, command, text)
         assert main(args) == 1
-        err = capsys.readouterr().err
-        assert f"{prefix}{points} line 3: wind_ms and output_pu must be numbers" in err
-        assert shown in err
+        assert capsys.readouterr().err == f"{prefix}{message % points}\n"
 
     @pytest.mark.parametrize("command", ["fit-curve", "run"])
     @pytest.mark.parametrize("bad_row", ["nan,0.5", "inf,0.5", "9.0,nan"])
     def test_non_finite_curve_points(self, tiny_config, capsys, command, bad_row):
         # float() reads these cells, so the fit refuses them, in the curve stage
-        _, args, prefix = curve_points_command(tiny_config, command, bad_row)
+        _, args, prefix = curve_points_command(tiny_config, command, CURVE_ROWS.format(bad_row))
         assert main(args) == 1
         assert capsys.readouterr().err == f"{prefix}power-curve points must be finite\n"
 
@@ -1007,6 +1023,15 @@ check("run", "scipy.special")
         assert "alpha=" in out and "beta=" in out
 
     def test_failure_exit_code_and_message(self, tmp_path, capsys):
-        missing = tmp_path / "nope.ini"
-        assert main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 1
-        assert "error:" in capsys.readouterr().err
+        write_tiny_dataset(tmp_path)
+        config = write_tiny_config(tmp_path)
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        for args, message in [
+            (["--config", str(tmp_path / "nope.ini"), "--out", str(tmp_path / "o")],
+             "error: config file not found: "),
+            # the whole run succeeds, and only then does the report directory fail
+            (["--config", str(config), "--out", str(tmp_path / "afile" / "sub")],
+             f"error: [report] cannot create {tmp_path / 'afile' / 'sub'}: "),
+        ]:
+            assert main(["run", *args]) == 1
+            assert capsys.readouterr().err.startswith(message)

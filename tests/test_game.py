@@ -198,7 +198,7 @@ def assert_same_equilibrium(row, ref):
 def assert_same_curves(tables, sweep, refs):
     """The follower's best responses that ``equilibria`` reads at each point of
     ``sweep`` against each reference's curve."""
-    cols = game._follower_best(_native.load_kernels(), tables, sweep)[0]
+    cols = game._follower_best(_native.load_kernels(), tables, sweep)
     for row, ref in zip(cols, refs, strict=True):
         assert np.array_equal(row, ref.best_response.indices)
 

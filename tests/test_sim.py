@@ -5,6 +5,7 @@ import ctypes
 import dataclasses
 import logging
 import math
+import os
 import re
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from windgame import (ChainConfig, CostParams, EnergyTables, FitError, PowerCurv
 from windgame import _native, game
 from windgame.sim import PerUnitSeries
 
-from conftest import use_kernel_path
+from conftest import REPO_ROOT, use_kernel_path
 
 
 def brute_force_energy_tables(x1, x2, p_d, grid_values):
@@ -82,6 +83,58 @@ def random_per_unit(n, seed=0):
     return PerUnitSeries(x1=rng.uniform(0.0, 1.0, n),
                          x2=rng.uniform(0.0, 1.0, n),
                          p_d=rng.uniform(40.0, 160.0, n))
+
+
+def compile_kernels(compiler, path, *flags):
+    """Build ``_kernels.c`` into ``path`` with the package's flags and ``flags``."""
+    subprocess.run([compiler, *_native._KERNEL_FLAGS, *flags, "-o", str(path), "-x", "c", "-"],
+                   input=resources.files("windgame").joinpath(_native._KERNEL_SOURCE).read_bytes(),
+                   capture_output=True, check=True, timeout=300)
+
+
+# Runs in a subprocess with the sanitizer runtimes preloaded: the three
+# kernels of the sanitized library at argv[1] against the fallbacks, bit for
+# bit. 37 columns: no vector width divides it; a fee above the tariff; a
+# chain pair at burn-in 0 and 0.2.
+SANITIZED_RUN = """
+import sys
+import numpy as np
+from windgame import (ChainConfig, CostParams, PerUnitSeries, SamplerTables, StrategyGrid,
+                      _native, build_energy_tables, equilibria, run_chains)
+from windgame.ingest import JointSeries
+
+sanitized = _native._bind(sys.argv[1])
+rng = np.random.default_rng(18)
+n = 600
+series = PerUnitSeries(x1=rng.uniform(0.0, 1.0, n), x2=rng.uniform(0.0, 1.0, n),
+                       p_d=rng.uniform(0.0, 40.0, n))
+series.x1[::3] = 0.0
+grid = StrategyGrid(step=1.0, p_n_max=36.0)
+costs = [CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 1.0e3)
+         for p_t_frac in (0.0, 0.26, 0.8, 1.2)]
+history = JointSeries(timestamps=np.datetime64("2020-01-01T00", "s")
+                      + np.arange(n) * np.timedelta64(3600, "s"),
+                      w1=rng.gamma(2.0, 3.0, n), w2=rng.gamma(2.0, 3.0, n),
+                      p_d=rng.uniform(50.0, 150.0, n))
+sampler = SamplerTables.from_series(history, 1.0, 10)
+
+
+def outputs():
+    tables = build_energy_tables(series, None, grid)
+    yield from (tables.e_g1, tables.e_g2, tables.e_c1, tables.e_c2)
+    yield equilibria(tables, costs)
+    for burn in (0.0, 0.2):
+        for chain in run_chains(ChainConfig(n=300, realisations=2, burn_in_fraction=burn,
+                                            seed=5), sampler, (0, 1)):
+            yield from (chain.w1, chain.w2, chain.p_d)
+
+
+_native.load_kernels = lambda: sanitized
+got = [a.tobytes() for a in outputs()]
+_native.load_kernels = lambda: None
+want = [a.tobytes() for a in outputs()]
+assert got == want, [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+"""
 
 
 class TestPerUnitOutput:
@@ -413,11 +466,7 @@ class TestKernelBuild:
         if isa is not None and not cpu_has(isa):
             pytest.skip(f"this CPU has no {isa}")
         path = tmp_path / "kernels.so"
-        subprocess.run([compiler, *_native._KERNEL_FLAGS, "-DVECTOR_CLONES=",
-                        *([f"-m{isa}"] if isa else []), "-o", str(path), "-x", "c", "-"],
-                       input=resources.files("windgame").joinpath(
-                           _native._KERNEL_SOURCE).read_bytes(),
-                       capture_output=True, check=True, timeout=300)
+        compile_kernels(compiler, path, "-DVECTOR_CLONES=", *([f"-m{isa}"] if isa else []))
         clone = _native._bind(path)
         series = random_per_unit(50, seed=16)
         series.x1[::3] = 0.0  # lanes where total = 0
@@ -431,10 +480,8 @@ class TestKernelBuild:
         # 1.2: a fee above the tariff; every point in one call
         points = [CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 9.0e6)
                   for p_t_frac in (0.0, 0.26, 0.8, 1.2)]
-        cols, best = game._follower_best(clone, tables, points)
-        want_cols, want_best = game._follower_best(None, tables, points)
-        assert np.array_equal(cols, want_cols)
-        assert best.tobytes() == want_best.tobytes()
+        assert np.array_equal(game._follower_best(clone, tables, points),
+                              game._follower_best(None, tables, points))
         # designed rows at margin -1 and c_g2 1, where a cell is
         # (g - c2) * -1 - g: column 13 (g = 0) gives -0.0, c2 = 2 over g = 1
         # gives +0.0, c2 = 3 gives 1.0 and c2 = 0 gives -2.0
@@ -449,12 +496,36 @@ class TestKernelBuild:
         designed = EnergyTables(e_g1=np.zeros(k), e_g2=e_g2, e_c1=np.zeros((k, k)),
                                 e_c2=e_c2, grid=StrategyGrid(step=1.0, p_n_max=k - 1.0))
         point = [CostParams(p_g=1.0, p_t=2.0, c_g1=0.0, c_g2=1.0, c_t=0.0)]
-        cols, best = game._follower_best(clone, designed, point)
-        want_cols, want_best = game._follower_best(None, designed, point)
+        cols = game._follower_best(clone, designed, point)
         assert cols[0, :5].tolist() == [13, 5, k - 1, k - 1, 0]
-        assert np.signbit(best[0, :5]).tolist() == [True, False, False, False, False]
-        assert np.array_equal(cols, want_cols)
-        assert best.tobytes() == want_best.tobytes()
+        assert np.array_equal(cols, game._follower_best(None, designed, point))
+        # the solve on this clone gives the reference's bits, -0.0 included
+        monkeypatch.setattr(_native, "load_kernels", lambda: clone)
+        for table, sweep in ((designed, point), (tables, points)):
+            for row, c in zip(game.equilibria(table, sweep), sweep, strict=True):
+                ref = game.stackelberg(game.profit_surfaces(table, c), table.grid)
+                want = np.array([ref.p_n1_star, ref.p_n2_star, ref.pi1_star, ref.pi2_star])
+                assert row.tobytes() == want.tobytes(), (row, want)
+
+    def test_kernels_run_clean_under_sanitizers(self, tmp_path):
+        # every array crosses into C as a bare address, so only a sanitized
+        # build sees an out-of-bounds access or undefined behaviour
+        compiler = _native.shutil.which("cc")
+        if compiler is None:
+            pytest.skip("no C compiler on this machine")
+        runtimes = [subprocess.run([compiler, f"-print-file-name={name}"], capture_output=True,
+                                   text=True, check=True).stdout.strip()
+                    for name in ("libasan.so", "libubsan.so")]
+        if not all(os.path.isabs(lib) and os.path.exists(lib) for lib in runtimes):
+            pytest.skip("no ASan and UBSan runtimes for this compiler")
+        path = tmp_path / "kernels.so"
+        compile_kernels(compiler, path, "-fsanitize=address,undefined,float-cast-overflow",
+                        "-fno-sanitize-recover=all")
+        done = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(path)], cwd=REPO_ROOT,
+                              env=dict(os.environ, PYTHONPATH="src", LD_PRELOAD=" ".join(runtimes),
+                                       ASAN_OPTIONS="detect_leaks=0"),
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-4000:]
 
     def test_cached_binary_is_reused(self, tmp_path, monkeypatch):
         if _native.shutil.which("cc") is None and _native.shutil.which("gcc") is None:
