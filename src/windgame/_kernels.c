@@ -1,14 +1,15 @@
-/* The package's three compiled kernels: the energy tables over a capacity
- * grid (energy_tables, for sim.py), the sweeps of one Gibbs chain or of two
- * in lockstep (gibbs_chain, for gibbs.py) and the follower's best response
- * to every leader capacity at every sweep point (follower_best, for
- * game.py). Each performs exactly the operations of the fallback beside its
- * caller (numpy in sim.py and game.py, plain Python in gibbs.py), in the
- * same order and with plain double arithmetic, so both paths give the same
- * bits as long as the compiler neither contracts a*b+c into a fused
- * multiply-add nor reassociates: build with -ffp-contract=off and without
- * -ffast-math. No kernel returns an error: each caller checks what it passes
- * (for follower_best, that no profit overflows).
+/* The package's compiled kernels: the energy tables over a capacity grid
+ * (energy_generation and energy_tables, for sim.py), the sweeps of one Gibbs
+ * chain or of two in lockstep (gibbs_chain, for gibbs.py) and the
+ * follower's best response to every leader capacity of a block of rows at
+ * every sweep point (follower_best, for game.py). Each performs exactly the
+ * operations of the fallback beside its caller (numpy in sim.py and game.py,
+ * plain Python in gibbs.py), in the same order and with plain double
+ * arithmetic, so both paths give the same bits as long as the compiler
+ * neither contracts a*b+c into a fused multiply-add nor reassociates: build
+ * with -ffp-contract=off and without -ffast-math. No kernel returns an
+ * error: each caller checks what it passes, and game.py refuses what a
+ * non-finite table or an overflowing profit would make of the results.
  * gibbs_chain also draws its uniforms itself, from each chain's numpy
  * PCG64 stream, where the fallback draws them with numpy. Otherwise the
  * loops are plain: a hand optimisation stays only where it was timed to
@@ -18,7 +19,7 @@
  * targets). A compiler without it fails the build, and the package runs
  * every fallback, with one warning.
  *
- * energy_tables computes, per cell, the operations of the literal
+ * The energy kernels compute, per cell, the operations of the literal
  * per-timestep loop documented in sim.py:
  *
  *   e_g1[i]   += x1[t]*grid[i]        (e_g2 likewise with x2)
@@ -31,15 +32,18 @@
  * Timesteps are one hour long (ingest accepts hourly series only), so the
  * sums are energies in MWh without a timestep factor.
  *
- * Each cell is summed over t in ascending order, so the tables are
- * bit-identical to that loop. Only the order in which cells are visited
- * changes: per row i, t runs outside and the column loop inside, which the
- * compiler vectorises across j. The row's two accumulator rows (16 KB at
- * k = 1,002) stay in L1 while t sweeps the series, and e_g1[i] and e_g2[i]
- * are summed in two scalars beside them and stored after the row.
+ * Each cell is summed over t in ascending order from +0.0, so the tables
+ * are bit-identical to that loop. Only the order in which cells are visited
+ * changes. energy_generation runs t outside and i inside, which the compiler
+ * vectorises across i. energy_tables fills a block of rows of e_c1 and e_c2,
+ * so the caller can hold a few rows of the k x k tables at a time: per row
+ * i, t runs outside and the column loop inside, which the compiler
+ * vectorises across j, and the row's two accumulator rows (16 KB at
+ * k = 1,002) stay in L1 while t sweeps the series.
  *
  * Inputs x1, x2 and grid are >= 0 (sim.PerUnitSeries and StrategyGrid
- * check this). e_c1 and e_c2 must be zero on entry.
+ * check this). Each kernel writes every cell of its outputs, so none needs
+ * zeroing on entry.
  */
 #include <stddef.h>
 #include <stdint.h>
@@ -57,22 +61,44 @@
 #define VECTOR_CLONES
 #endif
 
+/* e_g1 and e_g2, k cells each: the generation sums of every grid row.
+ * Built for the baseline vector unit alone: at k = 21 its AVX2 and AVX-512
+ * clones slowed the energy_tables call after them by ~0.2-0.4 ms, more
+ * than this ~0.03 ms loop takes. */
+void energy_generation(ptrdiff_t n, ptrdiff_t k,
+                       const double *restrict x1, const double *restrict x2,
+                       const double *restrict grid,
+                       double *restrict e_g1, double *restrict e_g2)
+{
+    for (ptrdiff_t i = 0; i < k; i++)
+        e_g1[i] = e_g2[i] = 0.0;
+    for (ptrdiff_t t = 0; t < n; t++) {
+        const double u1 = x1[t], u2 = x2[t];
+        for (ptrdiff_t i = 0; i < k; i++) {
+            e_g1[i] += u1 * grid[i];
+            e_g2[i] += u2 * grid[i];
+        }
+    }
+}
+
+/* Rows row0 .. row0 + rows - 1 of the k x k curtailment tables, written
+ * to e_c1 and e_c2, each a rows x k block whose row r is grid row row0 + r.
+ */
 VECTOR_CLONES
-void energy_tables(ptrdiff_t n, ptrdiff_t k,
+void energy_tables(ptrdiff_t n, ptrdiff_t k, ptrdiff_t row0, ptrdiff_t rows,
                    const double *restrict x1, const double *restrict x2,
                    const double *restrict p_d, const double *restrict grid,
-                   double *restrict e_g1, double *restrict e_g2,
                    double *restrict e_c1, double *restrict e_c2)
 {
-    for (ptrdiff_t i = 0; i < k; i++) {
-        double *restrict c1 = e_c1 + i * k;
-        double *restrict c2 = e_c2 + i * k;
-        double gen1 = 0.0, gen2 = 0.0;
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        double *restrict c1 = e_c1 + r * k;
+        double *restrict c2 = e_c2 + r * k;
+        const double own = grid[row0 + r];
+        for (ptrdiff_t j = 0; j < k; j++)
+            c1[j] = c2[j] = 0.0;
         for (ptrdiff_t t = 0; t < n; t++) {
-            const double g1 = x1[t] * grid[i];
+            const double g1 = x1[t] * own;
             const double u2 = x2[t], d = p_d[t];
-            gen1 += g1;
-            gen2 += u2 * grid[i];
             for (ptrdiff_t j = 0; j < k; j++) {
                 const double total = g1 + u2 * grid[j];
                 double surplus = total - d;
@@ -87,8 +113,6 @@ void energy_tables(ptrdiff_t n, ptrdiff_t k,
                 c2[j] += surplus - pc1;
             }
         }
-        e_g1[i] = gen1;
-        e_g2[i] = gen2;
     }
 }
 
@@ -211,33 +235,39 @@ static inline int64_t order_key(int64_t b)
     return b ^ (int64_t)((uint64_t)(b >> 63) >> 1);
 }
 
-/* The follower's best responses for game.equilibria, at every sweep point
- * of one realisation. Cell j of row i at point p is the follower's profit,
- * computed with exactly the operations of its twin game._follower_profit:
+/* The follower's best responses for game.py's solve, in a block of rows of
+ * the follower's curtailment table at every sweep point of one realisation.
+ * e_c2 is that block, rows x k; cell j of its row i at point p is the
+ * follower's profit, computed with exactly the operations of its twin
+ * game._follower_profit:
  *
  *   pi2[p,i,j] = (e_g2[j] - e_c2[i,j]) * margin[p] - e_g2[j] * c_g2[p]
  *
- * with margin = p_g - p_t. cols[p*k + i] is the first column of that row's
- * maximum, as np.argmax picks it, so -0.0 and +0.0 tie and the first zero of
- * either sign wins. game.equilibria evaluates pi2 itself, at the one cell
- * per point that it reads. work is k doubles of workspace, a row's profits
+ * with margin = p_g - p_t. cols[p*rows + i] is the first column of that
+ * row's maximum, as np.argmax picks it, so -0.0 and +0.0 tie and the first
+ * zero of either sign wins. work is k doubles of workspace, a row's profits
  * at one point; no k x k surface is stored. Rows run outside and points
  * inside, so each row of e_c2 is read once and stays in L1 while every
- * point uses it. Every cell must be finite: game.equilibria bounds the
- * costs so that none overflows, and sends any point past that bound to the
- * reference's check first.
+ * point uses it.
+ *
+ * A cell past game.py's cost bound, or of a non-finite table, may be inf or
+ * NaN. The kernel still writes a column in [0, k) for each row: the scan
+ * stops at the row's last cell when no cell equals the maximum (a NaN
+ * maximum equals nothing). game.py keeps such a column only when the
+ * reference's check finds every cell of both surfaces finite, and then it
+ * is the first maximum.
  *
  * GCC vectorises no double max-reduction without -ffast-math, so the row's
  * maximum is taken over order_key of its cells' bits; a scan then finds the
  * first cell equal to the maximum.
  */
 VECTOR_CLONES
-void follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
-                   const double *restrict e_c2, const double *restrict margin,
-                   const double *restrict c_g2, int64_t *restrict cols,
-                   double *restrict work)
+void follower_best(ptrdiff_t k, ptrdiff_t rows, ptrdiff_t points,
+                   const double *restrict e_g2, const double *restrict e_c2,
+                   const double *restrict margin, const double *restrict c_g2,
+                   int64_t *restrict cols, double *restrict work)
 {
-    for (ptrdiff_t i = 0; i < k; i++) {
+    for (ptrdiff_t i = 0; i < rows; i++) {
         const double *restrict c2 = e_c2 + i * k;
         for (ptrdiff_t p = 0; p < points; p++) {
             const double m = margin[p], c = c_g2[p];
@@ -253,12 +283,10 @@ void follower_best(ptrdiff_t k, ptrdiff_t points, const double *restrict e_g2,
             const int64_t top_bits = order_key(top);
             double peak;
             memcpy(&peak, &top_bits, sizeof peak);
-            /* every cell is finite, so some cell equals peak; even were one
-             * NaN, the scan would stop at the row's last cell */
             ptrdiff_t j = 0;
             while (j < k - 1 && work[j] != peak)
                 j++;
-            cols[p * k + i] = j;
+            cols[p * rows + i] = j;
         }
     }
 }

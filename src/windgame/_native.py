@@ -1,14 +1,15 @@
 """Build and load the compiled kernels in ``_kernels.c``.
 
-The source holds three entry points: ``energy_tables`` (used by ``sim``),
-``gibbs_chain`` (used by ``gibbs``) and ``follower_best`` (used by
-``game``). Each takes every array, and ``gibbs_chain`` its ``GibbsTables``,
+The source holds four entry points: ``energy_generation`` and
+``energy_tables`` (used by ``sim``), ``gibbs_chain`` (used by ``gibbs``) and
+``follower_best`` (used by ``game``). Each takes every array, and ``gibbs_chain`` its ``GibbsTables``,
 as a ``c_void_p`` address, so ctypes checks only the scalars; the caller
 passes arrays it built or checked in the kernel's types, each bound to a
 name until the call returns (an address keeps no array alive). The source
 is compiled on the first call to ``load_kernels``, not at import, and cached
-per user under ``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``).
-When no compiler is found, the build or load fails (``gibbs_chain`` needs
+per user under ``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``);
+only a cache miss imports what a build needs (``shutil``, ``subprocess``,
+``tempfile``). When no compiler is found, the build or load fails (``gibbs_chain`` needs
 the compiler's ``unsigned __int128``) or the library lacks an entry point,
 one warning is logged and ``load_kernels`` returns None, so each caller
 runs its own fallback (numpy in ``sim``, np.argmax of the follower's profit
@@ -23,9 +24,6 @@ import hashlib
 import logging
 import os
 import platform
-import shutil
-import subprocess
-import tempfile
 import threading
 from importlib import resources
 from pathlib import Path
@@ -56,6 +54,10 @@ def _compile_kernel() -> Path:
     target = root / "windgame" / f"kernels-{key.hexdigest()[:16]}.so"
     if target.is_file():
         return target
+    import shutil  # here, as a build alone needs them
+    import subprocess
+    import tempfile
+
     compiler = shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         raise OSError("no C compiler (cc or gcc) on PATH")
@@ -66,6 +68,9 @@ def _compile_kernel() -> Path:
         subprocess.run([compiler, *_KERNEL_FLAGS, "-o", tmp, "-x", "c", "-"],
                        input=source, capture_output=True, check=True, timeout=300)
         os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
+        raise RuntimeError(f"{exc}\n{stderr}" if stderr else str(exc)) from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -84,17 +89,16 @@ class GibbsTables(ctypes.Structure):
 
 
 def _bind(path) -> ctypes.CDLL:
-    """The library at ``path``, its three entry points declared: arrays are
+    """The library at ``path``, its four entry points declared: arrays are
     addresses, scalars keep their C types."""
     lib = ctypes.CDLL(str(path))
-    energy, gibbs, follower = lib.energy_tables, lib.gibbs_chain, lib.follower_best
-    ptr = ctypes.c_void_p
-    energy.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[ptr] * 8]
-    energy.restype = None
-    gibbs.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, ptr, ptr, ptr, ptr]
-    gibbs.restype = None
-    follower.argtypes = [ctypes.c_ssize_t, ctypes.c_ssize_t, *[ptr] * 6]
-    follower.restype = None
+    size, ptr = ctypes.c_ssize_t, ctypes.c_void_p
+    for entry, argtypes in ((lib.energy_generation, [size, size, *[ptr] * 5]),
+                            (lib.energy_tables, [*[size] * 4, *[ptr] * 6]),
+                            (lib.gibbs_chain, [size, size, *[ptr] * 4]),
+                            (lib.follower_best, [*[size] * 3, *[ptr] * 6])):
+        entry.argtypes = argtypes
+        entry.restype = None
     return lib
 
 
@@ -102,15 +106,14 @@ def _bind(path) -> ctypes.CDLL:
 def _load_kernels():
     try:
         return _bind(_compile_kernel())
-    except (OSError, RuntimeError, AttributeError, subprocess.SubprocessError) as exc:
-        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
-        log.warning("compiled kernels unavailable, using the fallback loops: %s%s",
-                    exc, f"\n{stderr}" if stderr else "")
+    except (OSError, RuntimeError, AttributeError) as exc:
+        log.warning("compiled kernels unavailable, using the fallback loops: %s", exc)
         return None
 
 
 def load_kernels():
-    """The compiled library (``energy_tables``, ``gibbs_chain``,
-    ``follower_best``), or None once it failed to build or load."""
+    """The compiled library (``energy_generation``, ``energy_tables``,
+    ``gibbs_chain``, ``follower_best``), or None once it failed to build or
+    load."""
     with _KERNEL_LOCK:
         return _load_kernels()

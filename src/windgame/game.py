@@ -8,13 +8,17 @@ generation cost. The equilibrium is found by backward induction on the
 capacity grid: the follower's best response per leader capacity, then the
 leader's best choice against that response curve. Ties break toward the
 smaller capacity. ``stackelberg`` over ``profit_surfaces`` is the
-full-surface reference. ``equilibria`` gives its p_n1, p_n2, pi1 and pi2
-bit for bit, as one row per sweep point of one realisation, by one solve on
-every machine: ``_follower_best`` finds each row's best response at every
-point (in one call of the ``follower_best`` kernel of ``_kernels.c``, with no
-k x k surface, or, when no kernel loads, from the follower's profit alone),
-the leader's profit is evaluated along those curves alone, and the
-follower's at the one cell per point that the leader picks.
+full-surface reference. ``equilibria`` (from energy tables) and
+``solve_realisation`` (from a realisation, the runner's job) give its p_n1,
+p_n2, pi1 and pi2 bit for bit, as one row per sweep point of one
+realisation, by one solve on every machine that reads the curtailment
+tables a block of rows at a time: ``_follower_best`` finds each row's best
+response at every point (in one call of the ``follower_best`` kernel of
+``_kernels.c`` per block, with no k x k surface, or, when no kernel loads,
+from the follower's profit alone), the leader's profit is evaluated along
+those curves alone, and the follower's at the one cell per point that the
+leader picks. ``solve_realisation`` computes each block of the tables as it
+needs it (``sim.energy_blocks``), so it never holds a k x k array.
 """
 from __future__ import annotations
 
@@ -25,7 +29,9 @@ import numpy as np
 
 from . import _native
 from .errors import WindGameError
-from .sim import EnergyTables, StrategyGrid
+from .gibbs import Realisation
+from .sim import EnergyTables, PowerCurve, StrategyGrid, block_rows, build_energy_tables, \
+    cell_peak, energy_blocks, player_peaks
 
 
 @dataclass(frozen=True)
@@ -122,34 +128,29 @@ def profit_surfaces(tables: EnergyTables, costs: CostParams) -> ProfitSurfaces:
     return ProfitSurfaces(pi1=pi1, pi2=pi2)
 
 
-def _follower_best(kernels, tables: EnergyTables, costs: list[CostParams]) -> np.ndarray:
-    """The (points, k) first argmax per row of ``_follower_profit`` over the
-    tables at each of ``costs``, row by row in the ``follower_best`` kernel:
-    O(k) memory per point, no k x k surface; with ``kernels`` None, by
-    np.argmax of each point's follower profit. ``equilibria`` keeps every
-    cell finite."""
-    margin = np.array([c.p_g - c.p_t for c in costs])
-    c_g2 = np.array([c.c_g2 for c in costs])
+def _follower_best(kernels, e_g2: np.ndarray, e_c2: np.ndarray, margin: np.ndarray,
+                   c_g2: np.ndarray) -> np.ndarray:
+    """The (points, rows) first argmax per row of ``_follower_profit`` over
+    ``e_c2``, a block of rows of the follower's curtailment table, at each
+    point's ``margin`` and ``c_g2`` (contiguous float64 arrays): row by row in
+    the ``follower_best`` kernel, O(k) memory and no surface, or, with
+    ``kernels`` None, by np.argmax of each point's follower profit over the
+    block. A cell that overflows raises no numpy warning: ``_solve`` keeps a
+    column only where no cell of its point can overflow, or where the
+    reference found every cell finite."""
     if kernels is None:
-        return np.stack([np.argmax(_follower_profit(tables.e_g2, tables.e_c2, m, c), axis=1)
-                         for m, c in zip(margin, c_g2)])
-    k = len(tables.grid)
-    cols = np.empty((len(costs), k), dtype=np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.stack([np.argmax(_follower_profit(e_g2, e_c2, m, c), axis=1)
+                             for m, c in zip(margin, c_g2)])
+    rows, k = e_c2.shape
+    cols = np.empty((len(margin), rows), dtype=np.int64)
     work = np.empty(k)  # a row's profits at one point
     # every array passed by address stays bound to a name until the call returns
-    e_g2, e_c2 = np.ascontiguousarray(tables.e_g2), np.ascontiguousarray(tables.e_c2)
-    kernels.follower_best(k, len(costs), e_g2.ctypes.data, e_c2.ctypes.data,
+    e_g2, e_c2 = np.ascontiguousarray(e_g2), np.ascontiguousarray(e_c2)
+    kernels.follower_best(k, rows, len(margin), e_g2.ctypes.data, e_c2.ctypes.data,
                           margin.ctypes.data, c_g2.ctypes.data, cols.ctypes.data,
                           work.ctypes.data)
     return cols
-
-
-def _leader_choices(cols: np.ndarray, pi1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``pi1``, the leader's argmax of its profit along the
-    follower's response in that row of ``cols``, ties low: those leader
-    indices, and the follower's column at each."""
-    lead = np.argmax(pi1, axis=1)
-    return lead, cols[np.arange(len(lead)), lead]
 
 
 def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
@@ -164,50 +165,92 @@ def stackelberg(surfaces: ProfitSurfaces, grid: StrategyGrid) -> Equilibrium:
                             f"of {len(grid)}")
     cols = np.argmax(surfaces.pi2, axis=1)
     pi1 = surfaces.pi1[np.arange(len(grid)), cols]
-    (lead,), (col,) = _leader_choices(cols[None], pi1[None])
+    lead = int(np.argmax(pi1))
+    col = int(cols[lead])
     return Equilibrium(float(grid.values[lead]), float(grid.values[col]), float(pi1[lead]),
-                       float(surfaces.pi2[lead, col]), leader_index=int(lead),
-                       follower_index=int(col), best_response=BestResponse(indices=cols))
+                       float(surfaces.pi2[lead, col]), leader_index=lead,
+                       follower_index=col, best_response=BestResponse(indices=cols))
 
 
-# Cells of the (points, k) arrays that one follower_best call and its leader
-# step work on: a desk sweep (41 points at k=21) is one call, and at k=1,002
-# four points share each pass over e_c2 while each array stays at 32 KB
-# (8,192 cells solved a fine-grid sweep no faster, and raised the peak RSS of
-# a two-worker run by ~0.5 MB more).
-_CHUNK_CELLS = 4096
-
-
-def equilibria(tables: EnergyTables, costs: list[CostParams]) -> np.ndarray:
+def _solve(e_g1: np.ndarray, e_g2: np.ndarray, blocks, grid: StrategyGrid,
+           costs: list[CostParams], full) -> np.ndarray:
     """The float64 (points, 4) block of p_n1, p_n2, pi1, pi2 that
-    ``stackelberg(profit_surfaces(tables, c), tables.grid)`` gives at each
-    ``c`` of ``costs``, bit for bit, or its refusal: solved a chunk of points
-    at a time, each chunk in one ``_follower_best`` call, with pi1 only along
-    the follower's best responses and pi2 only at the chosen cell."""
+    ``stackelberg(profit_surfaces(full(), c), grid)`` gives at each ``c`` of
+    ``costs``, bit for bit, or its refusal, from e_g1, e_g2 and ``blocks``:
+    the rows of e_c1 and e_c2, in row order, as ``(row0, e_c1 rows, e_c2
+    rows)``. Each block is read once: the follower's best response in each of
+    its rows at every point (one ``_follower_best`` call), the leader's
+    profit along those responses, and each point's first maximum of it in
+    the block, with the follower's column and e_c2 there. The first block
+    holding a point's largest pi1 gives its leader's capacity, which is
+    np.argmax over the whole curve, and pi2 is evaluated at that one cell.
+    ``full()`` gives the whole tables, called only for the reference's check
+    of a point past the cost bound."""
+    kernels = _native.load_kernels()
+    # each cost as one (points,) array, contiguous for the kernel
+    p_g, c_g1, p_t, c_t, c_g2 = np.array([(c.p_g, c.c_g1, c.p_t, c.c_t, c.c_g2)
+                                          for c in costs]).T.copy()
+    margin = p_g - p_t
+    leader_costs = [a[:, None] for a in (p_g, c_g1, p_t, c_t)]  # against (points, rows)
+    points = np.arange(len(costs))
+    tops, leads, cols_at, curtailed_at = [], [], [], []
+    peaks = np.zeros(2)  # of e_c1 and e_c2 so far; np.maximum keeps a NaN
+    # a cell past the cost bound may overflow; it is refused below, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row0, e_c1, e_c2 in blocks:
+            cols = _follower_best(kernels, e_g2, e_c2, margin, c_g2)
+            rows = np.arange(len(e_c2))
+            curtailed2 = e_c2[rows, cols]
+            pi1 = _leader_profit(e_g1[row0:row0 + len(rows)], e_c1[rows, cols], e_g2[cols],
+                                 curtailed2, *leader_costs)
+            at = np.argmax(pi1, axis=1)  # ties low
+            tops.append(pi1[points, at])
+            leads.append(row0 + at)
+            cols_at.append(cols[points, at])
+            curtailed_at.append(curtailed2[points, at])
+            peaks = np.maximum(peaks, (cell_peak(e_c1), cell_peak(e_c2)))
+    peak1, peak2 = player_peaks({"e_g1": cell_peak(e_g1), "e_g2": cell_peak(e_g2),
+                                 "e_c1": float(peaks[0]), "e_c2": float(peaks[1])})
     # |e_g1 - e_c1| <= 2 * peak1 and |p_g - p_t| <= p_g + p_t, so no
     # intermediate of pi1 or pi2 exceeds twice this bound, and rounding cannot
     # double it again: while four times the bound is finite, no cell of either
     # surface overflows. Past it, the reference's whole-surface check decides,
     # so the solve checks no cell and refuses exactly the costs it refuses.
-    peak1, peak2 = tables.peaks
-    for c in costs:
-        if not math.isfinite(4 * (peak1 * (c.p_g + c.c_g1) + peak2 * (c.p_g + c.p_t + c.c_g2)
-                                  + c.c_t)):
+    over = [c for c in costs
+            if not math.isfinite(4 * (peak1 * (c.p_g + c.c_g1)
+                                      + peak2 * (c.p_g + c.p_t + c.c_g2) + c.c_t))]
+    if over:
+        tables = full()
+        for c in over:
             profit_surfaces(tables, c)
-    kernels = _native.load_kernels()
-    rows, values = np.arange(len(tables.grid)), tables.grid.values
-    block = np.empty((len(costs), 4))
-    step = max(1, _CHUNK_CELLS // len(rows))
-    for lo in range(0, len(costs), step):
-        points = costs[lo:lo + step]
-        cols = _follower_best(kernels, tables, points)
-        # each cost as a (points, 1) column against the (points, k) curves
-        p_g, c_g1, p_t, c_t, c_g2 = np.array([(c.p_g, c.c_g1, c.p_t, c.c_t, c.c_g2)
-                                              for c in points]).T[..., None]
-        pi1 = _leader_profit(tables.e_g1, tables.e_c1[rows, cols], tables.e_g2[cols],
-                             tables.e_c2[rows, cols], p_g, c_g1, p_t, c_t)
-        lead, col = (a[:, None] for a in _leader_choices(cols, pi1))
-        pi2 = _follower_profit(tables.e_g2[col], tables.e_c2[lead, col], p_g - p_t, c_g2)
-        block[lo:lo + step] = np.hstack([values[lead], values[col],
-                                         np.take_along_axis(pi1, lead, axis=1), pi2])
-    return block
+    block = np.argmax(tops, axis=0)  # ties to the lower block, so to the lower row
+
+    def pick(per_block):
+        return np.array(per_block)[block, points]
+
+    lead, col = pick(leads), pick(cols_at)
+    pi2 = _follower_profit(e_g2[col], pick(curtailed_at), margin, c_g2)
+    return np.column_stack([grid.values[lead], grid.values[col], pick(tops), pi2])
+
+
+def equilibria(tables: EnergyTables, costs: list[CostParams]) -> np.ndarray:
+    """The float64 (points, 4) block of p_n1, p_n2, pi1, pi2 that
+    ``stackelberg(profit_surfaces(tables, c), tables.grid)`` gives at each
+    ``c`` of ``costs``, bit for bit, or its refusal: ``solve_realisation``'s
+    solve, over views of the tables' rows in its blocks."""
+    k = len(tables.grid)
+    rows = block_rows(k)
+    blocks = ((row0, tables.e_c1[row0:row0 + rows], tables.e_c2[row0:row0 + rows])
+              for row0 in range(0, k, rows))
+    return _solve(tables.e_g1, tables.e_g2, blocks, tables.grid, costs, lambda: tables)
+
+
+def solve_realisation(realisation: Realisation, curve: PowerCurve, grid: StrategyGrid,
+                      costs: list[CostParams]) -> np.ndarray:
+    """``equilibria(build_energy_tables(realisation, curve, grid), costs)``, bit
+    for bit, or its refusal, from ``sim.energy_blocks``: no k x k table exists,
+    only one block of rows of each at a time, unless a point past the cost
+    bound needs the reference's check."""
+    e_g1, e_g2, blocks = energy_blocks(realisation, curve, grid)
+    return _solve(e_g1, e_g2, blocks, grid, costs,
+                  lambda: build_energy_tables(realisation, curve, grid))

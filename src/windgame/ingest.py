@@ -386,9 +386,12 @@ def align_series(w1: TimeSeries, w2: TimeSeries, demand: TimeSeries) -> JointSer
     Only instants present in all three inputs survive. An empty intersection
     raises :class:`IngestError` with per-series coverage statistics.
     """
-    # each series is strictly increasing, so no input needs de-duplicating
-    common = np.intersect1d(w1.timestamps, w2.timestamps, assume_unique=True)
-    common = np.intersect1d(common, demand.timestamps, assume_unique=True)
+    # each series is strictly increasing and nonempty, so a stamp is common
+    # when the next series holds it where np.searchsorted would insert it
+    common = w1.timestamps
+    for series in (w2, demand):
+        at = np.minimum(np.searchsorted(series.timestamps, common), len(series) - 1)
+        common = common[series.timestamps[at] == common]
     if len(common) == 0:
         detail = "; ".join(s.coverage() for s in (w1, w2, demand))
         raise IngestError(f"no common timestamps across inputs ({detail})")

@@ -2,14 +2,15 @@
 
 Pipeline: ingest -> distribution tables -> chain jobs on a thread pool ->
 ensemble aggregation. There is one job: it samples its chains and returns
-each chain's means; in ``run`` it also builds the chain's energy tables once
-(cost parameters cannot affect the physics) and solves the equilibria at
-every sweep point in one call, returning the (sweep, 4) block, so no
-realisation outlives its job. A solving job takes one chain, a ``stats`` job
-two consecutive chains together. Jobs run on ``workers`` threads (the
-compiled kernels and numpy's k x k loops release the GIL) and each result
-depends on the chain index alone, so reports are byte-identical for every
-pool size. Failures, in a thread too, running out of memory and Ctrl-C are
+each chain's means; in ``run`` it also solves the equilibria at every sweep
+point in one ``game.solve_realisation`` call, which computes the chain's
+energy tables once (cost parameters cannot affect the physics), a block of
+rows at a time, and returns the (sweep, 4) block, so no realisation outlives
+its job and no job holds a k x k table. A solving job takes one chain, a
+``stats`` job two consecutive chains together. Jobs run on ``workers``
+threads (the compiled kernels and numpy's block loops release the GIL) and
+each result depends on the chain index alone, so reports are byte-identical
+for every pool size. Failures, in a thread too, running out of memory and Ctrl-C are
 re-raised tagged with their stage; after one, no job starts and those in
 flight finish. Reports are renamed into place once written.
 """
@@ -30,11 +31,11 @@ import numpy as np
 from . import __version__
 from .config import ScenarioConfig
 from .errors import ConfigError, StageError, WindGameError
-from .game import equilibria
+from .game import solve_realisation
 from .gibbs import SamplerTables, StatsReport, run_chains, stats_from_means
 from .ingest import JointSeries, align_series, load_series_csv, normalize_demand
-from .sim import PowerCurve, StrategyGrid, build_energy_tables, default_power_curve, \
-    fit_sigmoid, load_curve_points
+from .sim import PowerCurve, StrategyGrid, default_power_curve, fit_sigmoid, \
+    load_curve_points
 
 log = logging.getLogger("windgame")
 
@@ -116,9 +117,9 @@ def _chain_results(config: ScenarioConfig, tables: SamplerTables, workers: int,
                    solve=None) -> list[tuple[tuple[float, float, float], np.ndarray | None]]:
     """Each chain's means and ``solve(realisation)`` (None without ``solve``),
     in chain order, from jobs on ``workers`` threads. A solving job samples one
-    chain, so each thread holds one realisation's k x k tables; otherwise a
-    job samples two consecutive chains in the lockstep kernel. After a job
-    fails, no further job starts."""
+    chain, so each thread holds one realisation and one block of its tables'
+    rows; otherwise a job samples two consecutive chains in the lockstep
+    kernel. After a job fails, no further job starts."""
     n, per_job, results = config.chain.realisations, 2 if solve is None else 1, []
 
     def job(indices: range) -> list:
@@ -157,7 +158,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> ScenarioResult:
                  for frac in sweep_fracs]
         means, blocks = zip(*_chain_results(
             config, tables, workers,
-            lambda r: equilibria(build_energy_tables(r, curve, grid), costs)))
+            lambda r: solve_realisation(r, curve, grid, costs)))
         stats = stats_from_means(means, series, config.chain.retained) if len(means) > 1 else None
         per_real = np.stack(blocks, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below

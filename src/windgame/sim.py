@@ -11,11 +11,14 @@ adds, so they are bit-for-bit reproducible by a literal per-timestep loop:
 e_g[k]   += x[t] * grid[k]
 e_c[i,j] += pc_i(x1[t] * grid[i], x2[t] * grid[j], p_d[t])
 
-The tables are built by the ``energy_tables`` kernel of ``_kernels.c``,
-which performs exactly those operations per cell. ``_native`` compiles it
-on the first call, not at import, and caches it per user. When it cannot
-be built or loaded, a numpy loop with the same arithmetic runs instead;
-both give the same bits.
+The tables are built by the ``energy_generation`` and ``energy_tables``
+kernels of ``_kernels.c``, which perform exactly those operations per cell.
+``_native`` compiles them on the first call, not at import, and caches them
+per user. When they cannot be built or loaded, numpy loops with the same
+arithmetic run instead; both give the same bits. ``energy_blocks`` yields
+the k x k curtailment tables a block of rows at a time, into one reused
+pair of arrays, so the game's solve of a realisation never holds them
+whole; ``build_energy_tables`` is its one-block case.
 """
 from __future__ import annotations
 
@@ -107,8 +110,7 @@ class EnergyTables:
     (grid[i], grid[j]). Generation is linear in own capacity; curtailment
     couples both players. Each table is a finite float64 array of its grid's
     shape, checked here, so the game's kernel may read it by address.
-    ``peaks`` holds the largest magnitude of any cell of player 1's tables
-    (e_g1, e_c1) and of player 2's (e_g2, e_c2), found by the same pass.
+    ``peaks`` holds ``player_peaks`` of the tables, found by the same pass.
     """
 
     e_g1: np.ndarray
@@ -120,18 +122,32 @@ class EnergyTables:
 
     def __post_init__(self):
         k = len(self.grid)
-        peak = {}
         for name, shape in (("e_g1", (k,)), ("e_g2", (k,)), ("e_c1", (k, k)), ("e_c2", (k, k))):
             table = getattr(self, name)
             if not isinstance(table, np.ndarray) or table.dtype != np.float64 \
                     or table.shape != shape:
                 raise WindGameError(f"{name} must be a float64 array of shape {shape}")
-            low, high = float(table.min()), float(table.max())  # NaN if any cell is
-            if not (math.isfinite(low) and math.isfinite(high)):
-                raise WindGameError(f"energy table {name} must be finite")
-            peak[name] = max(-low, high)
-        object.__setattr__(self, "peaks", (max(peak["e_g1"], peak["e_c1"]),
-                                           max(peak["e_g2"], peak["e_c2"])))
+        object.__setattr__(self, "peaks", player_peaks(
+            {name: cell_peak(getattr(self, name)) for name in ENERGY_TABLES}))
+
+
+ENERGY_TABLES = ("e_g1", "e_g2", "e_c1", "e_c2")
+
+
+def cell_peak(table: np.ndarray) -> float:
+    """The largest magnitude of any cell of ``table``: inf or NaN when a cell
+    is not finite."""
+    return max(-float(table.min()), float(table.max()))  # NaN if any cell is
+
+
+def player_peaks(peak: dict[str, float]) -> tuple[float, float]:
+    """The largest magnitude of any cell of player 1's tables (e_g1, e_c1) and
+    of player 2's (e_g2, e_c2), from each table's ``cell_peak``; the first
+    table of ``ENERGY_TABLES`` with a cell that is not finite is refused."""
+    for name in ENERGY_TABLES:
+        if not math.isfinite(peak[name]):
+            raise WindGameError(f"energy table {name} must be finite")
+    return max(peak["e_g1"], peak["e_c1"]), max(peak["e_g2"], peak["e_c2"])
 
 
 def _sigmoid(alpha, beta, w):
@@ -244,31 +260,58 @@ def per_unit_series(realisation: Realisation, curve: PowerCurve) -> PerUnitSerie
                          p_d=np.asarray(realisation.p_d, dtype=np.float64))
 
 
-def _accumulate_numpy(x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2) -> None:
-    """The kernel's arithmetic, one timestep at a time over the whole grid."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+# Cells of the e_c1 and e_c2 blocks that one energy_tables call fills for the
+# game's solve: 65 rows per block at k=1,002 (~0.5 MB per table, so a worker
+# holds ~1 MB of rows in place of the 16 MB k x k pair), and a desk grid
+# (k=21) in one block.
+_BLOCK_CELLS = 65536
+
+
+def block_rows(k: int) -> int:
+    """Rows per block of a k x k energy table in the game's solve."""
+    return max(1, _BLOCK_CELLS // k)
+
+
+def _generation_numpy(x1, x2, values, e_g1, e_g2) -> None:
+    """energy_generation's arithmetic, one timestep at a time over the grid."""
+    e_g1.fill(0.0)
+    e_g2.fill(0.0)
+    with np.errstate(over="ignore"):  # EnergyTables and the solve refuse it
+        for t in range(len(x1)):
+            e_g1 += x1[t] * values
+            e_g2 += x2[t] * values
+
+
+def _curtailment_numpy(x1, x2, p_d, values, row0, e_c1, e_c2) -> None:
+    """energy_tables' arithmetic for rows row0.. of the grid, one timestep at a
+    time over the whole block."""
+    own = values[row0:row0 + len(e_c1), None]
+    e_c1.fill(0.0)
+    e_c2.fill(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
         for t in range(len(p_d)):
-            g1 = x1[t] * values
-            g2 = x2[t] * values
-            e_g1 += g1
-            e_g2 += g2
-            total = g1[:, None] + g2[None, :]
+            g1 = x1[t] * own
+            total = g1 + x2[t] * values
             surplus = total - p_d[t]
             np.maximum(surplus, 0.0, out=surplus)
-            share1 = np.where(total > 0.0, g1[:, None] / total, 0.0)
-            pc1 = surplus * share1
+            # in place where the kernel names a new value: pc1 = surplus * share
+            pc1 = np.divide(g1, total, out=np.zeros_like(total), where=total > 0.0)
+            pc1 *= surplus
             e_c1 += pc1
-            e_c2 += surplus - pc1
+            surplus -= pc1
+            e_c2 += surplus
 
 
-def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCurve,
-                        grid: StrategyGrid) -> EnergyTables:
-    """Accumulate generation and curtailment over all timesteps and capacity
-    pairs.
-
-    Matches the literal loop documented in the module header: every cell
-    is accumulated in timestep order with plain double-precision adds, so
-    results are bit-identical to the scalar triple loop on either path.
+def energy_blocks(realisation: Realisation | PerUnitSeries, curve: PowerCurve,
+                  grid: StrategyGrid, rows: int | None = None):
+    """A realisation's energy tables as ``(e_g1, e_g2, blocks)``: e_g1 and e_g2
+    over the whole grid, and an iterator over the e_c1 and e_c2 tables
+    ``rows`` rows at a time (default ``block_rows(k)``), in row order, as
+    ``(row0, e_c1 rows, e_c2 rows)``. Every block is computed into the arrays
+    of the one before it, so only one block of each table exists at a time:
+    read a block before taking the next. Every cell has the operations and
+    the timestep order of the literal loop in the module header, whatever
+    the block size, on either kernel path.
     """
     series = realisation if isinstance(realisation, PerUnitSeries) \
         else per_unit_series(realisation, curve)
@@ -277,16 +320,38 @@ def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCu
     values = grid.values
     x1, x2, p_d = (np.ascontiguousarray(a, dtype=np.float64)
                    for a in (series.x1, series.x2, series.p_d))
-    k = len(values)
-
-    e_g1 = np.zeros(k)
-    e_g2 = np.zeros(k)
-    e_c1 = np.zeros((k, k))
-    e_c2 = np.zeros((k, k))
+    n, k = len(p_d), len(values)
+    rows = min(k, block_rows(k) if rows is None else rows)
     kernels = _native.load_kernels()
+    e_g1, e_g2 = np.empty(k), np.empty(k)
     if kernels is None:
-        _accumulate_numpy(x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)
+        _generation_numpy(x1, x2, values, e_g1, e_g2)
     else:
-        kernels.energy_tables(len(p_d), k, *(a.ctypes.data for a in (
-            x1, x2, p_d, values, e_g1, e_g2, e_c1, e_c2)))
+        kernels.energy_generation(n, k, *(a.ctypes.data for a in (x1, x2, values, e_g1, e_g2)))
+
+    def blocks():
+        e_c1, e_c2 = np.empty((rows, k)), np.empty((rows, k))
+        for row0 in range(0, k, rows):
+            c1, c2 = e_c1[:k - row0], e_c2[:k - row0]  # the last block may be short
+            if kernels is None:
+                _curtailment_numpy(x1, x2, p_d, values, row0, c1, c2)
+            else:
+                kernels.energy_tables(n, k, row0, len(c1), *(a.ctypes.data for a in (
+                    x1, x2, p_d, values, c1, c2)))
+            yield row0, c1, c2
+
+    return e_g1, e_g2, blocks()
+
+
+def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCurve,
+                        grid: StrategyGrid) -> EnergyTables:
+    """Accumulate generation and curtailment over all timesteps and capacity
+    pairs: ``energy_blocks`` with all k rows in one block.
+
+    Matches the literal loop documented in the module header: every cell
+    is accumulated in timestep order with plain double-precision adds, so
+    results are bit-identical to the scalar triple loop on either path.
+    """
+    e_g1, e_g2, blocks = energy_blocks(realisation, curve, grid, rows=len(grid))
+    ((_, e_c1, e_c2),) = blocks
     return EnergyTables(e_g1=e_g1, e_g2=e_g2, e_c1=e_c1, e_c2=e_c2, grid=grid)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from windgame import SamplerTables, _native
+from windgame import SamplerTables, _native, game
 from windgame.ingest import JointSeries
 from windgame.synthetic import DEFAULT_SEED, DEMAND_START, HOUR, _generate
 
@@ -35,6 +35,14 @@ def use_kernel_path(path: str, monkeypatch) -> str:
     else:
         monkeypatch.setattr(_native, "load_kernels", lambda: None)
     return path
+
+
+def follower_columns(kernels, tables, costs) -> np.ndarray:
+    """``game._follower_best`` over every row of ``tables`` in one block, at
+    each of ``costs``: the (points, k) best-response columns."""
+    margin = np.array([c.p_g - c.p_t for c in costs])
+    c_g2 = np.array([c.c_g2 for c in costs])
+    return game._follower_best(kernels, tables.e_g2, tables.e_c2, margin, c_g2)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -397,13 +397,13 @@ class TestRunScenario:
     def test_energy_tables_built_once_per_realisation(self, tiny_config, monkeypatch):
         import windgame.runner as runner_mod
         calls = []
-        original = runner_mod.build_energy_tables
+        original = runner_mod.solve_realisation
 
         def counting(*args, **kwargs):
             calls.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "build_energy_tables", counting)
+        monkeypatch.setattr(runner_mod, "solve_realisation", counting)
         config = load_config(tiny_config)
         result = run_scenario(config)
         assert len(calls) == config.chain.realisations
@@ -429,10 +429,10 @@ class TestRunScenario:
     def test_failure_in_a_thread_is_stage_tagged(self, tiny_config, monkeypatch):
         import windgame.runner as runner_mod
 
-        def fails(realisation, curve, grid):
+        def fails(realisation, curve, grid, costs):
             raise WindGameError(f"solve of realisation {realisation.chain_index} failed")
 
-        monkeypatch.setattr(runner_mod, "build_energy_tables", fails)
+        monkeypatch.setattr(runner_mod, "solve_realisation", fails)
         with pytest.raises(StageError, match=r"\[game\] solve of realisation 0 failed"):
             run_scenario(load_config(tiny_config), workers=2)
 
@@ -441,16 +441,16 @@ class TestRunScenario:
         import windgame.runner as runner_mod
         write_tiny_dataset(tmp_path)
         path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 20\nseed = 99")
-        started, build = [], runner_mod.build_energy_tables
+        started, solve = [], runner_mod.solve_realisation
 
-        def slow(realisation, curve, grid):
+        def slow(realisation, curve, grid, costs):
             started.append(realisation.chain_index)  # list.append is atomic
             if realisation.chain_index == 1:
                 raise KeyboardInterrupt
             time.sleep(0.05)
-            return build(realisation, curve, grid)
+            return solve(realisation, curve, grid, costs)
 
-        monkeypatch.setattr(runner_mod, "build_energy_tables", slow)
+        monkeypatch.setattr(runner_mod, "solve_realisation", slow)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out), "--workers", "2"]) == 1
         assert "error: [game] interrupted" in capsys.readouterr().err
@@ -464,15 +464,15 @@ class TestRunScenario:
         write_tiny_dataset(tmp_path)
         path = write_tiny_config(tmp_path, chain="n = 300\nrealisations = 20\nseed = 99")
         alive, most, lock = weakref.WeakSet(), [0], threading.Lock()
-        build = runner_mod.build_energy_tables
+        solve = runner_mod.solve_realisation
 
-        def tracking(realisation, curve, grid):
+        def tracking(realisation, curve, grid, costs):
             with lock:
                 alive.add(realisation)
                 most[0] = max(most[0], len(alive))
-            return build(realisation, curve, grid)
+            return solve(realisation, curve, grid, costs)
 
-        monkeypatch.setattr(runner_mod, "build_energy_tables", tracking)
+        monkeypatch.setattr(runner_mod, "solve_realisation", tracking)
         result = run_scenario(load_config(path), workers=2)
         assert result.per_realisation.shape == (3, 20, 4)
         assert most[0] <= 2
@@ -481,14 +481,14 @@ class TestRunScenario:
         # stats jobs sample two chains; a run job samples one, so one worker
         # never holds two realisations at once
         import windgame.runner as runner_mod
-        alive, most, build = weakref.WeakSet(), [0], runner_mod.build_energy_tables
+        alive, most, solve = weakref.WeakSet(), [0], runner_mod.solve_realisation
 
-        def tracking(realisation, curve, grid):
+        def tracking(realisation, curve, grid, costs):
             alive.add(realisation)
             most[0] = max(most[0], len(alive))
-            return build(realisation, curve, grid)
+            return solve(realisation, curve, grid, costs)
 
-        monkeypatch.setattr(runner_mod, "build_energy_tables", tracking)
+        monkeypatch.setattr(runner_mod, "solve_realisation", tracking)
         run_scenario(load_config(tiny_config), workers=1)
         assert most[0] == 1
 
@@ -676,6 +676,23 @@ class TestCli:
         assert "Warning:" not in done.stderr and "Traceback" not in done.stderr, done.stderr
         assert done.stderr.splitlines()[-1] == "error: [game] profit surfaces must be finite"
 
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_non_finite_energy_table_refused_by_name(self, tiny_config, path, monkeypatch,
+                                                     capsys):
+        # capacities near the largest double: the sum of e_g1 over the hours
+        # overflows first; the solve reads the tables a block of rows at a
+        # time, yet names the table the whole-table check names, with no
+        # numpy warning (the suite turns one into an error)
+        use_kernel_path(path, monkeypatch)
+        text = tiny_config.read_text(encoding="utf-8")
+        tiny_config.write_text(text.replace("step_mw = 10.0\nmax_mw = 40.0",
+                                            "step_mw = 1e307\nmax_mw = 1e308"), encoding="utf-8")
+        out = tiny_config.parent / "out"
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            "error: [game] energy table e_g1 must be finite"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["stats", "run"])
     def test_zero_mean_wind_gives_nan_max_error(self, tmp_path, command):
         # an all-calm site: its max error is 0 / 0, a nan with no numpy warning,
@@ -734,11 +751,11 @@ class TestCli:
     def test_out_of_memory_is_stage_tagged(self, tiny_config, monkeypatch, capsys):
         import windgame.runner as runner_mod
 
-        def exhausted(realisation, curve, grid):
+        def exhausted(realisation, curve, grid, costs):
             raise MemoryError("Unable to allocate 1.82 TiB for an array with shape "
                               "(500001, 500001) and data type float64")
 
-        monkeypatch.setattr(runner_mod, "build_energy_tables", exhausted)
+        monkeypatch.setattr(runner_mod, "solve_realisation", exhausted)
         assert main(["run", "--config", str(tiny_config), "--out",
                      str(tiny_config.parent / "out"), "--workers", "2"]) == 1
         assert ("error: [game] out of memory: Unable to allocate 1.82 TiB"

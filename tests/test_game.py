@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from windgame import (ChainConfig, CostParams, EnergyTables, ProfitSurfaces, StrategyGrid,
                       WindGameError, _native, build_energy_tables, default_power_curve,
                       equilibria, profit_surfaces, run_chain, stackelberg)
-from windgame import game
+from windgame import game, sim
 
-from conftest import use_kernel_path
+from conftest import follower_columns, use_kernel_path
 
 
 def tables_2x2():
@@ -198,7 +198,7 @@ def assert_same_equilibrium(row, ref):
 def assert_same_curves(tables, sweep, refs):
     """The follower's best responses that ``equilibria`` reads at each point of
     ``sweep`` against each reference's curve."""
-    cols = game._follower_best(_native.load_kernels(), tables, sweep)
+    cols = follower_columns(_native.load_kernels(), tables, sweep)
     for row, ref in zip(cols, refs, strict=True):
         assert np.array_equal(row, ref.best_response.indices)
 
@@ -365,11 +365,12 @@ class TestEquilibrium:
            st.lists(st.tuples(st.sampled_from([1.0, 74.3, 1e305, 1.4e308]),
                               *[st.sampled_from([0.0, 0.26, 0.8, 1.2])] * 3,
                               st.sampled_from([0.0, 9.0e6])), min_size=1, max_size=6),
-           st.sampled_from([1, 6, game._CHUNK_CELLS]))
-    def test_sweep_in_one_call_matches_reference_per_point(self, k, seed, points, chunk_cells):
+           st.sampled_from([1, 6, sim._BLOCK_CELLS]))
+    def test_sweep_in_one_call_matches_reference_per_point(self, k, seed, points, block_cells):
         # a sweep whose points fall under and over the overflow bound, solved
-        # in chunks of one point, of a few, or all at once: one call solves
-        # them all as the reference solves each, or raises as it does
+        # over blocks of one row, of a few (the last one short), or of all
+        # rows: one call solves them all as the reference solves each, or
+        # raises as it does
         rng = np.random.default_rng(seed)
         grid = StrategyGrid(step=1.0, p_n_max=float(k - 1))
         tables = EnergyTables(e_g1=rng.uniform(0.0, 900.0, k), e_g2=rng.uniform(0.0, 900.0, k),
@@ -391,7 +392,7 @@ class TestEquilibrium:
                     assert_same_equilibrium(row, ref)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(game, "_CHUNK_CELLS", chunk_cells)
+            patch.setattr(sim, "_BLOCK_CELLS", block_cells)
             on_each_path(check)
 
     def test_solve_never_calls_the_reference(self, monkeypatch):
@@ -423,12 +424,19 @@ class TestEquilibrium:
             dataclasses.replace(tables, **{name: value})
 
 
+FINE_GRID = StrategyGrid(step=0.5, p_n_max=500.5)  # the paper's 1,002 points
+
+
 @pytest.fixture(scope="module")
-def fine_grid_tables(synthetic_tables):
+def fine_grid_realisation(synthetic_tables):
+    """A short chain, as the fine-grid benchmark samples them."""
+    return run_chain(ChainConfig(n=125, realisations=1, seed=55), synthetic_tables, 0)
+
+
+@pytest.fixture(scope="module")
+def fine_grid_tables(fine_grid_realisation):
     """Energy tables of a short chain on the paper's 1,002-point grid."""
-    realisation = run_chain(ChainConfig(n=125, realisations=1, seed=55), synthetic_tables, 0)
-    return build_energy_tables(realisation, default_power_curve(),
-                               StrategyGrid(step=0.5, p_n_max=500.5))
+    return build_energy_tables(fine_grid_realisation, default_power_curve(), FINE_GRID)
 
 
 class TestEquilibriumOnFineGrid:
@@ -471,3 +479,49 @@ class TestEquilibriumOnFineGrid:
         # the follower's profit is the one k x k surface the fallback holds
         k = len(fine_grid_tables.grid)
         assert self.solve_peak(fine_grid_tables, "numpy", monkeypatch) < 1.5 * 8 * k * k
+
+
+class TestSolveRealisation:
+    """The runner's job: the solve over blocks of the tables' rows, each block
+    computed as the solve reads it, against the solve over the whole tables."""
+
+    SWEEP = [CostParams.from_fractions(74.3, frac, 0.26, 0.20, 9.0e6)
+             for frac in TestEquilibriumOnFineGrid.P_T_FRACS]
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    @pytest.mark.parametrize("grid, full_blocks, rest", [
+        (StrategyGrid(step=5.0, p_n_max=100.0), 0, 21),  # the desk grid: one block
+        (StrategyGrid(step=0.5, p_n_max=299.5), 5, 55),  # 600 rows: 5 x 109, then 55
+    ], ids=["k21", "k600"])
+    def test_matches_the_whole_tables_bit_for_bit(self, path, grid, full_blocks, rest,
+                                                  synthetic_tables, monkeypatch):
+        use_kernel_path(path, monkeypatch)
+        k = len(grid)
+        assert divmod(k, sim.block_rows(k)) == (full_blocks, rest)
+        realisation = run_chain(ChainConfig(n=60, realisations=1, seed=7), synthetic_tables, 0)
+        curve = default_power_curve()
+        want = equilibria(build_energy_tables(realisation, curve, grid), self.SWEEP)
+        got = game.solve_realisation(realisation, curve, grid, self.SWEEP)
+        # the fee above the tariff gives pi2 = -0.0, so the bytes check signs
+        assert np.signbit(want[-1, 3]) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("path", ["compiled", "numpy"])
+    def test_holds_no_k_by_k_table(self, path, fine_grid_realisation, monkeypatch):
+        # one k x k float64 table is 8.0 MB at k=1,002; the solve holds a block
+        # of rows of each (~0.5 MB) and its (points, rows) intermediates
+        use_kernel_path(path, monkeypatch)
+        curve = default_power_curve()
+
+        def peak(solve) -> int:
+            tracemalloc.start()
+            try:
+                solve()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: game.solve_realisation(fine_grid_realisation, curve, FINE_GRID,
+                                                   self.SWEEP)) < 4e6
+        if path == "compiled":  # the whole tables' solve fails the bound
+            assert peak(lambda: equilibria(build_energy_tables(
+                fine_grid_realisation, curve, FINE_GRID), self.SWEEP)) > 4e6

@@ -589,6 +589,25 @@ class TestAlignSeries:
         with pytest.raises(IngestError, match="no common timestamps.*2006.*2010"):
             align_series(w1, w2, demand)
 
+    @pytest.mark.parametrize("spans", [((0, 10), (2, 8), (4, 10)), ((3, 10), (0, 6), (1, 9)),
+                                       ((0, 4), (5, 9), (0, 9)), ((0, 1), (0, 1), (0, 1))],
+                             ids=["inner", "both-ends", "disjoint", "one-stamp"])
+    def test_common_stamps_match_intersect1d(self, spans):
+        # partial overlaps at either end, and no overlap at all, against a
+        # sorted intersection of the three stamp sets
+        stamps = hourly(10)
+        w1, w2, demand = (TimeSeries(stamps[lo:hi], np.full(hi - lo, 5.0), name)
+                          for (lo, hi), name in zip(spans, ("w1", "w2", "demand")))
+        want = np.intersect1d(np.intersect1d(w1.timestamps, w2.timestamps), demand.timestamps)
+        if len(want) == 0:
+            detail = "; ".join(series.coverage() for series in (w1, w2, demand))
+            with pytest.raises(IngestError) as caught:
+                align_series(w1, w2, demand)
+            assert str(caught.value) == f"no common timestamps across inputs ({detail})"
+        else:
+            got = align_series(w1, w2, demand).timestamps
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_fields_equal_source_values_exactly(self):
         ts = hourly(10)
         rng = np.random.default_rng(3)

@@ -7,6 +7,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -24,9 +25,9 @@ from windgame import (ChainConfig, CostParams, EnergyTables, FitError, PowerCurv
                       default_power_curve, fit_sigmoid, load_curve_points,
                       per_unit_output, per_unit_series, run_chain)
 from windgame import _native, game
-from windgame.sim import PerUnitSeries
+from windgame.sim import PerUnitSeries, energy_blocks
 
-from conftest import REPO_ROOT, use_kernel_path
+from conftest import REPO_ROOT, follower_columns, use_kernel_path
 
 
 def brute_force_energy_tables(x1, x2, p_d, grid_values):
@@ -92,16 +93,20 @@ def compile_kernels(compiler, path, *flags):
                    capture_output=True, check=True, timeout=300)
 
 
-# Runs in a subprocess with the sanitizer runtimes preloaded: the three
+# Runs in a subprocess with the sanitizer runtimes preloaded: the four
 # kernels of the sanitized library at argv[1] against the fallbacks, bit for
-# bit. 37 columns: no vector width divides it; a fee above the tariff; a
-# chain pair at burn-in 0 and 0.2.
+# bit. 37 columns: no vector width divides it; blocks of 10 rows, so the
+# row-range kernels run at row0 0, 10, 20 and 30, the last block 7 rows
+# long, and also over all 37 rows at once; a fee above the tariff; a chain
+# pair at burn-in 0 and 0.2.
 SANITIZED_RUN = """
 import sys
 import numpy as np
 from windgame import (ChainConfig, CostParams, PerUnitSeries, SamplerTables, StrategyGrid,
-                      _native, build_energy_tables, equilibria, run_chains)
+                      _native, build_energy_tables, equilibria, game, run_chains, sim)
 from windgame.ingest import JointSeries
+
+sim._BLOCK_CELLS = 370
 
 sanitized = _native._bind(sys.argv[1])
 rng = np.random.default_rng(18)
@@ -122,7 +127,10 @@ sampler = SamplerTables.from_series(history, 1.0, 10)
 def outputs():
     tables = build_energy_tables(series, None, grid)
     yield from (tables.e_g1, tables.e_g2, tables.e_c1, tables.e_c2)
+    for _, e_c1, e_c2 in sim.energy_blocks(series, None, grid)[2]:
+        yield from (e_c1, e_c2)
     yield equilibria(tables, costs)
+    yield game.solve_realisation(series, None, grid, costs)
     for burn in (0.0, 0.2):
         for chain in run_chains(ChainConfig(n=300, realisations=2, burn_in_fraction=burn,
                                             seed=5), sampler, (0, 1)):
@@ -440,7 +448,7 @@ class TestKernelBuild:
         scalars = {"ptrdiff_t": ctypes.c_ssize_t, "int64_t": ctypes.c_int64,
                    "double": ctypes.c_double}
         results = {"void": None, "int": ctypes.c_int}
-        for name in ("energy_tables", "gibbs_chain", "follower_best"):
+        for name in ("energy_generation", "energy_tables", "gibbs_chain", "follower_best"):
             result, params = re.search(rf"^(\w+) {name}\(([^)]*)\)", source, re.M).groups()
             argtypes = [ctypes.c_void_p if "*" in param else scalars[param.split()[0]]
                         for param in params.split(",")]
@@ -460,7 +468,7 @@ class TestKernelBuild:
     def test_every_vector_clone_matches_the_fallbacks(self, isa, tmp_path, monkeypatch):
         # the loaded library runs only the widest clone this CPU has; built
         # alone, every clone this CPU can run must give the fallbacks' bits
-        compiler = _native.shutil.which("cc")
+        compiler = shutil.which("cc")
         if compiler is None:
             pytest.skip("no C compiler on this machine")
         if isa is not None and not cpu_has(isa):
@@ -477,11 +485,19 @@ class TestKernelBuild:
         expected = build_energy_tables(series, None, grid)
         for name in ("e_g1", "e_g2", "e_c1", "e_c2"):
             assert getattr(tables, name).tobytes() == getattr(expected, name).tobytes(), name
+        # blocks of 100 rows: row0 100 and 200, the last block 59 rows long
+        monkeypatch.setattr(_native, "load_kernels", lambda: clone)
+        e_g1, e_g2, blocks = energy_blocks(series, None, grid, rows=100)
+        assert (e_g1.tobytes(), e_g2.tobytes()) == (expected.e_g1.tobytes(),
+                                                    expected.e_g2.tobytes())
+        for row0, e_c1, e_c2 in blocks:
+            assert e_c1.tobytes() == expected.e_c1[row0:row0 + 100].tobytes(), row0
+            assert e_c2.tobytes() == expected.e_c2[row0:row0 + 100].tobytes(), row0
         # 1.2: a fee above the tariff; every point in one call
         points = [CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 9.0e6)
                   for p_t_frac in (0.0, 0.26, 0.8, 1.2)]
-        assert np.array_equal(game._follower_best(clone, tables, points),
-                              game._follower_best(None, tables, points))
+        assert np.array_equal(follower_columns(clone, tables, points),
+                              follower_columns(None, tables, points))
         # designed rows at margin -1 and c_g2 1, where a cell is
         # (g - c2) * -1 - g: column 13 (g = 0) gives -0.0, c2 = 2 over g = 1
         # gives +0.0, c2 = 3 gives 1.0 and c2 = 0 gives -2.0
@@ -496,9 +512,9 @@ class TestKernelBuild:
         designed = EnergyTables(e_g1=np.zeros(k), e_g2=e_g2, e_c1=np.zeros((k, k)),
                                 e_c2=e_c2, grid=StrategyGrid(step=1.0, p_n_max=k - 1.0))
         point = [CostParams(p_g=1.0, p_t=2.0, c_g1=0.0, c_g2=1.0, c_t=0.0)]
-        cols = game._follower_best(clone, designed, point)
+        cols = follower_columns(clone, designed, point)
         assert cols[0, :5].tolist() == [13, 5, k - 1, k - 1, 0]
-        assert np.array_equal(cols, game._follower_best(None, designed, point))
+        assert np.array_equal(cols, follower_columns(None, designed, point))
         # the solve on this clone gives the reference's bits, -0.0 included
         monkeypatch.setattr(_native, "load_kernels", lambda: clone)
         for table, sweep in ((designed, point), (tables, points)):
@@ -510,7 +526,7 @@ class TestKernelBuild:
     def test_kernels_run_clean_under_sanitizers(self, tmp_path):
         # every array crosses into C as a bare address, so only a sanitized
         # build sees an out-of-bounds access or undefined behaviour
-        compiler = _native.shutil.which("cc")
+        compiler = shutil.which("cc")
         if compiler is None:
             pytest.skip("no C compiler on this machine")
         runtimes = [subprocess.run([compiler, f"-print-file-name={name}"], capture_output=True,
@@ -528,7 +544,7 @@ class TestKernelBuild:
         assert done.returncode == 0, done.stderr[-4000:]
 
     def test_cached_binary_is_reused(self, tmp_path, monkeypatch):
-        if _native.shutil.which("cc") is None and _native.shutil.which("gcc") is None:
+        if shutil.which("cc") is None and shutil.which("gcc") is None:
             pytest.skip("no C compiler on this machine")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         path = _native._compile_kernel()
@@ -544,7 +560,7 @@ class TestKernelBuild:
     def test_failed_build_warns_once_and_falls_back(self, tmp_path, monkeypatch, caplog,
                                                      synthetic_tables):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(_native.shutil, "which", lambda name: None)
+        monkeypatch.setattr(shutil, "which", lambda name: None)
         series = random_per_unit(20, seed=14)
         grid = StrategyGrid(step=20.0, p_n_max=100.0)
         _native._load_kernels.cache_clear()
@@ -566,7 +582,7 @@ class TestKernelBuild:
             return None
 
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(_native.shutil, "which", slow_no_compiler)
+        monkeypatch.setattr(shutil, "which", slow_no_compiler)
         series = random_per_unit(20, seed=15)
         grid = StrategyGrid(step=20.0, p_n_max=100.0)
         threads = 4  # more than the cores of a small CI runner
