@@ -2,22 +2,24 @@
  * (energy_generation and energy_tables, for sim.py), the sweeps of one Gibbs
  * chain or of two in lockstep (gibbs_chain, for gibbs.py) and the
  * follower's best response to every leader capacity of a block of rows at
- * every sweep point (follower_best, for game.py). Each performs exactly the
- * operations of the fallback beside its caller (numpy in sim.py and game.py,
- * plain Python in gibbs.py), in the same order and with plain double
- * arithmetic, so both paths give the same bits as long as the compiler
+ * every sweep point (follower_best, for game.py). They are the package's
+ * only implementation of each step. Each performs exactly the operations
+ * of the oracle the tests hold for it (the literal per-timestep loop, a
+ * scalar sampler that draws its uniforms with numpy, and np.argmax of the
+ * follower's profit surface), in the same order and with plain double
+ * arithmetic, so each gives the oracle's bits as long as the compiler
  * neither contracts a*b+c into a fused multiply-add nor reassociates: build
  * with -ffp-contract=off and without -ffast-math. No kernel returns an
  * error: each caller checks what it passes, and game.py refuses what a
  * non-finite table or an overflowing profit would make of the results.
  * gibbs_chain also draws its uniforms itself, from each chain's numpy
- * PCG64 stream, where the fallback draws them with numpy. Otherwise the
- * loops are plain: a hand optimisation stays only where it was timed to
- * pay (energy_tables' guarded division, follower_best's order_key maximum).
+ * PCG64 stream. Otherwise the loops are plain: a hand optimisation stays
+ * only where it was timed to pay (energy_tables' guarded division,
+ * follower_best's order_key maximum).
  *
  * gibbs_chain needs unsigned __int128 (GCC and Clang have it on 64-bit
- * targets). A compiler without it fails the build, and the package runs
- * every fallback, with one warning.
+ * targets). A compiler without it fails the build, and `windgame run` and
+ * `windgame stats` stop with an error that quotes the compiler's last line.
  *
  * The energy kernels compute, per cell, the operations of the literal
  * per-timestep loop documented in sim.py:

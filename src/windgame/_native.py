@@ -2,18 +2,20 @@
 
 The source holds four entry points: ``energy_generation`` and
 ``energy_tables`` (used by ``sim``), ``gibbs_chain`` (used by ``gibbs``) and
-``follower_best`` (used by ``game``). Each takes every array, and ``gibbs_chain`` its ``GibbsTables``,
-as a ``c_void_p`` address, so ctypes checks only the scalars; the caller
-passes arrays it built or checked in the kernel's types, each bound to a
-name until the call returns (an address keeps no array alive). The source
-is compiled on the first call to ``load_kernels``, not at import, and cached
-per user under ``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``);
-only a cache miss imports what a build needs (``shutil``, ``subprocess``,
-``tempfile``). When no compiler is found, the build or load fails (``gibbs_chain`` needs
-the compiler's ``unsigned __int128``) or the library lacks an entry point,
-one warning is logged and ``load_kernels`` returns None, so each caller
-runs its own fallback (numpy in ``sim``, np.argmax of the follower's profit
-per point in ``game``, Python in ``gibbs``), which gives the same bits.
+``follower_best`` (used by ``game``); they are the package's only
+implementation of each. Each takes every array, and ``gibbs_chain`` its
+``GibbsTables``, as a ``c_void_p`` address, so ctypes checks only the
+scalars; the caller passes arrays it built or checked in the kernel's
+types, each bound to a name until the call returns (an address keeps no
+array alive). The source is compiled on the first call to
+``load_kernels``, not at import, and cached per user under
+``$XDG_CACHE_HOME/windgame`` (default ``~/.cache/windgame``); only a cache
+miss imports what a build needs (``shutil``, ``subprocess``,
+``tempfile``). The build needs GCC or Clang as ``cc`` or ``gcc`` on PATH
+(``gibbs_chain`` uses their ``unsigned __int128``). When no compiler is
+found, the build or load fails, the cache cannot be written or the library
+lacks an entry point, ``load_kernels`` raises a ``WindGameError`` naming
+that, and every later call in the process raises it again without a retry.
 """
 from __future__ import annotations
 
@@ -21,21 +23,20 @@ import contextlib
 import ctypes
 import functools
 import hashlib
-import logging
 import os
 import platform
 import threading
 from importlib import resources
 from pathlib import Path
 
-log = logging.getLogger("windgame")
+from .errors import WindGameError
 
 _KERNEL_SOURCE = "_kernels.c"
 # No -ffast-math: the kernels must neither contract nor reassociate. No
 # -march=native: the cache key names only the machine type, so the binary
 # must run on every CPU of that type; energy_tables dispatches by CPU at load.
 _KERNEL_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
-# serialises _load_kernels' first call, so one thread compiles or warns
+# serialises _load_kernels' first call, so one thread compiles or fails
 _KERNEL_LOCK = threading.Lock()
 
 
@@ -70,7 +71,8 @@ def _compile_kernel() -> Path:
         os.replace(tmp, target)
     except subprocess.SubprocessError as exc:
         stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace").strip()
-        raise RuntimeError(f"{exc}\n{stderr}" if stderr else str(exc)) from exc
+        raise RuntimeError(f"{compiler}: {stderr.splitlines()[-1]}" if stderr else str(exc)) \
+            from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
@@ -104,16 +106,20 @@ def _bind(path) -> ctypes.CDLL:
 
 @functools.cache
 def _load_kernels():
+    """The bound library, or the error its build or load raised: a cached
+    result, so a process builds once and a failed build is not retried."""
     try:
         return _bind(_compile_kernel())
     except (OSError, RuntimeError, AttributeError) as exc:
-        log.warning("compiled kernels unavailable, using the fallback loops: %s", exc)
-        return None
+        return WindGameError(f"compiled kernels unavailable: {exc}")
 
 
-def load_kernels():
+def load_kernels() -> ctypes.CDLL:
     """The compiled library (``energy_generation``, ``energy_tables``,
-    ``gibbs_chain``, ``follower_best``), or None once it failed to build or
-    load."""
+    ``gibbs_chain``, ``follower_best``); a ``WindGameError`` naming what
+    failed when it cannot be built or loaded, the same on every call."""
     with _KERNEL_LOCK:
-        return _load_kernels()
+        kernels = _load_kernels()
+    if isinstance(kernels, WindGameError):
+        raise WindGameError(*kernels.args)  # a new one per caller: threads raise it at once
+    return kernels

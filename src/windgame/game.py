@@ -11,13 +11,12 @@ smaller capacity. ``stackelberg`` over ``profit_surfaces`` is the
 full-surface reference. ``equilibria`` (from energy tables) and
 ``solve_realisation`` (from a realisation, the runner's job) give its p_n1,
 p_n2, pi1 and pi2 bit for bit, as one row per sweep point of one
-realisation, by one solve on every machine that reads the curtailment
-tables a block of rows at a time: ``_follower_best`` finds each row's best
-response at every point (in one call of the ``follower_best`` kernel of
-``_kernels.c`` per block, with no k x k surface, or, when no kernel loads,
-from the follower's profit alone), the leader's profit is evaluated along
-those curves alone, and the follower's at the one cell per point that the
-leader picks. ``solve_realisation`` computes each block of the tables as it
+realisation, by one solve that reads the curtailment tables a block of
+rows at a time: ``_follower_best`` finds each row's best response at every
+point (in one call of the ``follower_best`` kernel of ``_kernels.c`` per
+block, with no k x k surface), the leader's profit is evaluated along those
+curves alone, and the follower's at the one cell per point that the leader
+picks. ``solve_realisation`` computes each block of the tables as it
 needs it (``sim.energy_blocks``), so it never holds a k x k array.
 """
 from __future__ import annotations
@@ -133,15 +132,9 @@ def _follower_best(kernels, e_g2: np.ndarray, e_c2: np.ndarray, margin: np.ndarr
     """The (points, rows) first argmax per row of ``_follower_profit`` over
     ``e_c2``, a block of rows of the follower's curtailment table, at each
     point's ``margin`` and ``c_g2`` (contiguous float64 arrays): row by row in
-    the ``follower_best`` kernel, O(k) memory and no surface, or, with
-    ``kernels`` None, by np.argmax of each point's follower profit over the
-    block. A cell that overflows raises no numpy warning: ``_solve`` keeps a
-    column only where no cell of its point can overflow, or where the
-    reference found every cell finite."""
-    if kernels is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.stack([np.argmax(_follower_profit(e_g2, e_c2, m, c), axis=1)
-                             for m, c in zip(margin, c_g2)])
+    the ``follower_best`` kernel of ``kernels``, O(k) memory and no surface.
+    ``_solve`` keeps a column only where no cell of its point can overflow,
+    or where the reference found every cell finite."""
     rows, k = e_c2.shape
     cols = np.empty((len(margin), rows), dtype=np.int64)
     work = np.empty(k)  # a row's profits at one point

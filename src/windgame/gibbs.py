@@ -13,9 +13,8 @@ and the chain index, so a realisation is reproducible in isolation.
 draws each chain's start state, then the ``gibbs_chain`` kernel of
 ``_kernels.c`` runs the sweeps over the CSR arrays, two chains at a time,
 drawing each chain's uniforms from its own numpy PCG64 stream, so no array
-of uniforms is built. When the kernel cannot be built or loaded, a
-plain-Python loop runs each chain from one numpy draw of its uniforms, with
-the same bits. Samples stay in memory: nothing here writes files.
+of uniforms is built; the tests hold a scalar sampler as its oracle.
+Samples stay in memory: nothing here writes files.
 
 The confidence width's Student-t quantile is scipy's ``stdtrit``, read from
 a table of its values up to N = 256 realisations and imported only for larger
@@ -216,23 +215,18 @@ def run_chains(config: ChainConfig, tables: SamplerTables,
     takes its uniforms from ``chain_rng(seed, k)``, two for the start and
     three per sweep in that order, so it does not depend on which other
     chains run. The compiled kernel draws the sweeps' uniforms from that
-    stream itself and advances consecutive chains two at a time; when it
-    cannot load, Python runs each chain's sweeps from one draw of them all.
+    stream itself and advances consecutive chains two at a time.
     """
     kernels = _native.load_kernels()
     realisations = []
     for at in range(0, len(indices), 2):
         pair = indices[at:at + 2]
         chains = [_start(config, tables, k) for k in pair]
-        if kernels is None:
-            for rng, j, out in chains:
-                _sweep_python(tables, rng.random(3 * (config.n - 1)), j, config.burn_in, out)
-        else:
-            words = np.array([w for rng, j, _ in chains for w in _start_words(rng, j)],
-                             dtype=np.uint64)
-            outs = [out.ctypes.data for _, _, out in chains] + [None]  # None: no second chain
-            kernels.gibbs_chain(config.n, config.burn_in, words.ctypes.data,
-                                ctypes.addressof(tables._kernel_tables), *outs[:2])
+        words = np.array([w for rng, j, _ in chains for w in _start_words(rng, j)],
+                         dtype=np.uint64)
+        outs = [out.ctypes.data for _, _, out in chains] + [None]  # None: no second chain
+        kernels.gibbs_chain(config.n, config.burn_in, words.ctypes.data,
+                            ctypes.addressof(tables._kernel_tables), *outs[:2])
         realisations += [Realisation(w1=out[0], w2=out[1], p_d=out[2], chain_index=k)
                          for k, (_, _, out) in zip(pair, chains)]
     return realisations
@@ -249,27 +243,6 @@ def _draw_demand(tables: SamplerTables, w1, w2, u):
     start, length, values = tables.flat[2]
     row = tables._mean_map[tables.demand.mean_spec.unchecked_indices((w1 + w2) * 0.5)]
     return values[start[row] + (u * length[row]).astype(np.int64)]
-
-
-def _sweep_python(tables: SamplerTables, uniforms: np.ndarray, j: int, burn: int,
-                  out: np.ndarray) -> None:
-    """The kernel's sweeps from start column ``j``: the winds one sweep at a
-    time over list copies of the tables, then the kept states' demand in one
-    numpy step. Writes the states kept after burn-in to the end of ``out``."""
-    (col_start, col_len, col_w1, col_row), (row_start, row_len, row_w2, row_col) = \
-        [[a.tolist() for a in group] for group in tables.flat[:2]]
-    u = uniforms.reshape(-1, 3)
-    w1, w2 = [], []
-    for u0, u1 in u[:, :2].tolist():
-        k = col_start[j] + int(u0 * col_len[j])
-        w1.append(col_w1[k])
-        i = col_row[k]
-        k = row_start[i] + int(u1 * row_len[i])
-        w2.append(row_w2[k])
-        j = row_col[k]
-    kept = max(burn, 1) - 1  # sweep t fills list entry t - 1
-    w1, w2 = np.array(w1[kept:]), np.array(w2[kept:])
-    out[:, out.shape[1] - len(w1):] = w1, w2, _draw_demand(tables, w1, w2, u[kept:, 2])
 
 
 def run_ensemble(config: ChainConfig, tables: SamplerTables,

@@ -8,9 +8,8 @@ energy tables once (cost parameters cannot affect the physics), a block of
 rows at a time, and returns the (sweep, 4) block, so no realisation outlives
 its job and no job holds a k x k table. A solving job takes one chain, a
 ``stats`` job two consecutive chains together. Jobs run on ``workers``
-threads (the compiled kernels and numpy's block loops release the GIL) and
-each result depends on the chain index alone, so reports are byte-identical
-for every pool size. Failures, in a thread too, running out of memory and Ctrl-C are
+threads (the compiled kernels release the GIL) and each result depends on
+the chain index alone, so reports are byte-identical for every pool size. Failures, in a thread too, running out of memory and Ctrl-C are
 re-raised tagged with their stage; after one, no job starts and those in
 flight finish. Reports are renamed into place once written.
 """

@@ -14,11 +14,10 @@ e_c[i,j] += pc_i(x1[t] * grid[i], x2[t] * grid[j], p_d[t])
 The tables are built by the ``energy_generation`` and ``energy_tables``
 kernels of ``_kernels.c``, which perform exactly those operations per cell.
 ``_native`` compiles them on the first call, not at import, and caches them
-per user. When they cannot be built or loaded, numpy loops with the same
-arithmetic run instead; both give the same bits. ``energy_blocks`` yields
-the k x k curtailment tables a block of rows at a time, into one reused
-pair of arrays, so the game's solve of a realisation never holds them
-whole; ``build_energy_tables`` is its one-block case.
+per user; the tests hold the literal loop as their oracle.
+``energy_blocks`` yields the k x k curtailment tables a block of rows at a
+time, into one reused pair of arrays, so the game's solve of a realisation
+never holds them whole; ``build_energy_tables`` is its one-block case.
 """
 from __future__ import annotations
 
@@ -272,36 +271,6 @@ def block_rows(k: int) -> int:
     return max(1, _BLOCK_CELLS // k)
 
 
-def _generation_numpy(x1, x2, values, e_g1, e_g2) -> None:
-    """energy_generation's arithmetic, one timestep at a time over the grid."""
-    e_g1.fill(0.0)
-    e_g2.fill(0.0)
-    with np.errstate(over="ignore"):  # EnergyTables and the solve refuse it
-        for t in range(len(x1)):
-            e_g1 += x1[t] * values
-            e_g2 += x2[t] * values
-
-
-def _curtailment_numpy(x1, x2, p_d, values, row0, e_c1, e_c2) -> None:
-    """energy_tables' arithmetic for rows row0.. of the grid, one timestep at a
-    time over the whole block."""
-    own = values[row0:row0 + len(e_c1), None]
-    e_c1.fill(0.0)
-    e_c2.fill(0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(len(p_d)):
-            g1 = x1[t] * own
-            total = g1 + x2[t] * values
-            surplus = total - p_d[t]
-            np.maximum(surplus, 0.0, out=surplus)
-            # in place where the kernel names a new value: pc1 = surplus * share
-            pc1 = np.divide(g1, total, out=np.zeros_like(total), where=total > 0.0)
-            pc1 *= surplus
-            e_c1 += pc1
-            surplus -= pc1
-            e_c2 += surplus
-
-
 def energy_blocks(realisation: Realisation | PerUnitSeries, curve: PowerCurve,
                   grid: StrategyGrid, rows: int | None = None):
     """A realisation's energy tables as ``(e_g1, e_g2, blocks)``: e_g1 and e_g2
@@ -311,7 +280,7 @@ def energy_blocks(realisation: Realisation | PerUnitSeries, curve: PowerCurve,
     of the one before it, so only one block of each table exists at a time:
     read a block before taking the next. Every cell has the operations and
     the timestep order of the literal loop in the module header, whatever
-    the block size, on either kernel path.
+    the block size.
     """
     series = realisation if isinstance(realisation, PerUnitSeries) \
         else per_unit_series(realisation, curve)
@@ -324,20 +293,14 @@ def energy_blocks(realisation: Realisation | PerUnitSeries, curve: PowerCurve,
     rows = min(k, block_rows(k) if rows is None else rows)
     kernels = _native.load_kernels()
     e_g1, e_g2 = np.empty(k), np.empty(k)
-    if kernels is None:
-        _generation_numpy(x1, x2, values, e_g1, e_g2)
-    else:
-        kernels.energy_generation(n, k, *(a.ctypes.data for a in (x1, x2, values, e_g1, e_g2)))
+    kernels.energy_generation(n, k, *(a.ctypes.data for a in (x1, x2, values, e_g1, e_g2)))
 
     def blocks():
         e_c1, e_c2 = np.empty((rows, k)), np.empty((rows, k))
         for row0 in range(0, k, rows):
             c1, c2 = e_c1[:k - row0], e_c2[:k - row0]  # the last block may be short
-            if kernels is None:
-                _curtailment_numpy(x1, x2, p_d, values, row0, c1, c2)
-            else:
-                kernels.energy_tables(n, k, row0, len(c1), *(a.ctypes.data for a in (
-                    x1, x2, p_d, values, c1, c2)))
+            kernels.energy_tables(n, k, row0, len(c1), *(a.ctypes.data for a in (
+                x1, x2, p_d, values, c1, c2)))
             yield row0, c1, c2
 
     return e_g1, e_g2, blocks()
@@ -350,7 +313,7 @@ def build_energy_tables(realisation: Realisation | PerUnitSeries, curve: PowerCu
 
     Matches the literal loop documented in the module header: every cell
     is accumulated in timestep order with plain double-precision adds, so
-    results are bit-identical to the scalar triple loop on either path.
+    results are bit-identical to the scalar triple loop.
     """
     e_g1, e_g2, blocks = energy_blocks(realisation, curve, grid, rows=len(grid))
     ((_, e_c1, e_c2),) = blocks

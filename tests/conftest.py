@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from windgame import SamplerTables, _native, game
+from windgame import SamplerTables, game
 from windgame.ingest import JointSeries
 from windgame.synthetic import DEFAULT_SEED, DEMAND_START, HOUR, _generate
 
@@ -26,15 +26,29 @@ def joint_from_arrays(w1, w2, p_d) -> JointSeries:
                        p_d=np.asarray(p_d, dtype=np.float64))
 
 
-def use_kernel_path(path: str, monkeypatch) -> str:
-    """Send the package to its compiled kernels ("compiled"; the test is
-    skipped when they cannot load) or to its fallback loops ("numpy")."""
-    if path == "compiled":
-        if _native.load_kernels() is None:
-            pytest.skip("compiled kernels unavailable on this machine")
-    else:
-        monkeypatch.setattr(_native, "load_kernels", lambda: None)
-    return path
+def numpy_energy_tables(x1, x2, p_d, values):
+    """The literal loop's arithmetic (``test_sim.brute_force_energy_tables``),
+    one timestep at a time over the whole grid: the same four tables, bit for
+    bit, in a fraction of its time. A fast oracle for grids the literal loop
+    takes seconds over; ``TestEnergyKernelOracle`` checks it against that loop."""
+    k = len(values)
+    e_g1, e_g2 = np.zeros(k), np.zeros(k)
+    e_c1, e_c2 = np.zeros((k, k)), np.zeros((k, k))
+    own = values[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(len(p_d)):
+            e_g1 += x1[t] * values
+            e_g2 += x2[t] * values
+            g1 = x1[t] * own
+            total = g1 + x2[t] * values
+            surplus = total - p_d[t]
+            np.maximum(surplus, 0.0, out=surplus)
+            pc1 = np.divide(g1, total, out=np.zeros_like(total), where=total > 0.0)
+            pc1 *= surplus  # pc1 = surplus * share, the loop's product
+            e_c1 += pc1
+            surplus -= pc1
+            e_c2 += surplus
+    return e_g1, e_g2, e_c1, e_c2
 
 
 def follower_columns(kernels, tables, costs) -> np.ndarray:

@@ -10,7 +10,6 @@ import re
 import resource
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import weakref
@@ -19,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from windgame import ConfigError, StageError, WindGameError
 from windgame.cli import main
 from windgame.config import PROFILES, SweepSpec, apply_profile, load_config, override_seed
 from windgame.runner import emit_report, ingest_joint_series, run_scenario, run_stats
 
-from conftest import REPO_ROOT, use_kernel_path
+from conftest import REPO_ROOT
 
 CONFIGS_DIR = f"{REPO_ROOT}/configs"
 
@@ -311,62 +310,6 @@ class TestRunScenario:
         fields = {"start_frac": 0.0, "stop_frac": 1.0, "step_frac": 0.1, name: bad}
         with pytest.raises(ConfigError, match=f"sweep {name} must be finite, got {bad}"):
             SweepSpec("p_t", **fields)
-
-    # no shrinking: each failing example reruns the whole pipeline twice, and
-    # shrinking one took minutes; the failure reports its unshrunk example
-    @settings(deadline=None, max_examples=60,
-              phases=[Phase.explicit, Phase.reuse, Phase.generate])
-    @given(dataset_seed=st.integers(0, 50),
-           bins=st.tuples(st.sampled_from([2.0, 3.0, 4.0, 6.0]), st.integers(1, 8)),
-           grid=st.tuples(st.sampled_from([5.0, 10.0, 20.0]), st.integers(0, 6)),
-           chain=st.tuples(st.integers(2, 400), st.integers(2, 4), st.integers(0, 2**31)),
-           sweep=st.tuples(st.sampled_from(["p_t", "c_g1", "c_g2"]), st.integers(0, 12),
-                           st.sampled_from([0.05, 0.1, 0.25, 0.5]), st.integers(1, 4)),
-           costs=st.tuples(st.sampled_from([1.0, 74.3, 500.0, 1e305]),
-                           *[st.floats(0.0, 1.5)] * 3, st.sampled_from([0.0, 1e3, 1e5])))
-    # every realisation's pi2 is finite (1.03e308 to 1.14e308), but their mean overflows
-    @example(dataset_seed=21, bins=(3.0, 6), grid=(20.0, 3), chain=(37, 3, 1835175),
-             sweep=("p_t", 0, 0.5, 1),
-             costs=(1e305, 1.3002329050567005, 0.937399680258423, 0.22200611132097153, 1000.0))
-    def test_compiled_and_fallback_paths_write_the_same_reports(
-            self, dataset_seed, bins, grid, chain, sweep, costs):
-        # every stage that has a kernel (sampler, energy tables, game) against
-        # its fallback, end to end; fee fractions above 1 charge more than the
-        # tariff, and a 1e305 tariff overflows the profits. Reports must match
-        # byte for byte, run.json apart from its timings, or both runs must
-        # fail with the same stage-tagged error.
-        width, min_count = bins
-        step, points = grid
-        parameter, start, sweep_step, count = sweep
-        p_g, p_t_frac, c_g1_frac, c_g2_frac, c_t = costs
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            write_tiny_dataset(tmp, seed=dataset_seed)
-            config = load_config(write_tiny_config(
-                tmp, bins=f"wind_width_ms = {width!r}\nmin_count = {min_count}",
-                grid=f"step_mw = {step!r}\nmax_mw = {step * points!r}",
-                chain="n = {}\nrealisations = {}\nseed = {}".format(*chain),
-                sweep=f"parameter = {parameter}\nstart_frac = {start / 10!r}\n"
-                      f"stop_frac = {start / 10 + sweep_step * (count - 1)!r}\n"
-                      f"step_frac = {sweep_step!r}",
-                costs=f"p_g = {p_g!r}\np_t_frac = {p_t_frac!r}\nc_g1_frac = {c_g1_frac!r}\n"
-                      f"c_g2_frac = {c_g2_frac!r}\nc_t = {c_t!r}"))
-            outcomes = []
-            for path in ("compiled", "numpy"):
-                with pytest.MonkeyPatch.context() as patch:
-                    use_kernel_path(path, patch)
-                    try:
-                        emit_report(run_scenario(config), tmp / path)
-                    except StageError as exc:
-                        outcomes.append(str(exc))
-                        continue
-                reports = {name: (tmp / path / name).read_bytes()
-                           for name in ("equilibria.csv", "per_realisation.csv",
-                                        "convergence.csv")}
-                metadata = json.loads((tmp / path / "run.json").read_text(encoding="utf-8"))
-                del metadata["timing_s"]
-                outcomes.append((reports, metadata))
-        assert outcomes[0] == outcomes[1]
 
     def test_singleton_run_min_equals_mean_equals_max(self, tmp_path):
         write_tiny_dataset(tmp_path)
@@ -676,14 +619,11 @@ class TestCli:
         assert "Warning:" not in done.stderr and "Traceback" not in done.stderr, done.stderr
         assert done.stderr.splitlines()[-1] == "error: [game] profit surfaces must be finite"
 
-    @pytest.mark.parametrize("path", ["compiled", "numpy"])
-    def test_non_finite_energy_table_refused_by_name(self, tiny_config, path, monkeypatch,
-                                                     capsys):
+    def test_non_finite_energy_table_refused_by_name(self, tiny_config, capsys):
         # capacities near the largest double: the sum of e_g1 over the hours
         # overflows first; the solve reads the tables a block of rows at a
         # time, yet names the table the whole-table check names, with no
         # numpy warning (the suite turns one into an error)
-        use_kernel_path(path, monkeypatch)
         text = tiny_config.read_text(encoding="utf-8")
         tiny_config.write_text(text.replace("step_mw = 10.0\nmax_mw = 40.0",
                                             "step_mw = 1e307\nmax_mw = 1e308"), encoding="utf-8")
@@ -1038,6 +978,31 @@ check("run", "scipy.special")
         assert code == 0
         out = capsys.readouterr().out
         assert "alpha=" in out and "beta=" in out
+
+    def test_without_a_compiler_run_and_stats_stop_and_fit_curve_works(self, tiny_config):
+        # PATH names an empty directory and the kernel cache is empty, so no
+        # kernel can be built: the first job that needs one stops the run with
+        # the loader's message, tagged with its stage, however many jobs fail
+        tmp = tiny_config.parent
+        env = dict(os.environ, PYTHONPATH="src", PATH=str(tmp / "no-bin"),
+                   XDG_CACHE_HOME=str(tmp / "empty-cache"))
+
+        def windgame(*args):
+            return subprocess.run([sys.executable, "-m", "windgame.cli", *args], cwd=REPO_ROOT,
+                                  env=env, capture_output=True, text=True, timeout=60)
+
+        for command, stage in (("run", "game"), ("stats", "sample")):
+            done = windgame(command, "--config", str(tiny_config), "--workers", "2",
+                            *(["--out", str(tmp / "out")] if command == "run" else []))
+            assert done.returncode == 1 and "Traceback" not in done.stderr, done.stderr
+            assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == \
+                [f"error: [{stage}] compiled kernels unavailable: no C compiler (cc or gcc) on "
+                 "PATH"]
+            assert done.stdout == ""
+        assert not (tmp / "out").exists()
+        fit = windgame("fit-curve", "--points",
+                       f"{REPO_ROOT}/src/windgame/data/enercon_e82_power_curve.csv")
+        assert fit.returncode == 0 and fit.stdout.startswith("alpha="), fit.stderr
 
     def test_failure_exit_code_and_message(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)

@@ -10,10 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from windgame import (ChainConfig, CostParams, EnergyTables, ProfitSurfaces, StrategyGrid,
                       WindGameError, _native, build_energy_tables, default_power_curve,
-                      equilibria, profit_surfaces, run_chain, stackelberg)
+                      equilibria, per_unit_series, profit_surfaces, run_chain, stackelberg)
 from windgame import game, sim
 
-from conftest import follower_columns, use_kernel_path
+from conftest import follower_columns, numpy_energy_tables
 
 
 def tables_2x2():
@@ -203,19 +203,8 @@ def assert_same_curves(tables, sweep, refs):
         assert np.array_equal(row, ref.best_response.indices)
 
 
-def on_each_path(check):
-    """Run ``check()`` on the compiled kernels, when they load here, and then
-    where none loads, which finds the follower's best responses from its
-    profit alone."""
-    paths = ("compiled", "numpy") if _native.load_kernels() is not None else ("numpy",)
-    for path in paths:
-        with pytest.MonkeyPatch.context() as patch:
-            use_kernel_path(path, patch)
-            check()
-
-
 class TestEquilibrium:
-    """The runner's solve against the full-surface reference, on both paths."""
+    """The runner's solve against the full-surface reference."""
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32 - 1),
@@ -236,16 +225,12 @@ class TestEquilibrium:
                            c_g2=draw(3, None), c_t=draw(9, None))
         surfaces = profit_surfaces(tables, costs)
         ref = stackelberg(surfaces, grid)
-        # both paths share the leader step, so its ties are checked on the oracle
+        # the reference's ties are checked on the exhaustive oracle
         i, j, br = exhaustive_equilibrium(surfaces.pi1, surfaces.pi2, grid.values)
         assert (ref.leader_index, ref.follower_index, ref.best_response.indices.tolist()) == \
                (i, j, br)
-
-        def check():
-            assert_same_equilibrium(equilibria(tables, [costs])[0], ref)
-            assert_same_curves(tables, [costs], [ref])
-
-        on_each_path(check)
+        assert_same_equilibrium(equilibria(tables, [costs])[0], ref)
+        assert_same_curves(tables, [costs], [ref])
 
     @pytest.mark.parametrize("tables, costs", [
         (tables_2x2()[0], dataclasses.replace(COSTS, p_t=60.0)),
@@ -261,7 +246,7 @@ class TestEquilibrium:
         # builds nothing and its profit is -0.0, which the reports print
         ref = stackelberg(profit_surfaces(tables, costs), tables.grid)
         assert ref.follower_index == 0 and np.signbit(ref.pi2_star)
-        on_each_path(lambda: assert_same_equilibrium(equilibria(tables, [costs])[0], ref))
+        assert_same_equilibrium(equilibria(tables, [costs])[0], ref)
 
     # the follower answers leader row 0 with column 1, so e_c1[0, 0] is a cell
     # that no solve reads, yet the reference refuses its surface
@@ -272,12 +257,8 @@ class TestEquilibrium:
         tables, grid = tables_2x2()
         table = getattr(tables, name).copy()
         table[cell] = bad
-
-        def check():
-            with pytest.raises(WindGameError, match="must be finite"):
-                equilibria(dataclasses.replace(tables, **{name: table}), [COSTS])[0]
-
-        on_each_path(check)
+        with pytest.raises(WindGameError, match="must be finite"):
+            equilibria(dataclasses.replace(tables, **{name: table}), [COSTS])[0]
 
     @pytest.mark.parametrize("costs", [dataclasses.replace(COSTS, p_g=1e308),
                                        dataclasses.replace(COSTS, c_g2=1e308)],
@@ -288,12 +269,8 @@ class TestEquilibrium:
         tables, grid = tables_2x2()
         with pytest.raises(WindGameError, match="must be finite"):
             profit_surfaces(tables, costs)
-
-        def check():
-            with pytest.raises(WindGameError, match="must be finite"):
-                equilibria(tables, [costs])[0]
-
-        on_each_path(check)
+        with pytest.raises(WindGameError, match="must be finite"):
+            equilibria(tables, [costs])[0]
 
     def test_pi1_overflowing_off_the_curve_rejected(self):
         # the follower answers every row with column 0, where pi1 is finite, but
@@ -304,17 +281,12 @@ class TestEquilibrium:
         costs = dataclasses.replace(COSTS, p_g=1.7e308, p_t=1.7e308)
         with pytest.raises(WindGameError, match="must be finite"):
             profit_surfaces(tables, costs)
-
-        def check():
-            with pytest.raises(WindGameError, match="must be finite"):
-                equilibria(tables, [costs])[0]
-
-        on_each_path(check)
+        with pytest.raises(WindGameError, match="must be finite"):
+            equilibria(tables, [costs])[0]
 
     def test_follower_overflow_refused_by_the_reference(self, monkeypatch):
         # only pi2 overflows: the cost bound sends the point to the reference's
-        # check, on the compiled path too, and no kernel judges a cell
-        use_kernel_path("compiled", monkeypatch)
+        # check, and no kernel judges a cell
         tables = tables_2x2()[0]
         calls, reference = [], game.profit_surfaces
 
@@ -350,15 +322,11 @@ class TestEquilibrium:
         except WindGameError as exc:
             assert str(exc) == "profit surfaces must be finite"
             ref = None
-
-        def check():
-            if ref is None:
-                with pytest.raises(WindGameError, match="must be finite"):
-                    equilibria(tables, [costs])[0]
-            else:
-                assert_same_equilibrium(equilibria(tables, [costs])[0], ref)
-
-        on_each_path(check)
+        if ref is None:
+            with pytest.raises(WindGameError, match="must be finite"):
+                equilibria(tables, [costs])[0]
+        else:
+            assert_same_equilibrium(equilibria(tables, [costs])[0], ref)
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(1, 5), st.integers(0, 2**32 - 1),
@@ -382,18 +350,14 @@ class TestEquilibrium:
         except WindGameError as exc:
             assert str(exc) == "profit surfaces must be finite"
             refs = None
-
-        def check():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "_BLOCK_CELLS", block_cells)
             if refs is None:
                 with pytest.raises(WindGameError, match="must be finite"):
                     equilibria(tables, sweep)
             else:
                 for row, ref in zip(equilibria(tables, sweep), refs, strict=True):
                     assert_same_equilibrium(row, ref)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(sim, "_BLOCK_CELLS", block_cells)
-            on_each_path(check)
 
     def test_solve_never_calls_the_reference(self, monkeypatch):
         # a sweep with points under the overflow bound and one over it whose
@@ -408,12 +372,8 @@ class TestEquilibrium:
             raise AssertionError("equilibria called the full-surface reference")
 
         monkeypatch.setattr(game, "stackelberg", refuse)
-
-        def check():
-            for row, ref in zip(equilibria(tables, sweep), refs, strict=True):
-                assert_same_equilibrium(row, ref)
-
-        on_each_path(check)
+        for row, ref in zip(equilibria(tables, sweep), refs, strict=True):
+            assert_same_equilibrium(row, ref)
 
     @pytest.mark.parametrize("name, value", [
         ("e_g1", np.zeros(3)), ("e_c2", np.zeros((2, 3))), ("e_c1", np.zeros((2, 2), np.float32)),
@@ -450,40 +410,28 @@ class TestEquilibriumOnFineGrid:
                  for frac in self.P_T_FRACS]
         refs = [stackelberg(profit_surfaces(fine_grid_tables, costs), fine_grid_tables.grid)
                 for costs in sweep]
+        for row, ref in zip(equilibria(fine_grid_tables, sweep), refs, strict=True):
+            assert_same_equilibrium(row, ref)
+        assert_same_curves(fine_grid_tables, sweep, refs)
 
-        def check():
-            for row, ref in zip(equilibria(fine_grid_tables, sweep), refs, strict=True):
-                assert_same_equilibrium(row, ref)
-            assert_same_curves(fine_grid_tables, sweep, refs)
-
-        on_each_path(check)
-
-    def solve_peak(self, tables, path, monkeypatch) -> int:
-        """The traced peak bytes of the whole fee sweep solved in one call, as
-        the runner solves a realisation, on the given kernel path."""
-        use_kernel_path(path, monkeypatch)
+    def test_compiled_solve_builds_no_surface(self, fine_grid_tables):
+        # the whole fee sweep in one call, as the runner solves a realisation;
+        # one k x k float64 surface is 7.7 MiB
         sweep = [CostParams.from_fractions(74.3, frac, 0.26, 0.20, 9.0e6)
                  for frac in self.P_T_FRACS]
         tracemalloc.start()
         try:
-            equilibria(tables, sweep)
-            return tracemalloc.get_traced_memory()[1]
+            equilibria(fine_grid_tables, sweep)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
-
-    def test_compiled_solve_builds_no_surface(self, fine_grid_tables, monkeypatch):
-        # one k x k float64 surface is 7.7 MiB
-        assert self.solve_peak(fine_grid_tables, "compiled", monkeypatch) < 2**20
-
-    def test_fallback_solve_builds_no_leader_surface(self, fine_grid_tables, monkeypatch):
-        # the follower's profit is the one k x k surface the fallback holds
-        k = len(fine_grid_tables.grid)
-        assert self.solve_peak(fine_grid_tables, "numpy", monkeypatch) < 1.5 * 8 * k * k
 
 
 class TestSolveRealisation:
     """The runner's job: the solve over blocks of the tables' rows, each block
-    computed as the solve reads it, against the solve over the whole tables."""
+    computed as the solve reads it, against the solve over the whole tables
+    ("compiled") and against the full-surface reference over the numpy
+    oracle's tables ("numpy")."""
 
     SWEEP = [CostParams.from_fractions(74.3, frac, 0.26, 0.20, 9.0e6)
              for frac in TestEquilibriumOnFineGrid.P_T_FRACS]
@@ -494,22 +442,28 @@ class TestSolveRealisation:
         (StrategyGrid(step=0.5, p_n_max=299.5), 5, 55),  # 600 rows: 5 x 109, then 55
     ], ids=["k21", "k600"])
     def test_matches_the_whole_tables_bit_for_bit(self, path, grid, full_blocks, rest,
-                                                  synthetic_tables, monkeypatch):
-        use_kernel_path(path, monkeypatch)
+                                                  synthetic_tables):
         k = len(grid)
         assert divmod(k, sim.block_rows(k)) == (full_blocks, rest)
         realisation = run_chain(ChainConfig(n=60, realisations=1, seed=7), synthetic_tables, 0)
         curve = default_power_curve()
-        want = equilibria(build_energy_tables(realisation, curve, grid), self.SWEEP)
+        if path == "compiled":
+            want = equilibria(build_energy_tables(realisation, curve, grid), self.SWEEP)
+        else:
+            series = per_unit_series(realisation, curve)
+            tables = EnergyTables(*numpy_energy_tables(series.x1, series.x2, series.p_d,
+                                                       grid.values), grid=grid)
+            want = np.array([[ref.p_n1_star, ref.p_n2_star, ref.pi1_star, ref.pi2_star]
+                             for ref in (stackelberg(profit_surfaces(tables, c), grid)
+                                         for c in self.SWEEP)])
         got = game.solve_realisation(realisation, curve, grid, self.SWEEP)
         # the fee above the tariff gives pi2 = -0.0, so the bytes check signs
         assert np.signbit(want[-1, 3]) and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("path", ["compiled", "numpy"])
-    def test_holds_no_k_by_k_table(self, path, fine_grid_realisation, monkeypatch):
+    def test_holds_no_k_by_k_table(self, path, fine_grid_realisation):
         # one k x k float64 table is 8.0 MB at k=1,002; the solve holds a block
         # of rows of each (~0.5 MB) and its (points, rows) intermediates
-        use_kernel_path(path, monkeypatch)
         curve = default_power_curve()
 
         def peak(solve) -> int:
@@ -522,6 +476,11 @@ class TestSolveRealisation:
 
         assert peak(lambda: game.solve_realisation(fine_grid_realisation, curve, FINE_GRID,
                                                    self.SWEEP)) < 4e6
-        if path == "compiled":  # the whole tables' solve fails the bound
+        # a solve over the whole tables fails the bound: the compiled one, or
+        # the full-surface reference at one point
+        if path == "compiled":
             assert peak(lambda: equilibria(build_energy_tables(
                 fine_grid_realisation, curve, FINE_GRID), self.SWEEP)) > 4e6
+        else:
+            assert peak(lambda: stackelberg(profit_surfaces(build_energy_tables(
+                fine_grid_realisation, curve, FINE_GRID), self.SWEEP[0]), FINE_GRID)) > 4e6

@@ -1,10 +1,8 @@
 """Chain mechanics: initialization, sweeps, determinism, ensemble statistics.
 
 ``oracle_chain`` is a literal per-sweep scalar stepper over the raw table
-records; the compiled sampler and its fallback (Python sweeps, numpy demand
-draws) must each reproduce it bit for bit. The classes ending in ``Numpy``
-rerun the sweep tests on the fallback; the originals run on the compiled
-kernel whenever it loads.
+records, drawing its uniforms with numpy; the compiled sampler must
+reproduce it bit for bit.
 """
 from __future__ import annotations
 
@@ -23,7 +21,7 @@ from windgame import (BinSpec, ChainConfig, DistributionError, ErgodicityError,
 from windgame.dist import JointTable
 from windgame.gibbs import _T975
 
-from conftest import joint_from_arrays, tables_for, use_kernel_path
+from conftest import joint_from_arrays, tables_for
 
 
 def oracle_chain(config: ChainConfig, tables: SamplerTables,
@@ -82,17 +80,14 @@ def symmetric_tables(repeats=1):
 
 
 @pytest.fixture(params=["compiled", "numpy"])
-def sampler_path(request, monkeypatch):
-    """Run the test once on the compiled kernel and once on the fallback."""
-    return use_kernel_path(request.param, monkeypatch)
-
-
-class OnNumpyPath:
-    """Base for reruns of a test class on the fallback."""
-
-    @pytest.fixture(autouse=True)
-    def numpy_path(self, monkeypatch):
-        use_kernel_path("numpy", monkeypatch)
+def sampler_path(request):
+    """An ensemble's chains as lists of states, from the compiled sampler or
+    from ``oracle_chain`` (its uniforms drawn with numpy): the edge cases'
+    invariants must hold on both, and the compiled chains equal the oracle's."""
+    if request.param == "compiled":
+        return lambda config, tables: [states_of(real) for real in run_ensemble(config, tables)]
+    return lambda config, tables: [oracle_chain(config, tables, k)
+                                   for k in range(config.realisations)]
 
 
 def first_states(tables, seeds, n=1):
@@ -239,37 +234,24 @@ class TestRunChain:
             ChainConfig(n=longest + 1, realisations=1)
 
 
-class TestInitChainNumpy(OnNumpyPath, TestInitChain):
-    pass
-
-
-class TestGibbsStepNumpy(OnNumpyPath, TestGibbsStep):
-    pass
-
-
-class TestRunChainNumpy(OnNumpyPath):
-    test_lockstep_matches_scalar_oracle = TestRunChain.test_lockstep_matches_scalar_oracle
-    test_mean_wind_bin_matches_binspec_on_rounded_winds = \
-        TestRunChain.test_mean_wind_bin_matches_binspec_on_rounded_winds
-
-
 class TestSamplerEdgeCases:
-    """Chain length, burn-in and table shapes at their limits, on both paths."""
+    """Chain length, burn-in and table shapes at their limits, on the
+    compiled sampler and on its oracle."""
 
     @pytest.mark.parametrize("n, burn_in_fraction",
                              [(1, 0.0), (2, 0.0), (2, 0.5), (6, 0.0), (6, 0.9)])
     def test_short_chains_match_oracle(self, sampler_path, synthetic_tables, n,
                                        burn_in_fraction):
         config = ChainConfig(n=n, realisations=3, burn_in_fraction=burn_in_fraction, seed=21)
-        for k, real in enumerate(run_ensemble(config, synthetic_tables)):
-            assert len(real) == config.retained
-            assert states_of(real) == oracle_chain(config, synthetic_tables, k)
+        for k, states in enumerate(sampler_path(config, synthetic_tables)):
+            assert len(states) == config.retained
+            assert states == oracle_chain(config, synthetic_tables, k)
 
     def test_single_record_table(self, sampler_path):
         tables = single_cell_tables()
         config = ChainConfig(n=9, realisations=2, burn_in_fraction=0.0, seed=3)
-        for k, real in enumerate(run_ensemble(config, tables)):
-            assert states_of(real) == oracle_chain(config, tables, k) == [(12.3, 4.5, 100.0)] * 9
+        for k, states in enumerate(sampler_path(config, tables)):
+            assert states == oracle_chain(config, tables, k) == [(12.3, 4.5, 100.0)] * 9
 
     def test_mean_wind_at_max_edge_falls_in_last_bin(self, sampler_path):
         # means 4, 5, 5 and 6 m/s at width 1 span [4, 6]: a mean of 6 sits on
@@ -279,8 +261,7 @@ class TestSamplerEdgeCases:
         spec = tables.demand.mean_spec
         assert (spec.max_edge, spec.n_bins) == (6.0, 2)
         config = ChainConfig(n=400, realisations=2, burn_in_fraction=0.0, seed=11)
-        for k, real in enumerate(run_ensemble(config, tables)):
-            states = states_of(real)
+        for k, states in enumerate(sampler_path(config, tables)):
             assert states == oracle_chain(config, tables, k)
             at_edge = [p_d for w1, w2, p_d in states if (w1 + w2) / 2 == 6.0]
             assert at_edge and set(at_edge) <= {200.0, 300.0, 400.0}
@@ -290,8 +271,7 @@ class TestKernelArguments:
     """The tables are built in the kernel's types and checked once, on
     construction, so no chain checks them and a bad table never samples."""
 
-    def test_any_index_and_value_layout_samples_same_bits(self, synthetic_tables,
-                                                           monkeypatch):
+    def test_any_index_and_value_layout_samples_same_bits(self, synthetic_tables):
         joint, demand = synthetic_tables.joint, synthetic_tables.demand
 
         def strided(a):
@@ -305,14 +285,10 @@ class TestKernelArguments:
                            row_of=demand.row_of.astype(np.int32),
                            demand_values=strided(demand.demand_values)))
         config = ChainConfig(n=300, realisations=3, burn_in_fraction=0.0, seed=4)
-
-        def on_both_paths(tables):
-            states = [states_of(run_chain(config, tables, k)) for k in range(3)]
-            with monkeypatch.context() as patch:
-                use_kernel_path("numpy", patch)
-                return states, [states_of(run_chain(config, tables, k)) for k in range(3)]
-
-        assert on_both_paths(odd) == on_both_paths(synthetic_tables)
+        for k in range(3):
+            assert states_of(run_chain(config, odd, k)) == \
+                states_of(run_chain(config, synthetic_tables, k)) == \
+                oracle_chain(config, synthetic_tables, k)
 
     @pytest.mark.parametrize("group, member, change, error", [
         (0, 0, lambda a: a.astype(np.int32), TypeError),         # column starts
@@ -371,23 +347,21 @@ def bits(real: Realisation) -> bytes:
 class TestRunChains:
     """The kernel samples two chains at a time and draws their uniforms
     itself; every chain must keep the bits it has when run alone, and those
-    of the fallback, which draws the uniforms with numpy."""
+    of the oracle, which draws the uniforms with numpy."""
 
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2**63), a=st.integers(0, 2**20), b=st.integers(0, 2**20),
            n=st.sampled_from([1, 2, 3, 17, 400]),
            burn_in_fraction=st.sampled_from([0.0, 0.2, 0.5]))
-    def test_pair_matches_each_chain_alone_and_the_fallback(self, synthetic_tables, seed, a,
-                                                            b, n, burn_in_fraction):
+    def test_pair_matches_each_chain_alone_and_the_oracle(self, synthetic_tables, seed, a,
+                                                          b, n, burn_in_fraction):
         config = ChainConfig(n=n, realisations=1, burn_in_fraction=burn_in_fraction, seed=seed)
         pair = run_chains(config, synthetic_tables, (a, b))
         alone = [run_chain(config, synthetic_tables, k) for k in (a, b)]
-        with pytest.MonkeyPatch.context() as patch:
-            use_kernel_path("numpy", patch)
-            fallback = run_chains(config, synthetic_tables, (a, b))
         assert [r.chain_index for r in pair] == [a, b]
-        assert [bits(r) for r in pair] == [bits(r) for r in alone] == \
-            [bits(r) for r in fallback]
+        assert [bits(r) for r in pair] == [bits(r) for r in alone]
+        assert [states_of(r) for r in pair] == [oracle_chain(config, synthetic_tables, k)
+                                                for k in (a, b)]
         # each realisation keeps its own (3, retained) array
         assert all(r.w1.base.shape == (3, config.retained) for r in pair)
         assert pair[0].w1.base is not pair[1].w1.base

@@ -18,7 +18,7 @@ from windgame.cli import main
 from windgame.config import load_config
 from windgame.runner import emit_report, run_scenario
 
-from conftest import REPO_ROOT, use_kernel_path
+from conftest import REPO_ROOT
 
 CONVERGENCE = "2e2d2bde73974dcdd0df66bb6afda87c6e59ae13c2abd030968f84b6e9735302"
 
@@ -44,10 +44,8 @@ RUN_JSON = {1: "e5706edfb9aadadd0ddd022cdbfd19c84bcd74cd3b2145d3e4c357fe8bac2ec2
 # chain, so they print the same table
 STATS = "d8d9970cb3c43d07953c0ffcea76e4344174c94ab2d5315b0c2bbeb2993d30b3"
 
-# each desk config with 1 and 3 workers, on whichever path loads here and on
-# the loops that run when no kernel loads
-CASES = [pytest.param(s, w, fallback, id=f"{s}{tag}{suffix}")
-         for fallback, tag in ((False, ""), (True, "-fallback"))
+# each desk config with 1 and 3 workers
+CASES = [pytest.param(s, w, id=f"{s}{suffix}")
          for w, suffix in ((1, ""), (3, "-workers3")) for s in sorted(GOLDEN)]
 
 
@@ -57,10 +55,8 @@ def run_json_digest(path) -> str:
     return hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("scenario, workers, fallback", CASES)
-def test_reports_match_golden_digests(scenario, workers, fallback, tmp_path, monkeypatch):
-    if fallback:
-        use_kernel_path("numpy", monkeypatch)
+@pytest.mark.parametrize("scenario, workers", CASES)
+def test_reports_match_golden_digests(scenario, workers, tmp_path):
     config = load_config(f"{REPO_ROOT}/configs/scenario{scenario}.ini")
     emit_report(run_scenario(config, workers=workers), tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -69,10 +65,8 @@ def test_reports_match_golden_digests(scenario, workers, fallback, tmp_path, mon
     assert run_json_digest(tmp_path / "run.json") == RUN_JSON[scenario]
 
 
-@pytest.mark.parametrize("scenario, workers, fallback", CASES)
-def test_stats_table_matches_golden_digest(scenario, workers, fallback, capsys, monkeypatch):
-    if fallback:
-        use_kernel_path("numpy", monkeypatch)
+@pytest.mark.parametrize("scenario, workers", CASES)
+def test_stats_table_matches_golden_digest(scenario, workers, capsys):
     assert main(["stats", "--config", f"{REPO_ROOT}/configs/scenario{scenario}.ini",
                  "--workers", str(workers)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STATS

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import ctypes
 import dataclasses
-import logging
 import math
 import os
 import re
@@ -21,13 +20,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from windgame import (ChainConfig, CostParams, EnergyTables, FitError, PowerCurve,
-                      StrategyGrid, WindGameError, build_energy_tables, curtailment_timestep,
-                      default_power_curve, fit_sigmoid, load_curve_points,
-                      per_unit_output, per_unit_series, run_chain)
+                      SamplerTables, StrategyGrid, WindGameError, build_energy_tables,
+                      curtailment_timestep, default_power_curve, equilibria, fit_sigmoid,
+                      load_curve_points, per_unit_output, per_unit_series, run_chain,
+                      run_chains)
 from windgame import _native, game
-from windgame.sim import PerUnitSeries, energy_blocks
+from windgame.ingest import JointSeries
+from windgame.sim import ENERGY_TABLES, PerUnitSeries, energy_blocks
 
-from conftest import REPO_ROOT, follower_columns, use_kernel_path
+from conftest import REPO_ROOT, follower_columns, numpy_energy_tables
+from test_gibbs import oracle_chain
 
 
 def brute_force_energy_tables(x1, x2, p_d, grid_values):
@@ -93,55 +95,94 @@ def compile_kernels(compiler, path, *flags):
                    capture_output=True, check=True, timeout=300)
 
 
-# Runs in a subprocess with the sanitizer runtimes preloaded: the four
-# kernels of the sanitized library at argv[1] against the fallbacks, bit for
-# bit. 37 columns: no vector width divides it; blocks of 10 rows, so the
-# row-range kernels run at row0 0, 10, 20 and 30, the last block 7 rows
-# long, and also over all 37 rows at once; a fee above the tariff; a chain
-# pair at burn-in 0 and 0.2.
-SANITIZED_RUN = """
-import sys
-import numpy as np
-from windgame import (ChainConfig, CostParams, PerUnitSeries, SamplerTables, StrategyGrid,
-                      _native, build_energy_tables, equilibria, game, run_chains, sim)
-from windgame.ingest import JointSeries
-
-sim._BLOCK_CELLS = 370
-
-sanitized = _native._bind(sys.argv[1])
-rng = np.random.default_rng(18)
-n = 600
-series = PerUnitSeries(x1=rng.uniform(0.0, 1.0, n), x2=rng.uniform(0.0, 1.0, n),
-                       p_d=rng.uniform(0.0, 40.0, n))
-series.x1[::3] = 0.0
-grid = StrategyGrid(step=1.0, p_n_max=36.0)
-costs = [CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 1.0e3)
-         for p_t_frac in (0.0, 0.26, 0.8, 1.2)]
-history = JointSeries(timestamps=np.datetime64("2020-01-01T00", "s")
-                      + np.arange(n) * np.timedelta64(3600, "s"),
-                      w1=rng.gamma(2.0, 3.0, n), w2=rng.gamma(2.0, 3.0, n),
-                      p_d=rng.uniform(50.0, 150.0, n))
-sampler = SamplerTables.from_series(history, 1.0, 10)
+def references(tables, costs) -> list:
+    """``stackelberg(profit_surfaces(tables, c))``, the full-surface
+    reference, at each ``c`` of ``costs``."""
+    return [game.stackelberg(game.profit_surfaces(tables, c), tables.grid) for c in costs]
 
 
-def outputs():
+def reference_rows(tables, costs) -> np.ndarray:
+    """The reference's p_n1, p_n2, pi1 and pi2 at each of ``costs``."""
+    return np.array([[r.p_n1_star, r.p_n2_star, r.pi1_star, r.pi2_star]
+                     for r in references(tables, costs)])
+
+
+def reference_columns(tables, costs) -> np.ndarray:
+    """The reference's follower best response per leader row, at each of ``costs``."""
+    return np.array([r.best_response.indices for r in references(tables, costs)])
+
+
+# The sanitizer test's case. 37 columns: no vector width divides it; blocks
+# of 10 rows (the solve's too, at 370 cells a block), so the row-range
+# kernels run at row0 0, 10, 20 and 30, the last block 7 rows long, and
+# also over all 37 rows at once; a fee above the tariff; a chain pair at
+# burn-in 0 and 0.2.
+SANITIZED_BLOCK_CELLS = 370
+
+
+def sanitized_case():
+    """The per-unit series, grid, sweep, sampler tables and chain configs the
+    sanitized kernels run on."""
+    rng = np.random.default_rng(18)
+    n = 600
+    series = PerUnitSeries(x1=rng.uniform(0.0, 1.0, n), x2=rng.uniform(0.0, 1.0, n),
+                           p_d=rng.uniform(0.0, 40.0, n))
+    series.x1[::3] = 0.0
+    costs = [CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 1.0e3)
+             for p_t_frac in (0.0, 0.26, 0.8, 1.2)]
+    history = JointSeries(timestamps=np.datetime64("2020-01-01T00", "s")
+                          + np.arange(n) * np.timedelta64(3600, "s"),
+                          w1=rng.gamma(2.0, 3.0, n), w2=rng.gamma(2.0, 3.0, n),
+                          p_d=rng.uniform(50.0, 150.0, n))
+    return (series, StrategyGrid(step=1.0, p_n_max=36.0), costs,
+            SamplerTables.from_series(history, 1.0, 10),
+            [ChainConfig(n=300, realisations=2, burn_in_fraction=burn, seed=5)
+             for burn in (0.0, 0.2)])
+
+
+def kernel_outputs(series, grid, costs, sampler, chains):
+    """Every kernel's outputs on the case, through the package's calls."""
     tables = build_energy_tables(series, None, grid)
-    yield from (tables.e_g1, tables.e_g2, tables.e_c1, tables.e_c2)
-    for _, e_c1, e_c2 in sim.energy_blocks(series, None, grid)[2]:
+    yield from (getattr(tables, name) for name in ENERGY_TABLES)
+    for _, e_c1, e_c2 in energy_blocks(series, None, grid)[2]:
         yield from (e_c1, e_c2)
     yield equilibria(tables, costs)
     yield game.solve_realisation(series, None, grid, costs)
-    for burn in (0.0, 0.2):
-        for chain in run_chains(ChainConfig(n=300, realisations=2, burn_in_fraction=burn,
-                                            seed=5), sampler, (0, 1)):
+    for config in chains:
+        for chain in run_chains(config, sampler, (0, 1)):
             yield from (chain.w1, chain.w2, chain.p_d)
 
 
+def oracle_outputs(series, grid, costs, sampler, chains):
+    """``kernel_outputs``' arrays from the oracles: the literal loop, the
+    full-surface reference and the scalar sampler."""
+    rows = SANITIZED_BLOCK_CELLS // len(grid)
+    tables = EnergyTables(*brute_force_energy_tables(series.x1, series.x2, series.p_d,
+                                                     grid.values), grid=grid)
+    yield from (getattr(tables, name) for name in ENERGY_TABLES)
+    for row0 in range(0, len(grid), rows):
+        yield from (tables.e_c1[row0:row0 + rows], tables.e_c2[row0:row0 + rows])
+    solved = reference_rows(tables, costs)
+    yield from (solved, solved)  # equilibria's, then solve_realisation's
+    for config in chains:
+        for k in (0, 1):
+            yield from np.array(oracle_chain(config, sampler, k)).T
+
+
+# Runs in a subprocess with the sanitizer runtimes preloaded: the four
+# kernels of the sanitized library at argv[1] on the case, their outputs
+# saved to argv[2].
+SANITIZED_RUN = f"""
+import sys
+import numpy as np
+from windgame import _native, sim
+from test_sim import kernel_outputs, sanitized_case
+
+sim._BLOCK_CELLS = {SANITIZED_BLOCK_CELLS}
+sanitized = _native._bind(sys.argv[1])
 _native.load_kernels = lambda: sanitized
-got = [a.tobytes() for a in outputs()]
-_native.load_kernels = lambda: None
-want = [a.tobytes() for a in outputs()]
-assert got == want, [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
+# a copy of each block as it comes: the next block reuses its arrays
+np.savez(sys.argv[2], *[a.copy() for a in kernel_outputs(*sanitized_case())])
 """
 
 
@@ -387,39 +428,45 @@ class TestBuildEnergyTables:
                                               p_d=np.array([])),
                                 default_power_curve(), StrategyGrid(step=1.0, p_n_max=2.0))
 
+
 @pytest.fixture(params=["compiled", "numpy"])
-def energy_path(request, monkeypatch):
-    """Run the test once on the C kernel and once on the numpy fallback."""
-    return use_kernel_path(request.param, monkeypatch)
+def energy_path(request):
+    """Who builds the tables the literal loop checks: the compiled kernels,
+    or the numpy oracle (``conftest.numpy_energy_tables``) that stands in for
+    the literal loop where that is too slow."""
+    return request.param
 
 
-def assert_matches_brute_force(series, grid):
-    tables = build_energy_tables(series, default_power_curve(), grid)
+def assert_matches_brute_force(series, grid, path="compiled"):
+    if path == "compiled":
+        tables = build_energy_tables(series, default_power_curve(), grid)
+        got = [getattr(tables, name) for name in ENERGY_TABLES]
+    else:
+        got = numpy_energy_tables(series.x1, series.x2, series.p_d, grid.values)
     expected = brute_force_energy_tables(series.x1, series.x2, series.p_d, grid.values)
-    for got, want in zip((tables.e_g1, tables.e_g2, tables.e_c1, tables.e_c2), expected):
-        assert got.tobytes() == want.tobytes()
-    return tables
+    for table, want in zip(got, expected, strict=True):
+        assert table.tobytes() == want.tobytes()
 
 
 class TestEnergyKernelOracle:
-    """Both build paths against the literal loop, bit for bit."""
+    """The kernels and the numpy oracle against the literal loop, bit for bit."""
 
     def test_single_point_grid(self, energy_path):
         assert_matches_brute_force(random_per_unit(30, seed=10),
-                                   StrategyGrid(step=1.0, p_n_max=0.0))
+                                   StrategyGrid(step=1.0, p_n_max=0.0), energy_path)
 
     def test_grid_not_a_multiple_of_the_column_block(self, energy_path):
         # 259 columns, a count no vector width divides: the column loop ends
         # in a scalar tail
         assert_matches_brute_force(random_per_unit(3, seed=11),
-                                   StrategyGrid(step=0.5, p_n_max=129.0))
+                                   StrategyGrid(step=0.5, p_n_max=129.0), energy_path)
 
     def test_zero_output_lanes(self, energy_path):
         # grid[0] = 0 and timesteps with no wind make total = 0 (0/0 lanes)
         series = random_per_unit(40, seed=12)
         series.x1[::3] = 0.0
         series.x2[::4] = 0.0
-        assert_matches_brute_force(series, StrategyGrid(step=10.0, p_n_max=100.0))
+        assert_matches_brute_force(series, StrategyGrid(step=10.0, p_n_max=100.0), energy_path)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -434,7 +481,7 @@ class TestEnergyKernelOracle:
                                             min_size=n, max_size=n))))
         step = data.draw(st.sampled_from([0.5, 2.5, 10.0, 30.0]))
         grid = StrategyGrid(step=step, p_n_max=step * data.draw(st.integers(0, 10)))
-        assert_matches_brute_force(series, grid)
+        assert_matches_brute_force(series, grid, energy_path)
 
 
 class TestKernelBuild:
@@ -442,8 +489,6 @@ class TestKernelBuild:
         # every array goes in as a bare address, so ctypes checks no dtype and
         # these prototypes are the only contract between caller and kernel
         lib = _native.load_kernels()
-        if lib is None:
-            pytest.skip("compiled kernels unavailable on this machine")
         source = resources.files("windgame").joinpath(_native._KERNEL_SOURCE).read_text()
         scalars = {"ptrdiff_t": ctypes.c_ssize_t, "int64_t": ctypes.c_int64,
                    "double": ctypes.c_double}
@@ -465,9 +510,9 @@ class TestKernelBuild:
         assert _native.GibbsTables._fields_ == fields
 
     @pytest.mark.parametrize("isa", ["avx512f", "avx2", None], ids=["avx512f", "avx2", "default"])
-    def test_every_vector_clone_matches_the_fallbacks(self, isa, tmp_path, monkeypatch):
+    def test_every_vector_clone_matches_the_oracles(self, isa, tmp_path, monkeypatch):
         # the loaded library runs only the widest clone this CPU has; built
-        # alone, every clone this CPU can run must give the fallbacks' bits
+        # alone, every clone this CPU can run must give the oracles' bits
         compiler = shutil.which("cc")
         if compiler is None:
             pytest.skip("no C compiler on this machine")
@@ -476,17 +521,16 @@ class TestKernelBuild:
         path = tmp_path / "kernels.so"
         compile_kernels(compiler, path, "-DVECTOR_CLONES=", *([f"-m{isa}"] if isa else []))
         clone = _native._bind(path)
+        monkeypatch.setattr(_native, "load_kernels", lambda: clone)
         series = random_per_unit(50, seed=16)
         series.x1[::3] = 0.0  # lanes where total = 0
         grid = StrategyGrid(step=0.5, p_n_max=129.0)  # 259 columns: a scalar tail
-        monkeypatch.setattr(_native, "load_kernels", lambda: clone)
+        expected = EnergyTables(*numpy_energy_tables(series.x1, series.x2, series.p_d,
+                                                     grid.values), grid=grid)
         tables = build_energy_tables(series, None, grid)
-        monkeypatch.setattr(_native, "load_kernels", lambda: None)
-        expected = build_energy_tables(series, None, grid)
-        for name in ("e_g1", "e_g2", "e_c1", "e_c2"):
+        for name in ENERGY_TABLES:
             assert getattr(tables, name).tobytes() == getattr(expected, name).tobytes(), name
         # blocks of 100 rows: row0 100 and 200, the last block 59 rows long
-        monkeypatch.setattr(_native, "load_kernels", lambda: clone)
         e_g1, e_g2, blocks = energy_blocks(series, None, grid, rows=100)
         assert (e_g1.tobytes(), e_g2.tobytes()) == (expected.e_g1.tobytes(),
                                                     expected.e_g2.tobytes())
@@ -497,7 +541,7 @@ class TestKernelBuild:
         points = [CostParams.from_fractions(74.3, p_t_frac, 0.26, 0.20, 9.0e6)
                   for p_t_frac in (0.0, 0.26, 0.8, 1.2)]
         assert np.array_equal(follower_columns(clone, tables, points),
-                              follower_columns(None, tables, points))
+                              reference_columns(tables, points))
         # designed rows at margin -1 and c_g2 1, where a cell is
         # (g - c2) * -1 - g: column 13 (g = 0) gives -0.0, c2 = 2 over g = 1
         # gives +0.0, c2 = 3 gives 1.0 and c2 = 0 gives -2.0
@@ -514,18 +558,16 @@ class TestKernelBuild:
         point = [CostParams(p_g=1.0, p_t=2.0, c_g1=0.0, c_g2=1.0, c_t=0.0)]
         cols = follower_columns(clone, designed, point)
         assert cols[0, :5].tolist() == [13, 5, k - 1, k - 1, 0]
-        assert np.array_equal(cols, follower_columns(None, designed, point))
+        assert np.array_equal(cols, reference_columns(designed, point))
         # the solve on this clone gives the reference's bits, -0.0 included
-        monkeypatch.setattr(_native, "load_kernels", lambda: clone)
         for table, sweep in ((designed, point), (tables, points)):
-            for row, c in zip(game.equilibria(table, sweep), sweep, strict=True):
-                ref = game.stackelberg(game.profit_surfaces(table, c), table.grid)
-                want = np.array([ref.p_n1_star, ref.p_n2_star, ref.pi1_star, ref.pi2_star])
-                assert row.tobytes() == want.tobytes(), (row, want)
+            assert game.equilibria(table, sweep).tobytes() == \
+                reference_rows(table, sweep).tobytes()
 
     def test_kernels_run_clean_under_sanitizers(self, tmp_path):
         # every array crosses into C as a bare address, so only a sanitized
-        # build sees an out-of-bounds access or undefined behaviour
+        # build sees an out-of-bounds access or undefined behaviour; its
+        # outputs must also be the oracles' bits
         compiler = shutil.which("cc")
         if compiler is None:
             pytest.skip("no C compiler on this machine")
@@ -534,14 +576,21 @@ class TestKernelBuild:
                     for name in ("libasan.so", "libubsan.so")]
         if not all(os.path.isabs(lib) and os.path.exists(lib) for lib in runtimes):
             pytest.skip("no ASan and UBSan runtimes for this compiler")
-        path = tmp_path / "kernels.so"
+        path, outputs = tmp_path / "kernels.so", tmp_path / "outputs.npz"
         compile_kernels(compiler, path, "-fsanitize=address,undefined,float-cast-overflow",
                         "-fno-sanitize-recover=all")
-        done = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(path)], cwd=REPO_ROOT,
-                              env=dict(os.environ, PYTHONPATH="src", LD_PRELOAD=" ".join(runtimes),
+        done = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(path), str(outputs)],
+                              cwd=REPO_ROOT,
+                              env=dict(os.environ, PYTHONPATH="src:tests",
+                                       LD_PRELOAD=" ".join(runtimes),
                                        ASAN_OPTIONS="detect_leaks=0"),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr[-4000:]
+        with np.load(outputs) as saved:
+            got = [saved[f"arr_{i}"].tobytes() for i in range(len(saved.files))]
+        want = [a.tobytes() for a in oracle_outputs(*sanitized_case())]
+        assert len(got) == len(want)
+        assert got == want, [i for i, (a, b) in enumerate(zip(got, want)) if a != b]
 
     def test_cached_binary_is_reused(self, tmp_path, monkeypatch):
         if shutil.which("cc") is None and shutil.which("gcc") is None:
@@ -557,27 +606,11 @@ class TestKernelBuild:
         monkeypatch.setattr(subprocess, "run", no_compiler)
         assert _native._compile_kernel() == path
 
-    def test_failed_build_warns_once_and_falls_back(self, tmp_path, monkeypatch, caplog,
-                                                     synthetic_tables):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        monkeypatch.setattr(shutil, "which", lambda name: None)
-        series = random_per_unit(20, seed=14)
-        grid = StrategyGrid(step=20.0, p_n_max=100.0)
-        _native._load_kernels.cache_clear()
-        try:
-            with caplog.at_level(logging.WARNING, logger="windgame"):
-                assert_matches_brute_force(series, grid)
-                assert_matches_brute_force(series, grid)
-                # the sampler shares the library, so it warns no further
-                run_chain(ChainConfig(n=20, realisations=1, seed=1), synthetic_tables, 0)
-        finally:
-            _native._load_kernels.cache_clear()
-        warnings = [r for r in caplog.records if "using the fallback loops" in r.getMessage()]
-        assert len(warnings) == 1
-        assert "no C compiler" in warnings[0].getMessage()
+    def test_concurrent_first_load_fails_once(self, tmp_path, monkeypatch):
+        lookups = []
 
-    def test_concurrent_first_load_warns_once(self, tmp_path, monkeypatch, caplog):
         def slow_no_compiler(name):
+            lookups.append(name)  # list.append is atomic
             time.sleep(0.05)  # holds the first load open while the others arrive
             return None
 
@@ -590,21 +623,65 @@ class TestKernelBuild:
 
         def build(_):
             barrier.wait(timeout=30)
-            return build_energy_tables(series, None, grid)
+            with pytest.raises(WindGameError) as refused:
+                build_energy_tables(series, None, grid)
+            return str(refused.value)
 
         _native._load_kernels.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with caplog.at_level(logging.WARNING, logger="windgame"), \
-                    ThreadPoolExecutor(threads) as pool:
+            with ThreadPoolExecutor(threads) as pool:
                 futures = [pool.submit(build, t) for t in range(threads)]
-                tables = [future.result(timeout=60) for future in futures]
+                messages = [future.result(timeout=60) for future in futures]
+            # a later load raises the kept failure, with no second lookup
+            with pytest.raises(WindGameError, match="no C compiler"):
+                _native.load_kernels()
         finally:
             sys.setswitchinterval(interval)
             _native._load_kernels.cache_clear()
-        warnings = [r for r in caplog.records if "using the fallback loops" in r.getMessage()]
-        assert len(warnings) == 1
-        for other in tables[1:]:
-            for name in ("e_g1", "e_g2", "e_c1", "e_c2"):
-                assert getattr(other, name).tobytes() == getattr(tables[0], name).tobytes()
+        assert lookups == ["cc", "gcc"]
+        assert messages == ["compiled kernels unavailable: no C compiler (cc or gcc) on PATH"] \
+            * threads
+
+    def test_failed_compile_refused_with_the_compilers_last_line(self, tmp_path, monkeypatch):
+        compiler = tmp_path / "cc"
+        compiler.write_text("#!/bin/sh\necho 'first line' >&2\necho 'last line' >&2\nexit 1\n")
+        compiler.chmod(0o755)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(shutil, "which", lambda name: str(compiler))
+        _native._load_kernels.cache_clear()
+        try:
+            with pytest.raises(WindGameError, match=f"^compiled kernels unavailable: "
+                                                    f"{re.escape(str(compiler))}: last line$"):
+                _native.load_kernels()
+        finally:
+            _native._load_kernels.cache_clear()
+
+    def test_library_without_an_entry_point_refused_by_its_name(self, tmp_path, monkeypatch):
+        compiler = shutil.which("cc")
+        if compiler is None:
+            pytest.skip("no C compiler on this machine")
+        path = tmp_path / "kernels.so"
+        compile_kernels(compiler, path, "-Dfollower_best=follower_best_renamed")
+        monkeypatch.setattr(_native, "_compile_kernel", lambda: path)
+        _native._load_kernels.cache_clear()
+        try:
+            with pytest.raises(WindGameError, match=r"undefined symbol: follower_best$"):
+                _native.load_kernels()
+        finally:
+            _native._load_kernels.cache_clear()
+
+    def test_cache_that_cannot_be_written_refused_by_its_path(self, tmp_path, monkeypatch):
+        if shutil.which("cc") is None and shutil.which("gcc") is None:
+            pytest.skip("no C compiler on this machine")
+        blocker = tmp_path / "a-file"
+        blocker.write_bytes(b"")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        _native._load_kernels.cache_clear()
+        try:
+            with pytest.raises(WindGameError, match="^compiled kernels unavailable: .*"
+                                                    f"{re.escape(str(blocker))}/windgame"):
+                _native.load_kernels()
+        finally:
+            _native._load_kernels.cache_clear()
