@@ -1,20 +1,20 @@
 /* The package's compiled kernels: the energy tables over a capacity grid
- * (energy_generation and energy_tables, for sim.py), the sweeps of one Gibbs
- * chain or of two in lockstep (gibbs_chain, for gibbs.py) and the
- * follower's best response to every leader capacity of a block of rows at
- * every sweep point (follower_best, for game.py). They are the package's
- * only implementation of each step. Each performs exactly the operations
- * of the oracle the tests hold for it (the literal per-timestep loop, a
- * scalar sampler that draws its uniforms with numpy, and np.argmax of the
+ * (energy_generation and energy_tables, for sim.py), whole Gibbs chains,
+ * one or two in lockstep (gibbs_chain, for gibbs.py), and the follower's
+ * best response to every leader capacity of a block of rows at every sweep
+ * point (follower_best, for game.py). They are the package's only
+ * implementation of each step. Each performs exactly the operations of the
+ * oracle the tests hold for it (the literal per-timestep loop, a scalar
+ * sampler that draws its uniforms with numpy, and np.argmax of the
  * follower's profit surface), in the same order and with plain double
  * arithmetic, so each gives the oracle's bits as long as the compiler
  * neither contracts a*b+c into a fused multiply-add nor reassociates: build
  * with -ffp-contract=off and without -ffast-math. No kernel returns an
  * error: each caller checks what it passes, and game.py refuses what a
  * non-finite table or an overflowing profit would make of the results.
- * gibbs_chain also draws its uniforms itself, from each chain's numpy
- * PCG64 stream. Otherwise the loops are plain: a hand optimisation stays
- * only where it was timed to pay (energy_tables' guarded division,
+ * gibbs_chain draws every uniform of a chain, start included, from its
+ * numpy PCG64 stream. Otherwise the loops are plain: a hand optimisation
+ * stays only where it was timed to pay (energy_tables' guarded division,
  * follower_best's order_key maximum).
  *
  * gibbs_chain needs unsigned __int128 (GCC and Clang have it on 64-bit
@@ -140,17 +140,19 @@ static inline double pcg64_random(struct pcg64 *g)
     return (double)(((x >> rot) | (x << (-rot & 63u))) >> 11) * 0x1.0p-53;
 }
 
-/* The CSR conditionals of gibbs.SamplerTables.flat, the mean-wind map and
- * bins: _native.GibbsTables, built once per table in SamplerTables. */
+/* gibbs.GibbsTables, built once per table in gibbs.SamplerTables: the
+ * records' w1, w2 and retained column in record order, the CSR conditionals
+ * of its flat, the mean-wind map, the record count and the mean-wind bins. */
 struct gibbs_tables {
-    const int64_t *col_start;
+    const double *rec_w1, *rec_w2;
+    const int64_t *rec_col, *col_start;
     const double *col_len, *col_w1;
     const int64_t *col_row, *row_start;
     const double *row_len, *row_w2;
     const int64_t *row_col, *dem_start;
     const double *dem_len, *dem_vals;
     const int64_t *mean_map;
-    double mean_origin, mean_width;
+    double n_records, mean_origin, mean_width;
     int64_t n_mean_bins;
 };
 
@@ -162,11 +164,31 @@ struct gibbs_state {
     double *out;
 };
 
-/* A chain's state from its five start words (see gibbs_chain). */
-static inline struct gibbs_state gibbs_start(const uint64_t *w, double *out)
+/* Writes the state (w1, w2) at index at of chain c's output, with the
+ * demand that u draws from the row of the pair's mean-wind bin. */
+static inline void gibbs_keep(const struct gibbs_state *c, const struct gibbs_tables *tb,
+                              ptrdiff_t at, ptrdiff_t kept, double w1, double w2, double u)
 {
-    const struct gibbs_state c = {{(uint128)w[0] << 64 | w[1], (uint128)w[2] << 64 | w[3]},
-                                  (int64_t)w[4], out};
+    int64_t bin = (int64_t)(((w1 + w2) * 0.5 - tb->mean_origin) / tb->mean_width);
+    bin = bin < tb->n_mean_bins - 1 ? bin : tb->n_mean_bins - 1;
+    const int64_t r = tb->mean_map[bin];
+    c->out[at] = w1;
+    c->out[kept + at] = w2;
+    c->out[2 * kept + at] = tb->dem_vals[tb->dem_start[r] + (int64_t)(u * tb->dem_len[r])];
+}
+
+/* A chain from its four seed words, after its start: u0 picks record
+ * r = (int64)(u0 * n_records), whose column the first sweep reads; state 0,
+ * kept only when burn is 0, is its winds with demand drawn by u1. */
+static inline struct gibbs_state gibbs_start(const uint64_t *w, const struct gibbs_tables *tb,
+                                             ptrdiff_t burn, ptrdiff_t kept, double *out)
+{
+    struct gibbs_state c = {{(uint128)w[0] << 64 | w[1], (uint128)w[2] << 64 | w[3]}, 0, out};
+    const double u0 = pcg64_random(&c.g), u1 = pcg64_random(&c.g);
+    const int64_t r = (int64_t)(u0 * tb->n_records);
+    c.j = tb->rec_col[r];
+    if (burn == 0)
+        gibbs_keep(&c, tb, 0, kept, tb->rec_w1[r], tb->rec_w2[r], u1);
     return c;
 }
 
@@ -183,44 +205,36 @@ static inline void gibbs_sweep(struct gibbs_state *c, const struct gibbs_tables 
     k = tb->row_start[i] + (int64_t)(u1 * tb->row_len[i]);
     const double w2 = tb->row_w2[k];
     c->j = tb->row_col[k];
-    if (at < 0)
-        return;
-    int64_t bin = (int64_t)(((w1 + w2) * 0.5 - tb->mean_origin) / tb->mean_width);
-    bin = bin < tb->n_mean_bins - 1 ? bin : tb->n_mean_bins - 1;
-    const int64_t r = tb->mean_map[bin];
-    c->out[at] = w1;
-    c->out[kept + at] = w2;
-    c->out[2 * kept + at] = tb->dem_vals[tb->dem_start[r] + (int64_t)(u2 * tb->dem_len[r])];
+    if (at >= 0)
+        gibbs_keep(c, tb, at, kept, w1, w2, u2);
 }
 
-/* The sweeps of one chain (out_b NULL) or of two in lockstep, after their
- * start states, over the tables. Sweep t (1 <= t < n) draws the chain's
- * next three uniforms u0, u1, u2 from its PCG64 stream and then
+/* One whole chain (out_b NULL) or two in lockstep: n states each, the
+ * first burn discarded, state t >= burn written to column t - burn of the
+ * chain's (3, n - burn) output. seed holds four words per chain: the state
+ * and increment of its gibbs.chain_rng before any draw, each as (high, low)
+ * 64-bit halves. The start takes two uniforms (gibbs_start), and sweep t
+ * (1 <= t < n) the next three, u0, u1 and u2:
  *
  *   w1  = col_w1[k],  k = col_start[j] + (int64)(u0 * col_len[j]);  i = col_row[k]
  *   w2  = row_w2[k],  k = row_start[i] + (int64)(u1 * row_len[i]);  j = row_col[k]
  *   bin = min((int64)(((w1 + w2) * 0.5 - mean_origin) / mean_width), n_mean_bins - 1)
  *   p_d = dem_vals[k], k = dem_start[r] + (int64)(u2 * dem_len[r]),  r = mean_map[bin]
  *
- * and writes the state of sweep t >= burn at column t - burn of its
- * (3, n - burn) output. start holds five words per chain: the generator's
- * state and increment, each as (high, low) 64-bit halves as numpy's PCG64
- * reports them after the start state's two draws, then the start column.
- * Lengths are doubles so that u * length rounds as in numpy; casts truncate
- * toward zero like astype. The tables are checked on construction, so every
- * index is in range. The chains share no state: the second one's table
- * loads only fill the first one's load latency. One loop serves both
- * cases: with out_b NULL, b is a copy of a that is never swept, so start
- * needs only five words.
+ * Counts and lengths are doubles so that u * length rounds as in Python;
+ * casts truncate toward zero like astype. The tables are checked on
+ * construction, so every index is in range. The chains share no state: the
+ * second one's table loads only fill the first one's load latency. With
+ * out_b NULL, b is a copy of a that is never swept.
  */
-void gibbs_chain(ptrdiff_t n, ptrdiff_t burn, const uint64_t *restrict start,
+void gibbs_chain(ptrdiff_t n, ptrdiff_t burn, const uint64_t *restrict seed,
                  const struct gibbs_tables *restrict tables, double *restrict out_a,
                  double *restrict out_b)
 {
     const struct gibbs_tables tb = *tables;
     const ptrdiff_t kept = n - burn;
-    struct gibbs_state a = gibbs_start(start, out_a);
-    struct gibbs_state b = out_b == NULL ? a : gibbs_start(start + 5, out_b);
+    struct gibbs_state a = gibbs_start(seed, &tb, burn, kept, out_a);
+    struct gibbs_state b = out_b == NULL ? a : gibbs_start(seed + 4, &tb, burn, kept, out_b);
     for (ptrdiff_t t = 1; t < n; t++) {
         gibbs_sweep(&a, &tb, t - burn, kept);
         if (out_b != NULL)

@@ -1,11 +1,12 @@
 """Build and load the compiled kernels in ``_kernels.c``.
 
 The source holds four entry points: ``energy_generation`` and
-``energy_tables`` (used by ``sim``), ``gibbs_chain`` (used by ``gibbs``) and
-``follower_best`` (used by ``game``); they are the package's only
-implementation of each. Each takes every array, and ``gibbs_chain`` its
-``GibbsTables``, as a ``c_void_p`` address, so ctypes checks only the
-scalars; the caller passes arrays it built or checked in the kernel's
+``energy_tables`` (used by ``sim``), ``gibbs_chain`` (used by ``gibbs``,
+which draws whole chains) and ``follower_best`` (used by ``game``); they are
+the package's only implementation of each. Each takes every array, and
+``gibbs_chain`` its tables struct (``gibbs.GibbsTables``, declared beside
+the arrays it points at), as a ``c_void_p`` address, so ctypes checks only
+the scalars; the caller passes arrays it built or checked in the kernel's
 types, each bound to a name until the call returns (an address keeps no
 array alive). The source is compiled on the first call to
 ``load_kernels``, not at import, and cached per user under
@@ -77,17 +78,6 @@ def _compile_kernel() -> Path:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
     return target
-
-
-class GibbsTables(ctypes.Structure):
-    """``gibbs_chain``'s ``struct gibbs_tables``: the addresses of the CSR
-    arrays and the mean-wind map, then the mean-wind bins."""
-
-    _fields_ = [*((name, ctypes.c_void_p) for name in (
-                    "col_start", "col_len", "col_w1", "col_row", "row_start", "row_len",
-                    "row_w2", "row_col", "dem_start", "dem_len", "dem_vals", "mean_map")),
-                ("mean_origin", ctypes.c_double), ("mean_width", ctypes.c_double),
-                ("n_mean_bins", ctypes.c_int64)]
 
 
 def _bind(path) -> ctypes.CDLL:

@@ -10,10 +10,10 @@ given the binned mean of the new winds, in exactly that order. Every draw
 consumes uniforms from a per-chain generator derived from the master seed
 and the chain index, so a realisation is reproducible in isolation.
 ``run_chains`` is the one sampler (``run_chain`` is its one-chain case): it
-draws each chain's start state, then the ``gibbs_chain`` kernel of
-``_kernels.c`` runs the sweeps over the CSR arrays, two chains at a time,
-drawing each chain's uniforms from its own numpy PCG64 stream, so no array
-of uniforms is built; the tests hold a scalar sampler as its oracle.
+seeds each chain's generator and allocates its samples, and the
+``gibbs_chain`` kernel of ``_kernels.c`` draws the whole chain, start state
+included, two chains at a time, from each chain's numpy PCG64 stream, so no
+array of uniforms is built; the tests hold a scalar sampler as its oracle.
 Samples stay in memory: nothing here writes files.
 
 The confidence width's Student-t quantile is scipy's ``stdtrit``, read from
@@ -100,18 +100,34 @@ def _csr(keys: np.ndarray, n_groups: int, *values: np.ndarray) -> tuple[np.ndarr
             *(v[order] for v in values))
 
 
-def _kernel_arguments(flat, mean_map: np.ndarray, spec: BinSpec) -> _native.GibbsTables:
-    """``gibbs_chain``'s tables: the addresses of the CSR arrays and the
-    mean-wind map, then the mean-wind bins. Taken once, where the tables are
-    built; an array that is not C-contiguous in the kernel's dtype (int64
-    starts and indices, float64 lengths and values) is refused, not passed.
-    """
-    arrays = (*flat[0], *flat[1], *flat[2], mean_map)
+# ``struct gibbs_tables``' arrays by name and dtype, in its order: the records'
+# w1, w2 and column, the CSR groups of ``SamplerTables.flat``, the mean-wind map.
+_TABLE_ARRAYS = (
+    ("rec_w1", np.float64), ("rec_w2", np.float64), ("rec_col", np.int64),
+    ("col_start", np.int64), ("col_len", np.float64), ("col_w1", np.float64),
+    ("col_row", np.int64), ("row_start", np.int64), ("row_len", np.float64),
+    ("row_w2", np.float64), ("row_col", np.int64), ("dem_start", np.int64),
+    ("dem_len", np.float64), ("dem_vals", np.float64), ("mean_map", np.int64))
+
+
+class GibbsTables(ctypes.Structure):
+    """``struct gibbs_tables``: the addresses of ``_TABLE_ARRAYS``, then the
+    record count and the mean-wind bins."""
+
+    _fields_ = [*((name, ctypes.c_void_p) for name, _ in _TABLE_ARRAYS),
+                ("n_records", ctypes.c_double), ("mean_origin", ctypes.c_double),
+                ("mean_width", ctypes.c_double), ("n_mean_bins", ctypes.c_int64)]
+
+
+def _kernel_arguments(arrays: Sequence[np.ndarray], spec: BinSpec) -> GibbsTables:
+    """``gibbs_chain``'s tables from ``arrays``, one per ``_TABLE_ARRAYS``
+    entry, and the mean-wind bins. Taken once, where the tables are built;
+    an array that is not C-contiguous in its entry's dtype is refused."""
     if any(a.dtype != dtype or not a.flags.c_contiguous
-           for a, dtype in zip(arrays, (np.int64, np.float64, np.float64, np.int64) * 3)):
+           for a, (_, dtype) in zip(arrays, _TABLE_ARRAYS, strict=True)):
         raise TypeError("gibbs_chain needs C-contiguous int64 indices and float64 values")
-    return _native.GibbsTables(*(a.ctypes.data for a in arrays), spec.origin, spec.width,
-                               spec.n_bins)
+    return GibbsTables(*(a.ctypes.data for a in arrays), float(len(arrays[0])), spec.origin,
+                       spec.width, spec.n_bins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,27 +139,32 @@ class SamplerTables:
     their retained rows. Per retained row: the raw w2 values and retained
     columns. Per retained mean-wind row: the raw demand values. Drawing a
     member uniformly reproduces count-proportional conditional weights.
-    They and the mean-wind map are built in the kernel's types, and
-    ``_kernel_tables`` holds ``gibbs_chain``'s struct of them.
-    Construction fails if the joint table is disconnected, a member value is
-    not finite, a mean-wind row has no demand records, or a mean wind the
-    chain can form has no row >= 0.
+    ``_kernel_arrays`` holds, in ``_TABLE_ARRAYS`` order and in the kernel's
+    types, the records' w1, w2 and column, from which a chain starts, then
+    ``flat`` and the mean-wind map; ``_kernel_tables``, ``gibbs_chain``'s
+    struct, holds their addresses.
+    Construction fails if the joint table is disconnected, its records'
+    arrays differ in length, a member value is not finite, a mean-wind row
+    has no demand records, or a mean wind the chain can form has no row >= 0.
     """
 
     joint: JointTable
     demand: DemandConditional
     flat: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False)
-    _mean_map: np.ndarray = field(init=False, repr=False)
-    _kernel_tables: _native.GibbsTables = field(init=False, repr=False)
+    _kernel_arrays: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _kernel_tables: GibbsTables = field(init=False, repr=False)
 
     def __post_init__(self):
         joint, demand, spec = self.joint, self.demand, self.demand.mean_spec
         assert_ergodic(joint)
-        w1, w2, p_d = (np.asarray(v, dtype=np.float64) for v in
+        w1, w2, p_d = (np.ascontiguousarray(v, dtype=np.float64) for v in
                        (joint.w1_values, joint.w2_values, demand.demand_values))
         if not all(np.isfinite(v).all() for v in (w1, w2, p_d)):
             raise DistributionError("table member values must be finite")
-        row_of, col_of = (np.asarray(v, dtype=np.int64) for v in (joint.row_of, joint.col_of))
+        row_of, col_of = (np.ascontiguousarray(v, dtype=np.int64)
+                          for v in (joint.row_of, joint.col_of))
+        if len({len(v) for v in (w1, w2, row_of, col_of)}) != 1:  # the kernel's start reads them
+            raise DistributionError("joint records need one w1, w2, row and column each")
         flat = (_csr(col_of, joint.n_cols, w1, row_of),
                 _csr(row_of, joint.n_rows, w2, col_of),
                 _csr(demand.row_of, demand.n_rows, p_d))
@@ -156,9 +177,10 @@ class SamplerTables:
         lowest = (float(w1.min()) + float(w2.min())) * 0.5  # bins clamp only above
         if spec.unchecked_indices(np.float64(lowest)) < 0:
             raise DistributionError(f"mean wind {lowest} lies below the mean-wind bins")
+        arrays = (w1, w2, col_of, *flat[0], *flat[1], *flat[2], mean_map)
         object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "_mean_map", mean_map)
-        object.__setattr__(self, "_kernel_tables", _kernel_arguments(flat, mean_map, spec))
+        object.__setattr__(self, "_kernel_arrays", arrays)
+        object.__setattr__(self, "_kernel_tables", _kernel_arguments(arrays, spec))
 
     @classmethod
     def from_series(cls, series: JointSeries, wind_width: float,
@@ -182,28 +204,6 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(chain_index,))))
 
 
-def _start(config: ChainConfig, tables: SamplerTables, chain_index: int
-           ) -> tuple[np.random.Generator, int, np.ndarray]:
-    """Chain ``chain_index``'s generator after its two start draws, its start
-    column and its (3, retained) output, holding the start state if kept."""
-    joint = tables.joint
-    rng = chain_rng(config.seed, chain_index)
-    out = np.empty((3, config.retained))
-    u0, u1 = rng.random(2)
-    record = int(u0 * len(joint.w1_values))
-    w1, w2 = joint.w1_values[record], joint.w2_values[record]
-    if config.burn_in == 0:
-        out[:, 0] = w1, w2, _draw_demand(tables, w1, w2, u1)
-    return rng, int(joint.col_of[record]), out
-
-
-def _start_words(rng: np.random.Generator, j: int) -> tuple[int, ...]:
-    """``gibbs_chain``'s five start words for a chain: its PCG64 state and
-    increment as (high, low) 64-bit halves, then its start column."""
-    pcg = rng.bit_generator.state["state"]
-    return (*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64), j)
-
-
 def run_chains(config: ChainConfig, tables: SamplerTables,
                indices: Sequence[int]) -> list[Realisation]:
     """Realisations ``indices``, in that order: n states each, the first
@@ -214,35 +214,29 @@ def run_chains(config: ChainConfig, tables: SamplerTables,
     w1 | w2-bin, then w2 | new w1-bin, then demand | mean-wind bin. Chain k
     takes its uniforms from ``chain_rng(seed, k)``, two for the start and
     three per sweep in that order, so it does not depend on which other
-    chains run. The compiled kernel draws the sweeps' uniforms from that
-    stream itself and advances consecutive chains two at a time.
+    chains run. The compiled kernel takes each stream as seeded (its PCG64
+    state and increment, as (high, low) 64-bit halves), draws every uniform
+    itself and advances consecutive chains two at a time.
     """
     kernels = _native.load_kernels()
     realisations = []
     for at in range(0, len(indices), 2):
         pair = indices[at:at + 2]
-        chains = [_start(config, tables, k) for k in pair]
-        words = np.array([w for rng, j, _ in chains for w in _start_words(rng, j)],
-                         dtype=np.uint64)
-        outs = [out.ctypes.data for _, _, out in chains] + [None]  # None: no second chain
+        pcgs = [chain_rng(config.seed, k).bit_generator.state["state"] for k in pair]
+        words = np.array([w for pcg in pcgs for x in (pcg["state"], pcg["inc"])
+                          for w in divmod(x, 1 << 64)], dtype=np.uint64)
+        outs = [np.empty((3, config.retained)) for _ in pair]
         kernels.gibbs_chain(config.n, config.burn_in, words.ctypes.data,
-                            ctypes.addressof(tables._kernel_tables), *outs[:2])
+                            ctypes.addressof(tables._kernel_tables),
+                            *[out.ctypes.data for out in outs], *[None] * (2 - len(outs)))
         realisations += [Realisation(w1=out[0], w2=out[1], p_d=out[2], chain_index=k)
-                         for k, (_, _, out) in zip(pair, chains)]
+                         for k, out in zip(pair, outs)]
     return realisations
 
 
 def run_chain(config: ChainConfig, tables: SamplerTables, chain_index: int) -> Realisation:
     """Realisation ``chain_index`` alone: ``run_chains`` of that one index."""
     return run_chains(config, tables, (chain_index,))[0]
-
-
-def _draw_demand(tables: SamplerTables, w1, w2, u):
-    """Demand for winds ``w1``, ``w2`` (arrays or scalars): member ``u * size``
-    of their mean-wind row, whose bins cover every mean of two sampled winds."""
-    start, length, values = tables.flat[2]
-    row = tables._mean_map[tables.demand.mean_spec.unchecked_indices((w1 + w2) * 0.5)]
-    return values[start[row] + (u * length[row]).astype(np.int64)]
 
 
 def run_ensemble(config: ChainConfig, tables: SamplerTables,

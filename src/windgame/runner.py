@@ -203,10 +203,16 @@ def _fmt(x: float) -> str:
 
 def _write_atomic(reports: dict[Path, list[str]]) -> None:
     """Write each path's lines to a temporary file beside it, then rename
-    every one over its path: an interrupted write never leaves a partial
-    report, and a failed one leaves the previous set of reports as it was."""
+    every one over its path, so an interrupted write never leaves a partial
+    report. A path that is a directory or a temporary file that cannot be
+    written fails before the first rename and leaves the previous reports
+    as they were; a rename that fails after another succeeded (its target
+    changed while the reports were written) leaves a mixed set."""
     tmp = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in reports}
     try:
+        for path in reports:
+            if path.is_dir() and not path.is_symlink():  # a rename replaces a link itself
+                raise IsADirectoryError("is a directory")
         for path, lines in reports.items():
             with open(tmp[path], "w", newline="", encoding="utf-8") as handle:
                 handle.write("\n".join(lines) + "\n")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -109,7 +109,6 @@ class EnergyTables:
     (grid[i], grid[j]). Generation is linear in own capacity; curtailment
     couples both players. Each table is a finite float64 array of its grid's
     shape, checked here, so the game's kernel may read it by address.
-    ``peaks`` holds ``player_peaks`` of the tables, found by the same pass.
     """
 
     e_g1: np.ndarray
@@ -117,7 +116,6 @@ class EnergyTables:
     e_c1: np.ndarray
     e_c2: np.ndarray
     grid: StrategyGrid
-    peaks: tuple[float, float] = field(init=False, repr=False)
 
     def __post_init__(self):
         k = len(self.grid)
@@ -126,8 +124,7 @@ class EnergyTables:
             if not isinstance(table, np.ndarray) or table.dtype != np.float64 \
                     or table.shape != shape:
                 raise WindGameError(f"{name} must be a float64 array of shape {shape}")
-        object.__setattr__(self, "peaks", player_peaks(
-            {name: cell_peak(getattr(self, name)) for name in ENERGY_TABLES}))
+        player_peaks({name: cell_peak(getattr(self, name)) for name in ENERGY_TABLES})
 
 
 ENERGY_TABLES = ("e_g1", "e_g2", "e_c1", "e_c2")

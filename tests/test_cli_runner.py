@@ -477,6 +477,23 @@ class TestRunScenario:
         assert len(opened) == 2
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_directory_in_place_of_a_report_refused_before_any_rename(self, tiny_config,
+                                                                      tmp_path):
+        # equilibria.csv is renamed first: it must keep its bytes when a
+        # later report's path is a directory, and no temporary file is left
+        result = run_scenario(load_config(tiny_config))
+        out = tmp_path / "report"
+        emit_report(result, out)
+        before = (out / "equilibria.csv").read_bytes()
+        (out / "per_realisation.csv").unlink()
+        (out / "per_realisation.csv").mkdir()
+        changed = replace(result, aggregates=result.aggregates + 1.0)
+        with pytest.raises(StageError, match=r"\[report\] cannot write .*per_realisation\.csv"):
+            emit_report(changed, out)
+        assert (out / "equilibria.csv").read_bytes() == before
+        assert sorted(p.name for p in out.iterdir()) == ["convergence.csv", "equilibria.csv",
+                                                         "per_realisation.csv", "run.json"]
+
     def test_aggregates_match_brute_force_over_emitted_rows(self, tiny_config, tmp_path):
         config = load_config(tiny_config)
         result = run_scenario(config)

@@ -365,7 +365,8 @@ class TestEquilibrium:
         tables, grid = tables_2x2()
         sweep = [COSTS, dataclasses.replace(COSTS, p_g=1e305),
                  dataclasses.replace(COSTS, p_t=60.0)]
-        assert not np.isfinite(4 * tables.peaks[0] * 1e305)
+        peak1 = max(sim.cell_peak(tables.e_g1), sim.cell_peak(tables.e_c1))  # player 1's
+        assert not np.isfinite(4 * peak1 * 1e305)
         refs = [stackelberg(profit_surfaces(tables, costs), grid) for costs in sweep]
 
         def refuse(*args):

@@ -298,11 +298,19 @@ class TestKernelArguments:
     def test_bad_table_array_refused(self, synthetic_tables, group, member, change, error):
         # the kernel's addresses are taken once, on construction, and only
         # from arrays in its types
-        flat = [list(arrays) for arrays in synthetic_tables.flat]
-        flat[group][member] = change(flat[group][member])
+        arrays = list(synthetic_tables._kernel_arrays)
+        at = [a is synthetic_tables.flat[group][member] for a in arrays].index(True)
+        arrays[at] = change(arrays[at])
         with pytest.raises(error, match="C-contiguous"):
-            gibbs._kernel_arguments(flat, synthetic_tables._mean_map,
-                                    synthetic_tables.demand.mean_spec)
+            gibbs._kernel_arguments(arrays, synthetic_tables.demand.mean_spec)
+
+    @pytest.mark.parametrize("name", ["w1_values", "w2_values", "row_of", "col_of"])
+    def test_records_of_unequal_length_refused(self, synthetic_tables, name):
+        # the kernel reads a chain's start record from w1, w2 and col_of
+        joint = synthetic_tables.joint
+        with pytest.raises(DistributionError, match="joint records need"):
+            SamplerTables(joint=replace(joint, **{name: getattr(joint, name)[:-1]}),
+                          demand=synthetic_tables.demand)
 
     def test_mean_map_length_checked(self, synthetic_tables):
         demand = synthetic_tables.demand

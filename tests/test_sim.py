@@ -24,7 +24,7 @@ from windgame import (ChainConfig, CostParams, EnergyTables, FitError, PowerCurv
                       curtailment_timestep, default_power_curve, equilibria, fit_sigmoid,
                       load_curve_points, per_unit_output, per_unit_series, run_chain,
                       run_chains)
-from windgame import _native, game
+from windgame import _native, game, gibbs
 from windgame.ingest import JointSeries
 from windgame.sim import ENERGY_TABLES, PerUnitSeries, energy_blocks
 
@@ -115,8 +115,8 @@ def reference_columns(tables, costs) -> np.ndarray:
 # The sanitizer test's case. 37 columns: no vector width divides it; blocks
 # of 10 rows (the solve's too, at 370 cells a block), so the row-range
 # kernels run at row0 0, 10, 20 and 30, the last block 7 rows long, and
-# also over all 37 rows at once; a fee above the tariff; a chain pair at
-# burn-in 0 and 0.2.
+# also over all 37 rows at once; a fee above the tariff; at burn-in 0 and
+# 0.2, a chain pair and a chain alone (chains 0 and 1, then chain 2).
 SANITIZED_BLOCK_CELLS = 370
 
 
@@ -136,7 +136,7 @@ def sanitized_case():
                           p_d=rng.uniform(50.0, 150.0, n))
     return (series, StrategyGrid(step=1.0, p_n_max=36.0), costs,
             SamplerTables.from_series(history, 1.0, 10),
-            [ChainConfig(n=300, realisations=2, burn_in_fraction=burn, seed=5)
+            [ChainConfig(n=300, realisations=3, burn_in_fraction=burn, seed=5)
              for burn in (0.0, 0.2)])
 
 
@@ -149,7 +149,7 @@ def kernel_outputs(series, grid, costs, sampler, chains):
     yield equilibria(tables, costs)
     yield game.solve_realisation(series, None, grid, costs)
     for config in chains:
-        for chain in run_chains(config, sampler, (0, 1)):
+        for chain in run_chains(config, sampler, (0, 1, 2)):
             yield from (chain.w1, chain.w2, chain.p_d)
 
 
@@ -165,7 +165,7 @@ def oracle_outputs(series, grid, costs, sampler, chains):
     solved = reference_rows(tables, costs)
     yield from (solved, solved)  # equilibria's, then solve_realisation's
     for config in chains:
-        for k in (0, 1):
+        for k in (0, 1, 2):
             yield from np.array(oracle_chain(config, sampler, k)).T
 
 
@@ -507,7 +507,7 @@ class TestKernelBuild:
             fields += [(name.strip().lstrip("*"),
                         ctypes.c_void_p if "*" in name else scalars[base])
                        for name in names.split(",")]
-        assert _native.GibbsTables._fields_ == fields
+        assert gibbs.GibbsTables._fields_ == fields
 
     @pytest.mark.parametrize("isa", ["avx512f", "avx2", None], ids=["avx512f", "avx2", "default"])
     def test_every_vector_clone_matches_the_oracles(self, isa, tmp_path, monkeypatch):
